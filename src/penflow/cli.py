@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .energy import NormSeries, norm_E_squared
-from .errors import ConfigError, PenflowError
+from .errors import ConfigError, DivergenceError
 from .config import format_config, parse_config
 from .solver import (
     RunSample,
@@ -193,11 +193,8 @@ def twin_run(cfg: ScenarioConfig, perturbation: float) -> TwinReport:
             times.append(a.sample.t)
             dp.append(float(np.sqrt(norm_E_squared(d_p, d_dtp)[0])))
             du.append(float(np.sqrt(l2_norm_sq(d_u))))
-    except PenflowError as exc:
-        if hasattr(exc, "time"):
-            diverged = True
-        else:
-            raise
+    except DivergenceError:
+        diverged = True
     rate = None
     pts = [(t, d) for t, d in zip(times, du) if d > 0]
     if len(pts) >= 2:

@@ -142,6 +142,10 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append(f"{where('grid', 'n')}n must be a power of two >= 8")
     if kind not in IC_KINDS:
         errors.append(f"{where('initial', 'kind')}kind must be one of {IC_KINDS}")
+    if spectrum_peak < 1:
+        errors.append(
+            f"{where('initial', 'spectrum_peak')}spectrum_peak must be >= 1"
+        )
     if dt <= 0:
         errors.append(f"{where('solver', 'dt')}dt must be positive")
     if t_end < 0:

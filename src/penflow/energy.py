@@ -19,16 +19,7 @@ import numpy as np
 
 from .errors import ArityError, ConfigError, DataError
 from .flow import RegimeReport, ThermoParams, dissipation_phi
-from .spectral import (
-    RealField,
-    backward,
-    dealias,
-    forward,
-    gradient,
-    l2_norm_sq,
-    laplacian,
-    sobolev_norm,
-)
+from .spectral import RealField, advect_hat, fft, ifft, ksq, l2_norm_sq, sobolev_norm
 
 FINITE_DIFFERENCE = "finite_difference"
 MODEL_RHS = "model_rhs"
@@ -145,15 +136,19 @@ def convective_term(P: RealField, u: RealField) -> RealField:
     """dealias(u.grad P), derivatives taken spectrally."""
     if u.grid != P.grid:
         raise ArityError("u and P must share a grid")
-    g = backward(gradient(forward(P)))
-    adv = np.sum(u.data * g.data, axis=0)
-    return backward(dealias(forward(RealField(P.grid, adv))))
+    grid = P.grid
+    return RealField(grid, ifft(advect_hat(u.data, fft(P.data, grid), grid), grid))
+
+
+def _laplacian(P: RealField) -> RealField:
+    """Physical-space lap P, derivatives taken spectrally."""
+    return RealField(P.grid, ifft(-ksq(P.grid) * fft(P.data, P.grid), P.grid))
 
 
 def norm_E_squared(P: RealField, DtP: RealField) -> tuple[float, float, float]:
     """(total, integral (DtP)^2 dx, integral (lap P)^2 dx)."""
     _check_scalar_pair(P, DtP)
-    lap = backward(laplacian(forward(P)))
+    lap = _laplacian(P)
     dtp_term = l2_norm_sq(DtP)
     lap_term = l2_norm_sq(lap)
     return dtp_term + lap_term, dtp_term, lap_term
@@ -167,8 +162,8 @@ def inner_product_E(
     _check_scalar_pair(P2, DtP2)
     if P1.grid != P2.grid:
         raise ArityError("fields must share a grid")
-    lap1 = backward(laplacian(forward(P1))).scalar_values()
-    lap2 = backward(laplacian(forward(P2))).scalar_values()
+    lap1 = _laplacian(P1).scalar_values()
+    lap2 = _laplacian(P2).scalar_values()
     value = np.sum(DtP1.scalar_values() * DtP2.scalar_values()) + np.sum(lap1 * lap2)
     return float(value) * P1.grid.cell_volume
 
@@ -234,7 +229,7 @@ def variational_residual(
     grid = P.grid
     band = grid.n / 3.0
     coords = grid.coordinates()
-    lap_p = backward(laplacian(forward(P))).scalar_values()
+    lap_p = _laplacian(P).scalar_values()
     dtp = DtP.scalar_values()
     out = []
     for kvec in test_modes:

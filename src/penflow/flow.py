@@ -16,14 +16,11 @@ from .errors import ArityError, ConfigError, RegimeError
 from .spectral import (
     GridSpec,
     RealField,
-    backward,
-    derivative_wavevectors,
-    divergence,
-    forward,
-    gradient,
-    integrate,
-    laplacian,
-    poisson_solve,
+    div_hat,
+    fft,
+    grad_hat,
+    ifft,
+    project_hat,
     sobolev_norm,
 )
 
@@ -83,12 +80,9 @@ class FlowState:
         P.scalar_values()
         if P.grid != u.grid:
             raise ArityError("u and P must share a grid")
-        # raw FFTs here: backward()'s Hermitian gate would choke on the
+        # kernels, not backward(): its Hermitian gate would choke on the
         # cancellation roundoff of a nearly-diverged (huge-amplitude) field
-        axes = tuple(range(1, u.grid.dim + 1))
-        kd = derivative_wavevectors(u.grid)
-        div_hat = np.sum(1j * kd * np.fft.fftn(u.data, axes=axes), axis=0)
-        div = np.fft.ifftn(div_hat, axes=tuple(range(u.grid.dim))).real
+        div = ifft(div_hat(fft(u.data, u.grid), u.grid), u.grid)
         u_scale = max(1.0, float(np.max(np.abs(u.data))))
         if np.max(np.abs(div)) >= DIVERGENCE_TOL * u_scale:
             raise ArityError("velocity field is not divergence-free")
@@ -120,10 +114,10 @@ def temperature_from_pressure(
 def velocity_gradients(u: RealField) -> np.ndarray:
     """Spectral derivatives du_i/dx_j, shape (components, dim, n, ..., n)."""
     grid = u.grid
+    u_hat = fft(u.data, grid)
     out = np.empty((u.components, grid.dim) + grid.shape)
     for i in range(u.components):
-        g = backward(gradient(forward(RealField(grid, u.data[i]))))
-        out[i] = g.data
+        out[i] = ifft(grad_hat(u_hat[i], grid), grid)
     return out
 
 
@@ -145,13 +139,13 @@ def kinetic_energy(u: RealField) -> float:
 
 
 def leray_project(v: RealField) -> RealField:
-    """v minus the gradient part: v - grad(poisson_solve(div v)).
+    """v minus its gradient part, through spectral.project_hat.
 
-    Linear, idempotent, kills pure gradients, keeps the mean modes.
+    Linear, idempotent, kills pure gradients, keeps the mean modes; the
+    result is divergence-free under divergence() and FlowState's check.
     """
-    d = poisson_solve(divergence(forward(v)))
-    g = backward(gradient(d))
-    return RealField(v.grid, v.data - g.data)
+    grid = v.grid
+    return RealField(grid, ifft(project_hat(fft(v.data, grid), grid), grid))
 
 
 def regime_check(state: FlowState, T0: float) -> RegimeReport:
@@ -169,18 +163,6 @@ def regime_check(state: FlowState, T0: float) -> RegimeReport:
     )
 
 
-def strain_rate_dissipation(u: RealField, params: ThermoParams) -> RealField:
-    """Standard strain-rate form 2*mu*sum_ij S_ij^2, for comparison only."""
-    g = velocity_gradients(u)
-    s = 0.5 * (g + np.swapaxes(g, 0, 1))
-    return RealField(u.grid, 2.0 * params.mu * np.sum(s * s, axis=(0, 1)))
-
-
-def laplacian_field(f: RealField) -> RealField:
-    """Physical-space Laplacian via the spectral operator."""
-    return backward(laplacian(forward(f)))
-
-
 __all__ = [
     "ThermoParams",
     "RegimeReport",
@@ -192,7 +174,4 @@ __all__ = [
     "kinetic_energy",
     "leray_project",
     "regime_check",
-    "strain_rate_dissipation",
-    "laplacian_field",
-    "integrate",
 ]

@@ -36,16 +36,15 @@ from .flow import (
 from .spectral import (
     GridSpec,
     RealField,
-    SpectralField,
-    backward,
+    advect_hat,
     dealias_mask,
-    divergence,
+    div_hat,
+    fft,
+    ifft,
     inv_ksq,
     ksq,
-    poisson_solve,
+    project_hat,
     sobolev_norm,
-    derivative_wavevectors,
-    wavevectors,
 )
 
 IC_KINDS = ("taylor_green_2d", "taylor_green_3d", "random_divfree")
@@ -112,6 +111,8 @@ class ScenarioConfig:
             raise ConfigError("P0 must be positive")
         if self.mode not in MATERIAL_DERIVATIVE_MODES:
             raise ConfigError(f"unknown diagnostic mode {self.mode!r}")
+        if self.blowup_threshold < 0:
+            raise ConfigError("blowup_threshold must be nonnegative")
         if self.output_every < 1:
             raise ConfigError("output_every must be >= 1")
         if self.T0 is None:
@@ -168,49 +169,20 @@ def _random_divfree(ic: InitialCondition, grid: GridSpec) -> np.ndarray:
     """Band-limited Gaussian modes, solenoidally projected, rms = amplitude."""
     rng = np.random.default_rng(ic.seed)
     raw = rng.standard_normal((grid.dim,) + grid.shape)
-    c = np.fft.fftn(raw, axes=tuple(range(1, grid.dim + 1)))
     kk = np.sqrt(ksq(grid))
     envelope = np.exp(-((kk - ic.spectrum_peak) ** 2))
     envelope[kk == 0] = 0.0
     envelope *= dealias_mask(grid)
-    u = np.fft.ifftn(c * envelope, axes=tuple(range(1, grid.dim + 1))).real
-    proj = leray_project(RealField(grid, u)).data
+    proj = ifft(project_hat(fft(raw, grid) * envelope, grid), grid)
     rms = np.sqrt(np.mean(np.sum(proj * proj, axis=0)))
     if rms > 0:
         proj = proj * (ic.amplitude / rms)
     return proj
 
 
-# ---------------------------------------------------------------------------
-# spectral kernels (unnormalized fftn layout, shape (comp, n, ..., n))
-# ---------------------------------------------------------------------------
-
-
-def _axes(grid: GridSpec) -> tuple[int, ...]:
-    return tuple(range(1, grid.dim + 1))
-
-
-def _advection_hat(u_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Dealiased fftn(u.grad u)."""
-    axes = _axes(grid)
-    k = derivative_wavevectors(grid)
-    u = np.fft.ifftn(u_hat, axes=axes).real
-    adv = np.empty_like(u)
-    for i in range(grid.dim):
-        g = np.fft.ifftn(1j * k * u_hat[i], axes=axes).real
-        adv[i] = np.sum(u * g, axis=0)
-    return np.fft.fftn(adv, axes=axes) * dealias_mask(grid)
-
-
-def _project_hat(v_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
-    k = wavevectors(grid)
-    kdotv = np.sum(k * v_hat, axis=0)
-    return v_hat - k * (kdotv * inv_ksq(grid))
-
-
 def _momentum_rhs(u_hat: np.ndarray, nu: float, grid: GridSpec) -> np.ndarray:
-    adv = _advection_hat(u_hat, grid)
-    return _project_hat(-adv, grid) - nu * ksq(grid) * u_hat
+    adv = advect_hat(ifft(u_hat, grid), u_hat, grid)
+    return project_hat(-adv, grid) - nu * ksq(grid) * u_hat
 
 
 def effective_dt(state: FlowState, cfg: SolverConfig) -> float:
@@ -224,19 +196,15 @@ def effective_dt(state: FlowState, cfg: SolverConfig) -> float:
 def pressure_poisson(u: RealField, params: ThermoParams) -> RealField:
     """Zero-mean P with lap P = -rho * div(u.grad u), quadratic term dealiased."""
     grid = u.grid
-    u_hat = np.fft.fftn(u.data, axes=_axes(grid))
-    adv_hat = _advection_hat(u_hat, grid) / grid.n**grid.dim
-    div_adv = divergence(SpectralField(grid, adv_hat))
-    rhs = SpectralField(grid, -params.rho * div_adv.coeffs)
-    return backward(poisson_solve(rhs))
+    div_adv = div_hat(advect_hat(u.data, fft(u.data, grid), grid), grid)
+    return RealField(grid, ifft(params.rho * inv_ksq(grid) * div_adv, grid))
 
 
 def step(state: FlowState, cfg: SolverConfig, dt: float | None = None) -> FlowState:
     """One RK4 step of the projected momentum equation; recomputes P."""
     grid = state.grid
     dt = effective_dt(state, cfg) if dt is None else dt
-    axes = _axes(grid)
-    u_hat = np.fft.fftn(state.u.data, axes=axes)
+    u_hat = fft(state.u.data, grid)
 
     def f(uh):
         return _momentum_rhs(uh, cfg.nu, grid)
@@ -245,8 +213,8 @@ def step(state: FlowState, cfg: SolverConfig, dt: float | None = None) -> FlowSt
     k2 = f(u_hat + 0.5 * dt * k1)
     k3 = f(u_hat + 0.5 * dt * k2)
     k4 = f(u_hat + dt * k3)
-    u_new_hat = _project_hat(u_hat + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), grid)
-    u_new = np.fft.ifftn(u_new_hat, axes=axes).real
+    u_new_hat = project_hat(u_hat + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), grid)
+    u_new = ifft(u_new_hat, grid)
     t_new = state.t + dt
     if not np.all(np.isfinite(u_new)) or np.max(np.abs(u_new)) > 1e100:
         raise DivergenceError(t_new)
@@ -274,23 +242,15 @@ def evolve_pressure_model(
         if cfg.source_prefactor is None
         else cfg.source_prefactor
     )
-    source = pf * dissipation_phi(state.u, params).scalar_values()
+    source = pf * dissipation_phi(state.u, params).data
     if params.Q is not None:
-        source = source + pf * params.Q.scalar_values()
-    axes = tuple(range(grid.dim))
-    k = derivative_wavevectors(grid)
-    mask = dealias_mask(grid)
+        source = source + pf * params.Q.data
     u = state.u.data
 
     def f(p):
-        p_hat = np.fft.fftn(p, axes=axes)
-        adv = np.zeros_like(p)
-        for j in range(grid.dim):
-            adv += u[j] * np.fft.ifftn(1j * k[j] * p_hat, axes=axes).real
-        adv = np.fft.ifftn(np.fft.fftn(adv, axes=axes) * mask, axes=axes).real
-        return -adv + source
+        return -ifft(advect_hat(u, fft(p, grid), grid), grid) + source
 
-    p = P_model.scalar_values()
+    p = P_model.scalar_values()[np.newaxis]
     k1 = f(p)
     k2 = f(p + 0.5 * dt * k1)
     k3 = f(p + 0.5 * dt * k2)

@@ -7,6 +7,10 @@ coefficients are fftn(samples) / n**dim and Parseval reads
 
 All quadrature is the equispaced sum times h**dim, which is spectrally
 accurate for smooth periodic fields.
+
+This is the package's only FFT module.  First derivatives use kd, the
+wavevector with the self-paired Nyquist mode zeroed; the Leray projection
+divides by |kd|^2, so its output is divergence-free under the same kd.
 """
 
 from __future__ import annotations
@@ -76,34 +80,32 @@ def _wavenumber_cache(dim: int, n: int):
     k1d = k1.copy()
     k1d[n // 2] = 0.0
     kd = np.stack(np.meshgrid(*([k1d] * dim), indexing="ij"))
-    for a in (k, ksq, inv_ksq, mask, kd):
+    kdsq = np.sum(kd * kd, axis=0)
+    inv_kdsq = np.zeros_like(kdsq)
+    inv_kdsq[kdsq > 0] = 1.0 / kdsq[kdsq > 0]
+    for a in (ksq, inv_ksq, mask, kd, inv_kdsq):
         a.setflags(write=False)
-    return k, ksq, inv_ksq, mask, kd
-
-
-def wavevectors(grid: GridSpec) -> np.ndarray:
-    """Integer wavevector components, shape (dim, n, ..., n)."""
-    return _wavenumber_cache(grid.dim, grid.n)[0]
+    return ksq, inv_ksq, mask, kd, inv_kdsq
 
 
 def ksq(grid: GridSpec) -> np.ndarray:
     """|k|^2 on the spectral grid."""
-    return _wavenumber_cache(grid.dim, grid.n)[1]
+    return _wavenumber_cache(grid.dim, grid.n)[0]
 
 
 def inv_ksq(grid: GridSpec) -> np.ndarray:
     """1/|k|^2 with the zero mode set to 0."""
-    return _wavenumber_cache(grid.dim, grid.n)[2]
+    return _wavenumber_cache(grid.dim, grid.n)[1]
 
 
 def dealias_mask(grid: GridSpec) -> np.ndarray:
     """Boolean 2/3-rule mask: True where all |k_j| <= n/3."""
-    return _wavenumber_cache(grid.dim, grid.n)[3]
+    return _wavenumber_cache(grid.dim, grid.n)[2]
 
 
 def derivative_wavevectors(grid: GridSpec) -> np.ndarray:
-    """Wavevectors for first derivatives: like wavevectors(), Nyquist zeroed."""
-    return _wavenumber_cache(grid.dim, grid.n)[4]
+    """Wavevectors for first derivatives: integer k, Nyquist mode zeroed."""
+    return _wavenumber_cache(grid.dim, grid.n)[3]
 
 
 class _Field:
@@ -172,12 +174,61 @@ def _spatial_axes(grid: GridSpec) -> tuple[int, ...]:
     return tuple(range(1, grid.dim + 1))
 
 
+# ---------------------------------------------------------------------------
+# array kernels: unnormalised fftn layout, shape (components, n, ..., n), no
+# boundary checks.  These are the package's only FFT calls; the public
+# functions below wrap them and add the input checks.
+# ---------------------------------------------------------------------------
+
+
+def fft(a: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Unnormalised fftn over the spatial axes."""
+    return np.fft.fftn(a, axes=_spatial_axes(grid))
+
+
+def ifft(a_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Inverse of fft(); the imaginary residue is discarded."""
+    return np.fft.ifftn(a_hat, axes=_spatial_axes(grid)).real
+
+
+def grad_hat(f_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """i*kd*f of one component f_hat (n, ..., n); shape (dim, n, ..., n)."""
+    return 1j * derivative_wavevectors(grid) * f_hat
+
+
+def div_hat(v_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """sum_j i*kd_j*v_j of a dim-component field; shape (1, n, ..., n)."""
+    return np.sum(1j * derivative_wavevectors(grid) * v_hat, axis=0, keepdims=True)
+
+
+def project_hat(v_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Leray projection v - kd (kd.v)/|kd|^2, so div_hat(result) == 0.
+
+    Modes with kd = 0 (the mean and the pure-Nyquist modes) pass unchanged.
+    """
+    kd = derivative_wavevectors(grid)
+    inv_kdsq = _wavenumber_cache(grid.dim, grid.n)[4]
+    return v_hat - kd * (np.sum(kd * v_hat, axis=0) * inv_kdsq)
+
+
+def advect_hat(u: np.ndarray, f_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Dealiased fft(u.grad f_c) for each component c of f; u is physical."""
+    out = np.empty(f_hat.shape)
+    for c in range(f_hat.shape[0]):
+        out[c] = np.sum(u * ifft(grad_hat(f_hat[c], grid), grid), axis=0)
+    return fft(out, grid) * dealias_mask(grid)
+
+
+# ---------------------------------------------------------------------------
+# public operators on RealField / SpectralField (c_k = fftn / n**dim)
+# ---------------------------------------------------------------------------
+
+
 def forward(f: RealField) -> SpectralField:
     """Physical samples -> Fourier coefficients."""
     if not np.all(np.isfinite(f.data)):
         raise CorruptionError("non-finite values in physical field")
-    coeffs = np.fft.fftn(f.data, axes=_spatial_axes(f.grid)) / f.grid.n**f.grid.dim
-    return SpectralField(f.grid, coeffs)
+    return SpectralField(f.grid, fft(f.data, f.grid) / f.grid.n**f.grid.dim)
 
 
 def hermitian_asymmetry(F: SpectralField) -> float:
@@ -194,16 +245,14 @@ def backward(F: SpectralField) -> RealField:
     scale = max(1.0, float(np.max(np.abs(F.coeffs)))) if F.coeffs.size else 1.0
     if hermitian_asymmetry(F) > HERMITIAN_TOL * scale:
         raise SymmetryError("coefficients are not Hermitian-symmetric")
-    data = np.fft.ifftn(F.coeffs * F.grid.n**F.grid.dim, axes=_spatial_axes(F.grid))
-    return RealField(F.grid, data.real)
+    return RealField(F.grid, ifft(F.coeffs * F.grid.n**F.grid.dim, F.grid))
 
 
 def gradient(F: SpectralField) -> SpectralField:
     """Spectral gradient of a scalar: component j is i*k_j*c_k."""
     if not F.is_scalar:
         raise ArityError("gradient expects a scalar field")
-    k = derivative_wavevectors(F.grid)
-    return SpectralField(F.grid, 1j * k * F.coeffs[0])
+    return SpectralField(F.grid, grad_hat(F.coeffs[0], F.grid))
 
 
 def laplacian(F: SpectralField) -> SpectralField:
@@ -217,8 +266,7 @@ def divergence(F: SpectralField) -> SpectralField:
         raise ArityError(
             f"divergence expects {F.grid.dim} components, got {F.components}"
         )
-    k = derivative_wavevectors(F.grid)
-    return SpectralField(F.grid, np.sum(1j * k * F.coeffs, axis=0))
+    return SpectralField(F.grid, div_hat(F.coeffs, F.grid))
 
 
 def poisson_solve(F: SpectralField) -> SpectralField:

@@ -79,6 +79,35 @@ class TestParseConfig:
         assert any(i.startswith("line 3:") for i in issues)
         assert any(i.startswith("line 5:") for i in issues)
 
+    @pytest.mark.parametrize(
+        "doc, lines",
+        [
+            ("[grid]\nn = 12\n[initial]\nspectrum_peak = 0\n", (2, 4)),
+            ("[initial]\nspectrum_peak = 0\n", (2,)),
+            ("[diagnostics]\nblowup_threshold = -5\n", (2,)),
+        ],
+        ids=["n_and_spectrum_peak", "spectrum_peak", "blowup_threshold"],
+    )
+    def test_every_rule_reported_with_its_line(self, doc, lines):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        issues = exc.value.issues
+        assert len(issues) == len(lines)
+        for lineno in lines:
+            assert any(i.startswith(f"line {lineno}:") for i in issues)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ScenarioConfig(blowup_threshold=-5),
+            lambda: InitialCondition("random_divfree", spectrum_peak=0),
+        ],
+        ids=["blowup_threshold", "spectrum_peak"],
+    )
+    def test_api_rejects_what_the_parser_rejects(self, build):
+        with pytest.raises(ConfigError):
+            build()
+
     def test_unknown_section_and_key(self):
         with pytest.raises(ConfigError) as exc:
             parse_config("[physics]\ngamma = 1.4\n[grid]\nsize = 8\n")

@@ -1,10 +1,13 @@
 """Spectral core: transforms, derivatives, Poisson inversion, dealiasing."""
 
 import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import penflow
 from penflow import (
     ArityError,
     ConfigError,
@@ -309,3 +312,16 @@ def test_integrate_constant():
     assert integrate(RealField(g, np.full(g.shape, 2.0))) == pytest.approx(
         2.0 * (2 * np.pi) ** 2
     )
+
+
+def test_only_spectral_module_calls_fft():
+    # every transform goes through the kernels in spectral.py
+    src = Path(penflow.__file__).parent
+    offenders = [
+        f"{path.name}:{lineno}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "spectral.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"fft\.i?fftn\b|\bi?fftn\s*\(", line)
+    ]
+    assert offenders == []
