@@ -69,10 +69,11 @@ class FlowState:
 
     u must be divergence-free (max |div u| < 1e-8) and P carries the
     zero-mean gauge; the constant reference pressure lives in the scenario
-    configuration.
+    configuration.  The dissipation Phi of u is computed on first use of
+    ``phi`` and kept.
     """
 
-    __slots__ = ("t", "u", "P", "params")
+    __slots__ = ("t", "u", "P", "params", "_phi")
 
     def __init__(self, t: float, u: RealField, P: RealField, params: ThermoParams):
         if u.components != u.grid.dim:
@@ -93,10 +94,18 @@ class FlowState:
         self.u = u
         self.P = P
         self.params = params
+        self._phi = None
 
     @property
     def grid(self) -> GridSpec:
         return self.u.grid
+
+    @property
+    def phi(self) -> RealField:
+        """dissipation_phi(u, params), computed once per state."""
+        if self._phi is None:
+            self._phi = dissipation_phi(self.u, self.params)
+        return self._phi
 
 
 def temperature_from_pressure(

@@ -3,7 +3,11 @@
 Advances the incompressible momentum equation with Leray projection at
 every substage, recovers the Navier-Stokes pressure from a Poisson solve,
 and co-evolves the model pressure driven by viscous dissipation
-(dP/dt + u.grad P = (R/c_v)*Phi) for comparison against it.
+(dP/dt + u.grad P = (R/c_v)*Phi) for comparison against it.  Velocity
+self-advection is taken in divergence form (spectral.self_advect_hat); the
+model pressure is not band-limited, so its advection stays convective and
+its RK4 runs on the Fourier coefficients, with one inverse transform at the
+end of the step.
 """
 
 from __future__ import annotations
@@ -27,8 +31,6 @@ from .errors import ConfigError, DataError, DivergenceError
 from .flow import (
     FlowState,
     ThermoParams,
-    dissipation_phi,
-    gradient_energy,
     kinetic_energy,
     leray_project,
     regime_check,
@@ -41,9 +43,11 @@ from .spectral import (
     div_hat,
     fft,
     ifft,
+    integrate,
     inv_ksq,
     ksq,
     project_hat,
+    self_advect_hat,
     sobolev_norm,
 )
 
@@ -181,7 +185,7 @@ def _random_divfree(ic: InitialCondition, grid: GridSpec) -> np.ndarray:
 
 
 def _momentum_rhs(u_hat: np.ndarray, nu: float, grid: GridSpec) -> np.ndarray:
-    adv = advect_hat(ifft(u_hat, grid), u_hat, grid)
+    adv = self_advect_hat(ifft(u_hat, grid), grid)
     return project_hat(-adv, grid) - nu * ksq(grid) * u_hat
 
 
@@ -194,10 +198,16 @@ def effective_dt(state: FlowState, cfg: SolverConfig) -> float:
 
 
 def pressure_poisson(u: RealField, params: ThermoParams) -> RealField:
-    """Zero-mean P with lap P = -rho * div(u.grad u), quadratic term dealiased."""
+    """Zero-mean P with lap P = -rho * div(u.grad u), quadratic term dealiased.
+
+    u.grad u is taken in divergence form, exact for divergence-free u inside
+    the 2/3 band (every state the solver makes).
+    """
     grid = u.grid
-    div_adv = div_hat(advect_hat(u.data, fft(u.data, grid), grid), grid)
-    return RealField(grid, ifft(params.rho * inv_ksq(grid) * div_adv, grid))
+    div_adv = div_hat(self_advect_hat(u.data, grid), grid)
+    # copy: ifft() is a view that would pin a complex buffer twice its size
+    P = ifft(params.rho * inv_ksq(grid) * div_adv, grid).copy()
+    return RealField(grid, P)
 
 
 def step(state: FlowState, cfg: SolverConfig, dt: float | None = None) -> FlowState:
@@ -214,7 +224,7 @@ def step(state: FlowState, cfg: SolverConfig, dt: float | None = None) -> FlowSt
     k3 = f(u_hat + 0.5 * dt * k2)
     k4 = f(u_hat + dt * k3)
     u_new_hat = project_hat(u_hat + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), grid)
-    u_new = ifft(u_new_hat, grid)
+    u_new = ifft(u_new_hat, grid).copy()  # owned, as in pressure_poisson
     t_new = state.t + dt
     if not np.all(np.isfinite(u_new)) or np.max(np.abs(u_new)) > 1e100:
         raise DivergenceError(t_new)
@@ -231,34 +241,40 @@ def evolve_pressure_model(
 ) -> RealField:
     """One RK4 step of dP/dt = -dealias(u.grad P) + prefactor*(Phi + Q).
 
-    u is frozen at the current solver state for the whole step; the
-    prefactor defaults to R/c_v.
+    u is frozen at the current solver state for the whole step, Phi is the
+    state's cached dissipation, and the prefactor defaults to R/c_v.  The
+    stages run on the Fourier coefficients of P.
     """
     grid = state.grid
     params = state.params
     dt = effective_dt(state, cfg) if dt is None else dt
-    pf = (
-        params.R / params.c_v
-        if cfg.source_prefactor is None
-        else cfg.source_prefactor
-    )
-    source = pf * dissipation_phi(state.u, params).data
+    pf = _source_prefactor(params, cfg)
+    source = pf * state.phi.data
     if params.Q is not None:
         source = source + pf * params.Q.data
+    s_hat = fft(source, grid)
     u = state.u.data
 
-    def f(p):
-        return -ifft(advect_hat(u, fft(p, grid), grid), grid) + source
+    def f(ph):
+        return s_hat - advect_hat(u, ph, grid)
 
-    p = P_model.scalar_values()[np.newaxis]
-    k1 = f(p)
-    k2 = f(p + 0.5 * dt * k1)
-    k3 = f(p + 0.5 * dt * k2)
-    k4 = f(p + dt * k3)
-    p_new = p + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    p_hat = fft(P_model.scalar_values()[np.newaxis], grid)
+    k1 = f(p_hat)
+    k2 = f(p_hat + 0.5 * dt * k1)
+    k3 = f(p_hat + 0.5 * dt * k2)
+    k4 = f(p_hat + dt * k3)
+    p_hat = p_hat + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    p_new = ifft(p_hat, grid).copy()  # owned, as in pressure_poisson
     if not np.all(np.isfinite(p_new)):
         raise DivergenceError(state.t + dt)
     return RealField(grid, p_new)
+
+
+def _source_prefactor(params: ThermoParams, cfg: SolverConfig) -> float:
+    """Model-pressure source prefactor: cfg.source_prefactor or R/c_v."""
+    if cfg.source_prefactor is None:
+        return params.R / params.c_v
+    return cfg.source_prefactor
 
 
 # ---------------------------------------------------------------------------
@@ -283,21 +299,24 @@ def _diagnose(
     p_prev: RealField | None,
     dt_step: float,
 ) -> tuple[NormSample, RealField]:
-    """Diagnostics on the Navier-Stokes-consistent pressure state.P."""
+    """Diagnostics on the Navier-Stokes-consistent pressure state.P.
+
+    D_tP in model_rhs mode and the gradient energy both come from the
+    state's cached Phi, as material_derivative and gradient_energy define
+    them: prefactor*Phi and integral Phi dx/(2*mu).
+    """
     params = state.params
     if cfg.mode == MODEL_RHS or p_prev is None:
         # first sample of a finite_difference run has no snapshot yet;
         # fall back to the model right-hand side there
-        dtp = material_derivative(
-            None, state.P, state.u, dt_step, MODEL_RHS, params,
-            prefactor=cfg.solver.source_prefactor,
-        )
+        pf = _source_prefactor(params, cfg.solver)
+        dtp = RealField(state.grid, pf * state.phi.data)
     else:
         dtp = material_derivative(
             p_prev, state.P, state.u, dt_step, cfg.mode, params
         )
     total, dtp_term, lap_term = norm_E_squared(state.P, dtp)
-    ge = gradient_energy(state.u)
+    ge = integrate(state.phi) / (2.0 * params.mu)
     sample = NormSample(
         t=state.t,
         norm_E_sq=total,

@@ -212,11 +212,33 @@ def project_hat(v_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def advect_hat(u: np.ndarray, f_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Dealiased fft(u.grad f_c) for each component c of f; u is physical."""
-    out = np.empty(f_hat.shape)
-    for c in range(f_hat.shape[0]):
-        out[c] = np.sum(u * ifft(grad_hat(f_hat[c], grid), grid), axis=0)
-    return fft(out, grid) * dealias_mask(grid)
+    """Dealiased fft(u.grad f) of a scalar f_hat (1, n, ..., n); u is physical.
+
+    Convective form, for scalars that are not band-limited (the pressures):
+    there the divergence form of self_advect_hat would differ by aliasing
+    error, not round-off.
+    """
+    uf = np.sum(u * ifft(grad_hat(f_hat[0], grid), grid), axis=0, keepdims=True)
+    return fft(uf, grid) * dealias_mask(grid)
+
+
+def self_advect_hat(u: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Dealiased fft(u.grad u) in divergence form, sum_j i*kd_j*fft(u_j u_c).
+
+    One fft per unique product u_i u_j.  For divergence-free u inside the
+    2/3 band this equals advect_hat of each component to round-off: the
+    product modes alias only outside the mask, and u.grad u = div(u u).
+    """
+    kd = derivative_wavevectors(grid)
+    out = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
+    for i in range(grid.dim):
+        for j in range(i, grid.dim):
+            uu_hat = fft(u[i : i + 1] * u[j], grid)[0]
+            out[i] += kd[j] * uu_hat
+            if j != i:
+                out[j] += kd[i] * uu_hat
+    out *= 1j * dealias_mask(grid)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -255,3 +255,11 @@ class TestFlowState:
     def test_kinetic_energy_taylor_green(self):
         g = GridSpec(2, 64)
         assert kinetic_energy(taylor_green(g)) == pytest.approx(np.pi**2, rel=1e-12)
+
+    def test_phi_computed_once_and_kept(self):
+        g = GridSpec(2, 32)
+        params = ThermoParams(mu=0.3)
+        u = taylor_green(g)
+        state = FlowState(0.0, u, RealField.zeros(g), params)
+        assert state.phi is state.phi
+        assert state.phi.data.tobytes() == dissipation_phi(u, params).data.tobytes()

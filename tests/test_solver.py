@@ -29,7 +29,8 @@ from penflow import (
     save_checkpoint,
     step,
 )
-from penflow.solver import effective_dt
+from penflow.solver import _momentum_rhs, effective_dt
+from penflow.spectral import fft, ksq
 
 
 class TestMakeInitial:
@@ -174,6 +175,33 @@ class TestStep:
         assert effective_dt(state, cfg) < cfg.dt
         assert effective_dt(state, cfg) == pytest.approx(0.5 * g.h / 50.0, rel=1e-10)
 
+    def test_outputs_own_their_memory(self):
+        # a view into an inverse transform would pin its complex buffer
+        g = GridSpec(2, 32)
+        state = make_initial(InitialCondition("taylor_green_2d"), g)
+        out = step(state, SolverConfig())
+        p_model = evolve_pressure_model(state, state.P, SolverConfig())
+        for a in (out.u.data, out.P.data, p_model.data):
+            assert a.base is None
+
+    def test_transform_budget(self, monkeypatch):
+        # single-component n^3 transforms in one model-pressure step plus one
+        # step with its pressure solve and FlowState check (122 with the
+        # convective-form self-advection and a physical-space model RK4)
+        g = GridSpec(3, 16)
+        state = make_initial(InitialCondition("taylor_green_3d"), g)
+        count = [0]
+        for name in ("fftn", "ifftn"):
+
+            def counted(a, *args, _fn=getattr(np.fft, name), **kwargs):
+                count[0] += np.asarray(a).size // g.n**g.dim
+                return _fn(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        evolve_pressure_model(state, state.P, SolverConfig())
+        step(state, SolverConfig())
+        assert count[0] <= 84
+
     def test_divergence_error_on_unstable_run(self):
         g = GridSpec(2, 32)
         state = make_initial(InitialCondition("taylor_green_2d", amplitude=10.0), g)
@@ -182,6 +210,29 @@ class TestStep:
             with np.errstate(over="raise", invalid="raise"):
                 for _ in range(200):
                     state = step(state, cfg, dt=1.0)  # bypasses the CFL cap
+
+
+class TestGalerkinInvariants:
+    """At nu=0 the dealiased nonlinear term conserves energy (2D and 3D) and
+    enstrophy (2D; in 3D vortex stretching changes it)."""
+
+    @staticmethod
+    def _cosine(dim, n, weight):
+        g = GridSpec(dim, n)
+        u = make_initial(InitialCondition("random_divfree", seed=5), g).u.data
+        u_hat = fft(u, g)
+        rhs = _momentum_rhs(u_hat, 0.0, g)
+        w = weight(g)
+        inner = np.sum(w * np.conj(u_hat) * rhs).real
+        norms = np.sum(w * np.abs(u_hat) ** 2) * np.sum(w * np.abs(rhs) ** 2)
+        return abs(inner) / np.sqrt(norms)
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_energy(self, dim, n):
+        assert self._cosine(dim, n, lambda g: 1.0) <= 1e-12
+
+    def test_enstrophy_2d(self):
+        assert self._cosine(2, 32, ksq) <= 1e-12
 
 
 class TestEvolvePressureModel:

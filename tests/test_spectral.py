@@ -14,6 +14,7 @@ from penflow import (
     CorruptionError,
     GaugeError,
     GridSpec,
+    InitialCondition,
     RealField,
     SpectralField,
     SymmetryError,
@@ -25,10 +26,17 @@ from penflow import (
     integrate,
     l2_norm_sq,
     laplacian,
+    make_initial,
     poisson_solve,
     sobolev_norm,
 )
-from penflow.spectral import dealias_mask, hermitian_asymmetry
+from penflow.spectral import (
+    advect_hat,
+    dealias_mask,
+    fft,
+    hermitian_asymmetry,
+    self_advect_hat,
+)
 
 from conftest import smooth_scalar, smooth_vector
 
@@ -284,6 +292,21 @@ class TestDealias:
         mask = dealias_mask(g)
         assert mask[10, 0]  # |k| = 10 <= 32/3
         assert not mask[11, 0]  # |k| = 11 > 32/3
+
+
+class TestSelfAdvection:
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_divergence_form_matches_convective_form(self, dim, n):
+        # u.grad u = div(u u) for divergence-free u, and products of
+        # 2/3-band modes alias only outside the mask
+        g = GridSpec(dim, n)
+        u = make_initial(InitialCondition("random_divfree", seed=dim), g).u.data
+        u_hat = fft(u, g)
+        convective = np.concatenate(
+            [advect_hat(u, u_hat[c : c + 1], g) for c in range(dim)]
+        )
+        gap = np.max(np.abs(self_advect_hat(u, g) - convective))
+        assert gap <= 1e-12 * np.max(np.abs(convective))
 
 
 class TestSobolev:
