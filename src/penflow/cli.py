@@ -13,6 +13,7 @@ Exit status: 0 clean, 1 config/I-O error, 2 blow-up accumulator tripped,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -178,8 +179,8 @@ def twin_run(cfg: ScenarioConfig, perturbation: float) -> TwinReport:
     Reports ||P1 - P2||_E and ||u1 - u2||_L2 at every matched sample, plus
     the least-squares slope of log ||u1 - u2|| against t.
     """
-    if perturbation < 0:
-        raise ConfigError("perturbation must be nonnegative")
+    if not 0 <= perturbation < math.inf:
+        raise ConfigError("perturbation must be nonnegative and finite")
     times: list[float] = []
     dp: list[float] = []
     du: list[float] = []

@@ -10,24 +10,24 @@ Example document (all keys optional, defaults shown in format_config):
     dt = 0.001
     t_end = 1.0
 
-parse_config collects every problem it finds (with line numbers) before
-raising, so a broken file reports all of its errors at once.
+Every rule and default lives in the configuration dataclasses (GridSpec,
+InitialCondition, SolverConfig, ThermoParams and ScenarioConfig).
+parse_config reads the document, builds those objects from the keys it
+gives and prefixes each problem they report with its line, so a broken file
+reports all of its errors at once.  A rule that compares sections (nu =
+mu/rho, a Taylor-Green kind against dim) is reported once the grid,
+initial, solver and thermo settings are all valid.
 """
 
 from __future__ import annotations
 
-from .energy import MATERIAL_DERIVATIVE_MODES
-from .errors import ConfigError
-from .flow import ThermoParams
-from .solver import (
-    DEFAULT_BLOWUP_THRESHOLD,
-    IC_KINDS,
-    InitialCondition,
-    ScenarioConfig,
-    SolverConfig,
-)
-from .spectral import GridSpec
+from dataclasses import fields, replace
 
+from .errors import ConfigError
+from .solver import ScenarioConfig
+
+# file section -> key -> type; a key names the dataclass field it sets and
+# is unique across sections
 _SCHEMA = {
     "grid": {"dim": int, "n": int},
     "initial": {"kind": str, "amplitude": float, "seed": int, "spectrum_peak": int},
@@ -35,7 +35,6 @@ _SCHEMA = {
         "dt": float,
         "t_end": float,
         "nu": float,
-        "scheme": str,
         "cfl_safety": float,
         "source_prefactor": float,
     },
@@ -44,10 +43,14 @@ _SCHEMA = {
     "output": {"output_every": int, "output_dir": str},
 }
 
+# ScenarioConfig's sub-objects, thermo before solver: nu defaults to its mu/rho
+_PARTS = ("grid", "ic", "thermo", "solver")
 
-def _parse_sections(text: str, errors: list[str]):
-    """Raw (section, key) -> (value string, line number) map."""
-    values: dict[tuple[str, str], tuple[str, int]] = {}
+
+def _parse_lines(text: str, issues: list[str]):
+    """key -> typed value, and key -> line number of every key seen."""
+    given: dict[str, object] = {}
+    lines: dict[str, int] = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -56,45 +59,34 @@ def _parse_sections(text: str, errors: list[str]):
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
             if section not in _SCHEMA:
-                errors.append(f"line {lineno}: unknown section [{section}]")
+                issues.append(f"line {lineno}: unknown section [{section}]")
                 section = None
             continue
         if "=" not in line:
-            errors.append(f"line {lineno}: expected `key = value`, got {line!r}")
+            issues.append(f"line {lineno}: expected `key = value`, got {line!r}")
             continue
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if section is None:
-            errors.append(f"line {lineno}: key {key!r} outside any known section")
+            issues.append(f"line {lineno}: key {key!r} outside any known section")
             continue
-        if key not in _SCHEMA[section]:
-            errors.append(f"line {lineno}: unknown key {key!r} in section [{section}]")
+        typ = _SCHEMA[section].get(key)
+        if typ is None:
+            issues.append(f"line {lineno}: unknown key {key!r} in section [{section}]")
             continue
-        if (section, key) in values:
-            errors.append(f"line {lineno}: duplicate key {key!r} in [{section}]")
+        if key in lines:
+            issues.append(f"line {lineno}: duplicate key {key!r} in [{section}]")
             continue
-        values[(section, key)] = (value, lineno)
-    return values
-
-
-def _get(values, errors, section, key, default):
-    if (section, key) not in values:
-        return default
-    raw, lineno = values.pop((section, key))
-    typ = _SCHEMA[section][key]
-    if typ is str:
-        return raw
-    try:
-        if typ is int:
-            return int(raw)
-        return float(raw)
-    except ValueError:
-        errors.append(
-            f"line {lineno}: {key} must be {'an integer' if typ is int else 'a number'},"
-            f" got {raw!r}"
-        )
-        return default
+        lines[key] = lineno
+        try:
+            given[key] = typ(value)
+        except ValueError:
+            issues.append(
+                f"line {lineno}: {key} must be"
+                f" {'an integer' if typ is int else 'a number'}, got {value!r}"
+            )
+    return given, lines
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -103,154 +95,50 @@ def parse_config(text: str) -> ScenarioConfig:
     Raises ConfigError listing every problem found, each with its line
     reference where one exists.
     """
-    errors: list[str] = []
-    values = _parse_sections(text, errors)
-    lines = {k: v[1] for k, v in values.items()}
+    issues: list[str] = []
+    given, lines = _parse_lines(text, issues)
+    own = {f.name for f in fields(ScenarioConfig)}
 
-    def where(section, key):
-        return f"line {lines[(section, key)]}: " if (section, key) in lines else ""
+    def report(exc: ConfigError, cross_section: bool = True):
+        for key, issue in zip(exc.fields, exc.issues):
+            if cross_section or key in own:
+                issues.append(f"line {lines[key]}: {issue}" if key in lines else issue)
 
-    dim = _get(values, errors, "grid", "dim", 2)
-    n = _get(values, errors, "grid", "n", 64)
-    kind = _get(values, errors, "initial", "kind", "taylor_green_2d")
-    amplitude = _get(values, errors, "initial", "amplitude", 1.0)
-    seed = _get(values, errors, "initial", "seed", 0)
-    spectrum_peak = _get(values, errors, "initial", "spectrum_peak", 4)
-    dt = _get(values, errors, "solver", "dt", 1e-3)
-    t_end = _get(values, errors, "solver", "t_end", 1.0)
-    nu_where = where("solver", "nu")
-    nu = _get(values, errors, "solver", "nu", None)
-    scheme = _get(values, errors, "solver", "scheme", "rk4")
-    cfl_safety = _get(values, errors, "solver", "cfl_safety", 0.5)
-    source_prefactor = _get(values, errors, "solver", "source_prefactor", None)
-    rho = _get(values, errors, "thermo", "rho", 1.0)
-    R = _get(values, errors, "thermo", "R", 287.0)
-    c_v = _get(values, errors, "thermo", "c_v", 717.5)
-    mu = _get(values, errors, "thermo", "mu", 0.1)
-    P0 = _get(values, errors, "thermo", "P0", 101325.0)
-    T0 = _get(values, errors, "thermo", "T0", None)
-    mode = _get(values, errors, "diagnostics", "mode", "model_rhs")
-    blowup_threshold = _get(
-        values, errors, "diagnostics", "blowup_threshold", DEFAULT_BLOWUP_THRESHOLD
-    )
-    output_every = _get(values, errors, "output", "output_every", 10)
-    output_dir = _get(values, errors, "output", "output_dir", "runs/out")
-
-    if dim not in (2, 3):
-        errors.append(f"{where('grid', 'dim')}dim must be 2 or 3")
-    if n < 8 or (n & (n - 1)) != 0:
-        errors.append(f"{where('grid', 'n')}n must be a power of two >= 8")
-    if kind not in IC_KINDS:
-        errors.append(f"{where('initial', 'kind')}kind must be one of {IC_KINDS}")
-    if spectrum_peak < 1:
-        errors.append(
-            f"{where('initial', 'spectrum_peak')}spectrum_peak must be >= 1"
+    defaults = ScenarioConfig()
+    parts = {}
+    for name in _PARTS:
+        part = getattr(defaults, name)
+        kwargs = {f.name: given.pop(f.name) for f in fields(part) if f.name in given}
+        if name == "solver" and "nu" not in kwargs:
+            kwargs["nu"] = parts.get("thermo", defaults.thermo).nu
+        try:
+            parts[name] = replace(part, **kwargs)
+        except ConfigError as exc:
+            report(exc)
+    try:
+        # T0 stays None unless given, so ScenarioConfig derives it
+        cfg = ScenarioConfig(
+            **{name: parts.get(name, getattr(defaults, name)) for name in _PARTS},
+            **given,
         )
-    if dt <= 0:
-        errors.append(f"{where('solver', 'dt')}dt must be positive")
-    if t_end < 0:
-        errors.append(f"{where('solver', 't_end')}t_end must be nonnegative")
-    if scheme != "rk4":
-        errors.append(f"{where('solver', 'scheme')}scheme must be rk4")
-    if not 0 < cfl_safety <= 1:
-        errors.append(f"{where('solver', 'cfl_safety')}cfl_safety must lie in (0, 1]")
-    for name, value in (("rho", rho), ("R", R), ("c_v", c_v), ("mu", mu), ("P0", P0)):
-        if value <= 0:
-            errors.append(f"{where('thermo', name)}{name} must be positive")
-    if T0 is not None and T0 <= 0:
-        errors.append(f"{where('thermo', 'T0')}T0 must be positive")
-    if mode not in MATERIAL_DERIVATIVE_MODES:
-        errors.append(
-            f"{where('diagnostics', 'mode')}mode must be one of"
-            f" {MATERIAL_DERIVATIVE_MODES}"
-        )
-    if blowup_threshold < 0:
-        errors.append(
-            f"{where('diagnostics', 'blowup_threshold')}blowup_threshold must be"
-            " nonnegative"
-        )
-    if output_every < 1:
-        errors.append(f"{where('output', 'output_every')}output_every must be >= 1")
-
-    # the solver viscosity is mu/rho; an explicit nu must agree
-    if nu is None:
-        if rho > 0 and mu > 0:
-            nu = mu / rho
-        else:
-            nu = 0.1
-    elif rho > 0 and mu > 0 and abs(nu - mu / rho) > 1e-12 * max(1.0, abs(nu)):
-        errors.append(f"{nu_where}nu must equal mu/rho = {mu / rho!r}")
-
-    if (kind == "taylor_green_2d" and dim != 2) or (
-        kind == "taylor_green_3d" and dim != 3
-    ):
-        errors.append(f"{where('initial', 'kind')}{kind} requires dim = {kind[-2]}")
-
-    if errors:
-        raise ConfigError(errors)
-
-    return ScenarioConfig(
-        grid=GridSpec(dim=dim, n=n),
-        ic=InitialCondition(
-            kind=kind, amplitude=amplitude, seed=seed, spectrum_peak=spectrum_peak
-        ),
-        solver=SolverConfig(
-            dt=dt,
-            t_end=t_end,
-            nu=nu,
-            scheme=scheme,
-            cfl_safety=cfl_safety,
-            source_prefactor=source_prefactor,
-        ),
-        thermo=ThermoParams(rho=rho, R=R, c_v=c_v, mu=mu),
-        P0=P0,
-        T0=T0,
-        mode=mode,
-        blowup_threshold=blowup_threshold,
-        output_every=output_every,
-        output_dir=output_dir,
-    )
+    except ConfigError as exc:
+        # a rule comparing sections waits until every section is valid
+        report(exc, cross_section=len(parts) == len(_PARTS))
+    if issues:
+        raise ConfigError(issues)
+    return cfg
 
 
 def format_config(cfg: ScenarioConfig) -> str:
     """Emit the canonical document; parse_config(format_config(cfg)) == cfg."""
-    lines = [
-        "[grid]",
-        f"dim = {cfg.grid.dim}",
-        f"n = {cfg.grid.n}",
-        "",
-        "[initial]",
-        f"kind = {cfg.ic.kind}",
-        f"amplitude = {cfg.ic.amplitude!r}",
-        f"seed = {cfg.ic.seed}",
-        f"spectrum_peak = {cfg.ic.spectrum_peak}",
-        "",
-        "[solver]",
-        f"dt = {cfg.solver.dt!r}",
-        f"t_end = {cfg.solver.t_end!r}",
-        f"nu = {cfg.solver.nu!r}",
-        f"scheme = {cfg.solver.scheme}",
-        f"cfl_safety = {cfg.solver.cfl_safety!r}",
-    ]
-    if cfg.solver.source_prefactor is not None:
-        lines.append(f"source_prefactor = {cfg.solver.source_prefactor!r}")
-    lines += [
-        "",
-        "[thermo]",
-        f"rho = {cfg.thermo.rho!r}",
-        f"R = {cfg.thermo.R!r}",
-        f"c_v = {cfg.thermo.c_v!r}",
-        f"mu = {cfg.thermo.mu!r}",
-        f"P0 = {cfg.P0!r}",
-        f"T0 = {cfg.T0!r}",
-        "",
-        "[diagnostics]",
-        f"mode = {cfg.mode}",
-        f"blowup_threshold = {cfg.blowup_threshold!r}",
-        "",
-        "[output]",
-        f"output_every = {cfg.output_every}",
-        f"output_dir = {cfg.output_dir}",
-        "",
-    ]
+    parts = [getattr(cfg, name) for name in _PARTS] + [cfg]
+    lines = []
+    for section, keys in _SCHEMA.items():
+        lines.append(f"[{section}]")
+        for key in keys:
+            part = next(p for p in parts if key in {f.name for f in fields(p)})
+            value = getattr(part, key)
+            if value is not None:
+                lines.append(f"{key} = {value}")
+        lines.append("")
     return "\n".join(lines)

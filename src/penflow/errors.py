@@ -30,13 +30,25 @@ class DataError(PenflowError):
 
 
 class ConfigError(PenflowError):
-    """Invalid configuration.  Carries the full list of problems found."""
+    """Invalid configuration.  Carries the full list of problems found.
 
-    def __init__(self, issues):
+    fields runs parallel to issues: the setting each issue is about, or
+    None where no single setting applies.
+    """
+
+    def __init__(self, issues, fields=None):
         if isinstance(issues, str):
             issues = [issues]
         self.issues = list(issues)
+        self.fields = list(fields) if fields is not None else [None] * len(self.issues)
         super().__init__("; ".join(self.issues))
+
+
+def check_rules(*rules) -> None:
+    """Raise one ConfigError naming every failed (field, passed, message) rule."""
+    failed = [(name, message) for name, passed, message in rules if not passed]
+    if failed:
+        raise ConfigError([m for _, m in failed], [f for f, _ in failed])
 
 
 class DivergenceError(PenflowError):

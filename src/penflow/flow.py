@@ -8,11 +8,12 @@ regime check (relative temperature deviation below 2%).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityError, ConfigError, RegimeError
+from .errors import ArityError, ConfigError, RegimeError, check_rules
 from .spectral import (
     GridSpec,
     RealField,
@@ -43,9 +44,12 @@ class ThermoParams:
     Q: RealField | None = None
 
     def __post_init__(self):
-        for name in ("rho", "R", "c_v", "mu"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        check_rules(
+            *(
+                (k, 0 < getattr(self, k) < math.inf, f"{k} must be positive and finite")
+                for k in ("rho", "R", "c_v", "mu")
+            )
+        )
         if self.Q is not None and not self.Q.is_scalar:
             raise ArityError("Q must be a scalar field")
 
@@ -154,7 +158,8 @@ def leray_project(v: RealField) -> RealField:
     result is divergence-free under divergence() and FlowState's check.
     """
     grid = v.grid
-    return RealField(grid, ifft(project_hat(fft(v.data, grid), grid), grid))
+    # copy: ifft() is a view that would pin a complex buffer twice its size
+    return RealField(grid, ifft(project_hat(fft(v.data, grid), grid), grid).copy())
 
 
 def regime_check(state: FlowState, T0: float) -> RegimeReport:

@@ -12,6 +12,7 @@ end of the step.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -27,7 +28,7 @@ from .energy import (
     material_derivative,
     norm_E_squared,
 )
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import DataError, DivergenceError, check_rules
 from .flow import (
     FlowState,
     ThermoParams,
@@ -63,22 +64,27 @@ class SolverConfig:
     dt: float = 1e-3
     t_end: float = 1.0
     nu: float = 0.1
-    scheme: str = "rk4"
     cfl_safety: float = 0.5
     # override for the pressure-model source prefactor (defaults to R/c_v)
     source_prefactor: float | None = None
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
-        if self.t_end < 0:
-            raise ConfigError("t_end must be nonnegative")
-        if self.nu < 0:
-            raise ConfigError("nu must be nonnegative")
-        if self.scheme != "rk4":
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
-        if not 0 < self.cfl_safety <= 1:
-            raise ConfigError("cfl_safety must lie in (0, 1]")
+        pf = self.source_prefactor
+        check_rules(
+            ("dt", 0 < self.dt < math.inf, "dt must be positive and finite"),
+            (
+                "t_end",
+                0 <= self.t_end < math.inf,
+                "t_end must be nonnegative and finite",
+            ),
+            ("nu", 0 <= self.nu < math.inf, "nu must be nonnegative and finite"),
+            ("cfl_safety", 0 < self.cfl_safety <= 1, "cfl_safety must lie in (0, 1]"),
+            (
+                "source_prefactor",
+                pf is None or math.isfinite(pf),
+                "source_prefactor must be finite",
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -89,15 +95,27 @@ class InitialCondition:
     spectrum_peak: int = 4
 
     def __post_init__(self):
-        if self.kind not in IC_KINDS:
-            raise ConfigError(f"unknown initial condition {self.kind!r}")
-        if self.spectrum_peak < 1:
-            raise ConfigError("spectrum_peak must be >= 1")
+        check_rules(
+            ("kind", self.kind in IC_KINDS, f"kind must be one of {IC_KINDS}"),
+            ("amplitude", math.isfinite(self.amplitude), "amplitude must be finite"),
+            ("seed", self.seed >= 0, "seed must be >= 0"),
+            ("spectrum_peak", self.spectrum_peak >= 1, "spectrum_peak must be >= 1"),
+        )
+
+
+def _kind_fits_grid(ic: InitialCondition, grid: GridSpec):
+    """The rule that a Taylor-Green kind fixes the grid dimension."""
+    dim = {"taylor_green_2d": 2, "taylor_green_3d": 3}.get(ic.kind, grid.dim)
+    return ("kind", grid.dim == dim, f"{ic.kind} requires dim = {dim}")
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full experiment description."""
+    """Full experiment description.
+
+    The solver viscosity must be the thermo mu/rho that Phi and the
+    diagnostics use.  T0 left as None is derived as P0/(rho*R).
+    """
 
     grid: GridSpec = field(default_factory=lambda: GridSpec(dim=2, n=64))
     ic: InitialCondition = field(default_factory=InitialCondition)
@@ -111,20 +129,29 @@ class ScenarioConfig:
     output_dir: str = "runs/out"
 
     def __post_init__(self):
-        if self.P0 <= 0:
-            raise ConfigError("P0 must be positive")
-        if self.mode not in MATERIAL_DERIVATIVE_MODES:
-            raise ConfigError(f"unknown diagnostic mode {self.mode!r}")
-        if self.blowup_threshold < 0:
-            raise ConfigError("blowup_threshold must be nonnegative")
-        if self.output_every < 1:
-            raise ConfigError("output_every must be >= 1")
-        if self.T0 is None:
+        nu, T0 = self.solver.nu, self.T0
+        modes = MATERIAL_DERIVATIVE_MODES
+        check_rules(
+            ("P0", 0 < self.P0 < math.inf, "P0 must be positive and finite"),
+            ("T0", T0 is None or 0 < T0 < math.inf, "T0 must be positive and finite"),
+            ("mode", self.mode in modes, f"mode must be one of {modes}"),
+            (
+                "blowup_threshold",
+                0 <= self.blowup_threshold < math.inf,
+                "blowup_threshold must be nonnegative and finite",
+            ),
+            ("output_every", self.output_every >= 1, "output_every must be >= 1"),
+            (
+                "nu",
+                abs(nu - self.thermo.nu) <= 1e-12 * max(1.0, abs(nu)),
+                f"nu must equal mu/rho = {self.thermo.nu!r}",
+            ),
+            _kind_fits_grid(self.ic, self.grid),
+        )
+        if T0 is None:
             object.__setattr__(
                 self, "T0", self.P0 / (self.thermo.rho * self.thermo.R)
             )
-        elif self.T0 <= 0:
-            raise ConfigError("T0 must be positive")
 
     @property
     def seed(self) -> int:
@@ -141,9 +168,8 @@ def make_initial(
 ) -> FlowState:
     """Divergence-free initial state with P from the pressure Poisson solve."""
     params = params if params is not None else ThermoParams()
+    check_rules(_kind_fits_grid(ic, grid))
     if ic.kind == "taylor_green_2d":
-        if grid.dim != 2:
-            raise ConfigError("taylor_green_2d requires a 2D grid")
         x, y = grid.coordinates()
         u = np.stack(
             [
@@ -152,8 +178,6 @@ def make_initial(
             ]
         )
     elif ic.kind == "taylor_green_3d":
-        if grid.dim != 3:
-            raise ConfigError("taylor_green_3d requires a 3D grid")
         x, y, z = grid.coordinates()
         u = np.stack(
             [

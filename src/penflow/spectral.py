@@ -20,7 +20,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ArityError, ConfigError, CorruptionError, GaugeError, SymmetryError
+from .errors import (
+    ArityError,
+    ConfigError,
+    CorruptionError,
+    GaugeError,
+    SymmetryError,
+    check_rules,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -39,12 +46,15 @@ class GridSpec:
     length: float = TWO_PI
 
     def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise ConfigError(f"dim must be 2 or 3, got {self.dim}")
-        if self.n < 8 or (self.n & (self.n - 1)) != 0:
-            raise ConfigError(f"n must be a power of two >= 8, got {self.n}")
-        if abs(self.length - TWO_PI) > 1e-14:
-            raise ConfigError("box side is fixed at 2*pi")
+        check_rules(
+            ("dim", self.dim in (2, 3), f"dim must be 2 or 3, got {self.dim}"),
+            (
+                "n",
+                self.n >= 8 and (self.n & (self.n - 1)) == 0,
+                f"n must be a power of two >= 8, got {self.n}",
+            ),
+            ("length", abs(self.length - TWO_PI) <= 1e-14, "box side is fixed at 2*pi"),
+        )
 
     @property
     def h(self) -> float:

@@ -28,6 +28,7 @@ from penflow.cli import (
     twin_run,
     write_twin_report,
 )
+from penflow.config import _SCHEMA
 
 REPO_BASELINE = Path(__file__).resolve().parent.parent / "configs" / "baseline.cfg"
 
@@ -55,6 +56,47 @@ def small_config(tmp_path, **extra):
     return path
 
 
+# one row per configuration rule: (id, section, key, a value the rule
+# rejects, a fragment of its message); the last two compare sections
+RULE_ROWS = [
+    ("dim", "grid", "dim", 5, "dim must be 2 or 3"),
+    ("n", "grid", "n", 17, "power of two"),
+    ("kind", "initial", "kind", "shear_layer", "kind must be one of"),
+    ("amplitude", "initial", "amplitude", math.nan, "amplitude must be finite"),
+    ("seed", "initial", "seed", -1, "seed must be >= 0"),
+    ("spectrum_peak", "initial", "spectrum_peak", 0, "spectrum_peak must be >= 1"),
+    ("dt", "solver", "dt", math.nan, "dt must be positive"),
+    ("t_end", "solver", "t_end", math.inf, "t_end must be nonnegative"),
+    ("nu", "solver", "nu", -0.1, "nu must be nonnegative"),
+    ("cfl_safety", "solver", "cfl_safety", 1.5, "cfl_safety must lie in"),
+    ("source_prefactor", "solver", "source_prefactor", math.inf, "must be finite"),
+    ("rho", "thermo", "rho", 0.0, "rho must be positive"),
+    ("R", "thermo", "R", -1.0, "R must be positive"),
+    ("c_v", "thermo", "c_v", math.nan, "c_v must be positive"),
+    ("mu", "thermo", "mu", math.inf, "mu must be positive"),
+    ("P0", "thermo", "P0", 0.0, "P0 must be positive"),
+    ("T0", "thermo", "T0", -1.0, "T0 must be positive"),
+    ("mode", "diagnostics", "mode", "exact", "mode must be one of"),
+    ("blowup_threshold", "diagnostics", "blowup_threshold", -5.0, "nonnegative"),
+    ("output_every", "output", "output_every", 0, "output_every must be >= 1"),
+    ("nu_vs_mu_over_rho", "solver", "nu", 0.3, "mu/rho"),
+    ("kind_vs_dim", "initial", "kind", "taylor_green_3d", "requires dim = 3"),
+]
+RULE_IDS = [row[0] for row in RULE_ROWS]
+
+
+def scenario_with(key, value):
+    """The default scenario with one setting changed, through the API."""
+    cfg = ScenarioConfig()
+    for name in ("grid", "ic", "solver", "thermo"):
+        part = getattr(cfg, name)
+        if key in {f.name for f in dataclasses.fields(part)}:
+            return dataclasses.replace(
+                cfg, **{name: dataclasses.replace(part, **{key: value})}
+            )
+    return dataclasses.replace(cfg, **{key: value})
+
+
 class TestParseConfig:
     def test_empty_document_gives_defaults(self):
         cfg = parse_config("")
@@ -80,33 +122,58 @@ class TestParseConfig:
         assert any(i.startswith("line 5:") for i in issues)
 
     @pytest.mark.parametrize(
-        "doc, lines",
+        "doc, lines, fragment",
         [
-            ("[grid]\nn = 12\n[initial]\nspectrum_peak = 0\n", (2, 4)),
-            ("[initial]\nspectrum_peak = 0\n", (2,)),
-            ("[diagnostics]\nblowup_threshold = -5\n", (2,)),
+            (f"[{sec}]\n{key} = {val}\n", (2,), text)
+            for _, sec, key, val, text in RULE_ROWS
+        ]
+        + [
+            ("[grid]\nn = 12\n[initial]\nspectrum_peak = 0\n", (2, 4), ""),
+            ("[grid]\nn = 17\n[output]\noutput_every = 0\n", (2, 4), ""),
+            # the kind/dim rule waits until [grid] is valid
+            ("[grid]\ndim = 3\nn = 17\n", (3,), "power of two"),
         ],
-        ids=["n_and_spectrum_peak", "spectrum_peak", "blowup_threshold"],
+        ids=RULE_IDS
+        + ["n_and_spectrum_peak", "n_and_output_every", "kind_vs_dim_after_n"],
     )
-    def test_every_rule_reported_with_its_line(self, doc, lines):
+    def test_every_rule_reported_with_its_line(self, doc, lines, fragment):
         with pytest.raises(ConfigError) as exc:
             parse_config(doc)
         issues = exc.value.issues
         assert len(issues) == len(lines)
         for lineno in lines:
             assert any(i.startswith(f"line {lineno}:") for i in issues)
+        assert any(fragment in i for i in issues)
 
     @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: ScenarioConfig(blowup_threshold=-5),
-            lambda: InitialCondition("random_divfree", spectrum_peak=0),
-        ],
-        ids=["blowup_threshold", "spectrum_peak"],
+        "key, value, fragment",
+        # the box side is fixed in the API and has no key in the file
+        [row[2:] for row in RULE_ROWS] + [("length", 1.0, "fixed at 2*pi")],
+        ids=RULE_IDS + ["length"],
     )
-    def test_api_rejects_what_the_parser_rejects(self, build):
-        with pytest.raises(ConfigError):
-            build()
+    def test_api_rejects_what_the_parser_rejects(self, key, value, fragment):
+        with pytest.raises(ConfigError) as exc:
+            scenario_with(key, value)
+        assert exc.value.fields == [key]
+        assert fragment in exc.value.issues[0]
+
+    def test_dataclass_reports_every_failed_field(self):
+        with pytest.raises(ConfigError) as exc:
+            SolverConfig(dt=0.0, t_end=math.inf, cfl_safety=2.0)
+        assert exc.value.fields == ["dt", "t_end", "cfl_safety"]
+        assert len(exc.value.issues) == 3
+
+    def test_schema_matches_dataclass_fields(self):
+        cfg = ScenarioConfig(solver=SolverConfig(source_prefactor=1.5))
+        parts = (cfg.grid, cfg.ic, cfg.solver, cfg.thermo, cfg)
+        settable = {f.name for part in parts for f in dataclasses.fields(part)}
+        settable -= {"grid", "ic", "solver", "thermo", "length", "Q"}
+        keys = [key for section in _SCHEMA.values() for key in section]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == settable
+        text = format_config(cfg)
+        for key in keys:
+            assert f"\n{key} = " in text
 
     def test_unknown_section_and_key(self):
         with pytest.raises(ConfigError) as exc:
@@ -264,6 +331,11 @@ class TestTwinRun:
         with pytest.raises(ConfigError):
             twin_run(self._cfg(tmp_path), -0.1)
 
+    @pytest.mark.parametrize("perturbation", [math.nan, math.inf])
+    def test_non_finite_perturbation_rejected(self, tmp_path, perturbation):
+        with pytest.raises(ConfigError):
+            twin_run(self._cfg(tmp_path), perturbation)
+
     def test_report_files(self, tmp_path):
         report = twin_run(self._cfg(tmp_path), 1e-4)
         write_twin_report(report, tmp_path / "twin")
@@ -284,6 +356,17 @@ class TestMain:
         path.write_text("[grid]\nn = 17\n")
         assert main(["check", str(path)]) == EXIT_CONFIG
         assert "power of two" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--seed", "-1"], ["twin", "--perturb", "nan"]],
+        ids=["seed", "perturb"],
+    )
+    def test_bad_flag_is_a_config_error(self, tmp_path, capsys, argv):
+        path = small_config(tmp_path, initial={"kind": "random_divfree"})
+        assert main([argv[0], str(path), *argv[1:]]) == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent/path.cfg"]) == EXIT_CONFIG

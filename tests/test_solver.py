@@ -181,7 +181,7 @@ class TestStep:
         state = make_initial(InitialCondition("taylor_green_2d"), g)
         out = step(state, SolverConfig())
         p_model = evolve_pressure_model(state, state.P, SolverConfig())
-        for a in (out.u.data, out.P.data, p_model.data):
+        for a in (state.u.data, out.u.data, out.P.data, p_model.data):
             assert a.base is None
 
     def test_transform_budget(self, monkeypatch):
@@ -310,6 +310,7 @@ class TestRun:
             grid=GridSpec(2, 32),
             ic=InitialCondition("random_divfree", seed=11),
             solver=SolverConfig(dt=1e-3, t_end=0.05, nu=0.05),
+            thermo=ThermoParams(mu=0.05),
         )
         s1 = run(cfg)
         s2 = run(cfg)
