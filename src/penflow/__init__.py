@@ -35,6 +35,7 @@ from .flow import (
     gradient_energy,
     kinetic_energy,
     leray_project,
+    pressure_poisson,
     regime_check,
     temperature_from_pressure,
 )
@@ -60,7 +61,6 @@ from .solver import (
     evolve_pressure_model,
     load_checkpoint,
     make_initial,
-    pressure_poisson,
     run,
     save_checkpoint,
     simulate,

@@ -14,9 +14,10 @@ Every rule and default lives in the configuration dataclasses (GridSpec,
 InitialCondition, SolverConfig, ThermoParams and ScenarioConfig).
 parse_config reads the document, builds those objects from the keys it
 gives and prefixes each problem they report with its line, so a broken file
-reports all of its errors at once.  A rule that compares sections (nu =
-mu/rho, a Taylor-Green kind against dim) is reported once the grid,
-initial, solver and thermo settings are all valid.
+reports all of its errors at once, in line order.  A rule that compares
+sections (nu = mu/rho, a Taylor-Green kind against dim) is reported once
+the grid, initial, solver and thermo settings are all valid, on the line of
+the key it names or, if that key is absent, of the other key it compares.
 """
 
 from __future__ import annotations
@@ -31,13 +32,7 @@ from .solver import ScenarioConfig
 _SCHEMA = {
     "grid": {"dim": int, "n": int},
     "initial": {"kind": str, "amplitude": float, "seed": int, "spectrum_peak": int},
-    "solver": {
-        "dt": float,
-        "t_end": float,
-        "nu": float,
-        "cfl_safety": float,
-        "source_prefactor": float,
-    },
+    "solver": {"dt": float, "t_end": float, "nu": float, "cfl_safety": float},
     "thermo": {"rho": float, "R": float, "c_v": float, "mu": float, "P0": float, "T0": float},
     "diagnostics": {"mode": str, "blowup_threshold": float},
     "output": {"output_every": int, "output_dir": str},
@@ -46,8 +41,12 @@ _SCHEMA = {
 # ScenarioConfig's sub-objects, thermo before solver: nu defaults to its mu/rho
 _PARTS = ("grid", "ic", "thermo", "solver")
 
+# a rule comparing sections names one key; if the file lacks it, the issue
+# goes to the other key's line (an absent nu defaults to mu/rho, so passes)
+_COMPARED = {"kind": "dim"}
 
-def _parse_lines(text: str, issues: list[str]):
+
+def _parse_lines(text: str, issues: list[tuple[int, str]]):
     """key -> typed value, and key -> line number of every key seen."""
     given: dict[str, object] = {}
     lines: dict[str, int] = {}
@@ -59,50 +58,48 @@ def _parse_lines(text: str, issues: list[str]):
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
             if section not in _SCHEMA:
-                issues.append(f"line {lineno}: unknown section [{section}]")
+                issues.append((lineno, f"unknown section [{section}]"))
                 section = None
             continue
         if "=" not in line:
-            issues.append(f"line {lineno}: expected `key = value`, got {line!r}")
+            issues.append((lineno, f"expected `key = value`, got {line!r}"))
             continue
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if section is None:
-            issues.append(f"line {lineno}: key {key!r} outside any known section")
+            issues.append((lineno, f"key {key!r} outside any known section"))
             continue
         typ = _SCHEMA[section].get(key)
         if typ is None:
-            issues.append(f"line {lineno}: unknown key {key!r} in section [{section}]")
+            issues.append((lineno, f"unknown key {key!r} in section [{section}]"))
             continue
         if key in lines:
-            issues.append(f"line {lineno}: duplicate key {key!r} in [{section}]")
+            issues.append((lineno, f"duplicate key {key!r} in [{section}]"))
             continue
         lines[key] = lineno
         try:
             given[key] = typ(value)
         except ValueError:
-            issues.append(
-                f"line {lineno}: {key} must be"
-                f" {'an integer' if typ is int else 'a number'}, got {value!r}"
-            )
+            kind = "an integer" if typ is int else "a number"
+            issues.append((lineno, f"{key} must be {kind}, got {value!r}"))
     return given, lines
 
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a configuration document.
 
-    Raises ConfigError listing every problem found, each with its line
-    reference where one exists.
+    Raises ConfigError listing every problem found in line order, each with
+    its line reference where one exists; issues without a line come last.
     """
-    issues: list[str] = []
+    issues: list[tuple[int | None, str]] = []
     given, lines = _parse_lines(text, issues)
     own = {f.name for f in fields(ScenarioConfig)}
 
     def report(exc: ConfigError, cross_section: bool = True):
         for key, issue in zip(exc.fields, exc.issues):
             if cross_section or key in own:
-                issues.append(f"line {lines[key]}: {issue}" if key in lines else issue)
+                issues.append((lines.get(key, lines.get(_COMPARED.get(key))), issue))
 
     defaults = ScenarioConfig()
     parts = {}
@@ -125,7 +122,10 @@ def parse_config(text: str) -> ScenarioConfig:
         # a rule comparing sections waits until every section is valid
         report(exc, cross_section=len(parts) == len(_PARTS))
     if issues:
-        raise ConfigError(issues)
+        issues.sort(key=lambda item: (item[0] is None, item[0] or 0))
+        raise ConfigError(
+            [issue if n is None else f"line {n}: {issue}" for n, issue in issues]
+        )
     return cfg
 
 
@@ -137,8 +137,6 @@ def format_config(cfg: ScenarioConfig) -> str:
         lines.append(f"[{section}]")
         for key in keys:
             part = next(p for p in parts if key in {f.name for f in fields(p)})
-            value = getattr(part, key)
-            if value is not None:
-                lines.append(f"{key} = {value}")
+            lines.append(f"{key} = {getattr(part, key)}")
         lines.append("")
     return "\n".join(lines)

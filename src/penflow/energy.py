@@ -108,20 +108,18 @@ def material_derivative(
     dt: float,
     mode: str,
     params: ThermoParams,
-    prefactor: float | None = None,
 ) -> RealField:
     """D_t P = dP/dt + u.grad P.
 
     finite_difference: backward difference between snapshots plus the
     dealiased convective term.  model_rhs: substitutes the pressure
-    evolution equation, prefactor * Phi(u) (prefactor defaults to R/c_v).
+    evolution equation, (R/c_v) * Phi(u).
     """
     if mode not in MATERIAL_DERIVATIVE_MODES:
         raise ConfigError(f"unknown material-derivative mode {mode!r}")
     if mode == MODEL_RHS:
-        pf = params.R / params.c_v if prefactor is None else prefactor
         phi = dissipation_phi(u, params)
-        return RealField(u.grid, pf * phi.data)
+        return RealField(u.grid, params.R / params.c_v * phi.data)
     if P_prev is None:
         raise DataError("finite_difference mode needs the previous snapshot")
     if dt <= 0:

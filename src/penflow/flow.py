@@ -1,9 +1,9 @@
 """Physical state and thermodynamic closures.
 
-Velocity/pressure/temperature fields, the ideal-gas closure P = rho*R*T,
-the viscous dissipation function Phi = 2*mu*sum_ij (du_i/dx_j)^2, the
-Leray projection onto divergence-free fields, and the quasi-incompressible
-regime check (relative temperature deviation below 2%).
+Velocity snapshots with the pressure slaved to them by a Poisson solve,
+the ideal-gas closure P = rho*R*T, the dissipation Phi = 2*mu*sum_ij
+(du_i/dx_j)^2, the Leray projection onto divergence-free fields, and the
+quasi-incompressible regime check (relative temperature deviation below 2%).
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ from .spectral import (
     fft,
     grad_hat,
     ifft,
+    inv_ksq,
     project_hat,
+    self_advect_hat,
     sobolev_norm,
 )
 
@@ -69,35 +71,29 @@ class RegimeReport:
 
 
 class FlowState:
-    """Coupled (u, P) snapshot at one time.
+    """Divergence-free velocity snapshot at one time.
 
-    u must be divergence-free (max |div u| < 1e-8) and P carries the
-    zero-mean gauge; the constant reference pressure lives in the scenario
-    configuration.  The dissipation Phi of u is computed on first use of
-    ``phi`` and kept.
+    u must be divergence-free (max |div u| < 1e-8).  The pressure P is a
+    function of u (pressure_poisson, zero-mean gauge; the constant reference
+    pressure lives in the scenario configuration) and so is the dissipation
+    Phi; each is computed on its first read and kept.
     """
 
-    __slots__ = ("t", "u", "P", "params", "_phi")
+    __slots__ = ("t", "u", "params", "_P", "_phi")
 
-    def __init__(self, t: float, u: RealField, P: RealField, params: ThermoParams):
+    def __init__(self, t: float, u: RealField, params: ThermoParams):
         if u.components != u.grid.dim:
             raise ArityError("u must have one component per dimension")
-        P.scalar_values()
-        if P.grid != u.grid:
-            raise ArityError("u and P must share a grid")
         # kernels, not backward(): its Hermitian gate would choke on the
         # cancellation roundoff of a nearly-diverged (huge-amplitude) field
         div = ifft(div_hat(fft(u.data, u.grid), u.grid), u.grid)
         u_scale = max(1.0, float(np.max(np.abs(u.data))))
         if np.max(np.abs(div)) >= DIVERGENCE_TOL * u_scale:
             raise ArityError("velocity field is not divergence-free")
-        p_scale = max(1.0, float(np.max(np.abs(P.data))))
-        if abs(float(np.mean(P.data))) > 1e-8 * p_scale:
-            raise ArityError("pressure fluctuation must have zero mean")
         self.t = float(t)
         self.u = u
-        self.P = P
         self.params = params
+        self._P = None
         self._phi = None
 
     @property
@@ -105,11 +101,31 @@ class FlowState:
         return self.u.grid
 
     @property
+    def P(self) -> RealField:
+        """pressure_poisson(u, params), solved once per state."""
+        if self._P is None:
+            self._P = pressure_poisson(self.u, self.params)
+        return self._P
+
+    @property
     def phi(self) -> RealField:
         """dissipation_phi(u, params), computed once per state."""
         if self._phi is None:
             self._phi = dissipation_phi(self.u, self.params)
         return self._phi
+
+
+def pressure_poisson(u: RealField, params: ThermoParams) -> RealField:
+    """Zero-mean P with lap P = -rho * div(u.grad u), quadratic term dealiased.
+
+    u.grad u is taken in divergence form, exact for divergence-free u inside
+    the 2/3 band (every state the solver makes).
+    """
+    grid = u.grid
+    div_adv = div_hat(self_advect_hat(u.data, grid), grid)
+    # copy: ifft() is a view that would pin a complex buffer twice its size
+    P = ifft(params.rho * inv_ksq(grid) * div_adv, grid).copy()
+    return RealField(grid, P)
 
 
 def temperature_from_pressure(
@@ -162,13 +178,12 @@ def leray_project(v: RealField) -> RealField:
     return RealField(grid, ifft(project_hat(fft(v.data, grid), grid), grid).copy())
 
 
-def regime_check(state: FlowState, T0: float) -> RegimeReport:
+def regime_check(P: RealField, params: ThermoParams, T0: float) -> RegimeReport:
     """Report max relative temperature deviation and the H^2 norm of T."""
     if T0 <= 0:
         raise ConfigError("reference temperature T0 must be positive")
-    params = state.params
     P0 = params.rho * params.R * T0
-    T = temperature_from_pressure(state.P, params, P0)
+    T = temperature_from_pressure(P, params, P0)
     delta = float(np.max(np.abs(T.scalar_values() - T0))) / T0
     return RegimeReport(
         delta_T_rel=delta,
@@ -181,6 +196,7 @@ __all__ = [
     "ThermoParams",
     "RegimeReport",
     "FlowState",
+    "pressure_poisson",
     "temperature_from_pressure",
     "velocity_gradients",
     "dissipation_phi",

@@ -1,13 +1,13 @@
 """RK4 pseudo-spectral time integration on the periodic box.
 
 Advances the incompressible momentum equation with Leray projection at
-every substage, recovers the Navier-Stokes pressure from a Poisson solve,
-and co-evolves the model pressure driven by viscous dissipation
-(dP/dt + u.grad P = (R/c_v)*Phi) for comparison against it.  Velocity
-self-advection is taken in divergence form (spectral.self_advect_hat); the
-model pressure is not band-limited, so its advection stays convective and
-its RK4 runs on the Fourier coefficients, with one inverse transform at the
-end of the step.
+every substage and, through the same RK4 routine, the model pressure driven
+by viscous dissipation (dP/dt + u.grad P = (R/c_v)*Phi).  The Navier-Stokes
+pressure is FlowState.P, solved only where a sample (or, in
+finite_difference mode, the step before one) reads it.  Velocity
+self-advection is in divergence form (spectral.self_advect_hat); the model
+pressure is not band-limited, so its advection stays convective and its RK4
+runs on the Fourier coefficients, one inverse transform per step.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .flow import (
     ThermoParams,
     kinetic_energy,
     leray_project,
+    pressure_poisson,  # re-exported as penflow.solver.pressure_poisson
     regime_check,
 )
 from .spectral import (
@@ -41,11 +42,9 @@ from .spectral import (
     RealField,
     advect_hat,
     dealias_mask,
-    div_hat,
     fft,
     ifft,
     integrate,
-    inv_ksq,
     ksq,
     project_hat,
     self_advect_hat,
@@ -65,11 +64,8 @@ class SolverConfig:
     t_end: float = 1.0
     nu: float = 0.1
     cfl_safety: float = 0.5
-    # override for the pressure-model source prefactor (defaults to R/c_v)
-    source_prefactor: float | None = None
 
     def __post_init__(self):
-        pf = self.source_prefactor
         check_rules(
             ("dt", 0 < self.dt < math.inf, "dt must be positive and finite"),
             (
@@ -79,11 +75,6 @@ class SolverConfig:
             ),
             ("nu", 0 <= self.nu < math.inf, "nu must be nonnegative and finite"),
             ("cfl_safety", 0 < self.cfl_safety <= 1, "cfl_safety must lie in (0, 1]"),
-            (
-                "source_prefactor",
-                pf is None or math.isfinite(pf),
-                "source_prefactor must be finite",
-            ),
         )
 
 
@@ -166,7 +157,7 @@ class ScenarioConfig:
 def make_initial(
     ic: InitialCondition, grid: GridSpec, params: ThermoParams | None = None
 ) -> FlowState:
-    """Divergence-free initial state with P from the pressure Poisson solve."""
+    """Divergence-free initial state at t = 0; its P is solved on first read."""
     params = params if params is not None else ThermoParams()
     check_rules(_kind_fits_grid(ic, grid))
     if ic.kind == "taylor_green_2d":
@@ -188,9 +179,7 @@ def make_initial(
         )
     else:
         u = _random_divfree(ic, grid)
-    u_field = leray_project(RealField(grid, u))
-    P = pressure_poisson(u_field, params)
-    return FlowState(0.0, u_field, P, params)
+    return FlowState(0.0, leray_project(RealField(grid, u)), params)
 
 
 def _random_divfree(ic: InitialCondition, grid: GridSpec) -> np.ndarray:
@@ -221,40 +210,34 @@ def effective_dt(state: FlowState, cfg: SolverConfig) -> float:
     return min(cfg.dt, cfg.cfl_safety * state.grid.h / umax)
 
 
-def pressure_poisson(u: RealField, params: ThermoParams) -> RealField:
-    """Zero-mean P with lap P = -rho * div(u.grad u), quadratic term dealiased.
+def _rk4(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of dy/dt = f(y).
 
-    u.grad u is taken in divergence form, exact for divergence-free u inside
-    the 2/3 band (every state the solver makes).
+    The stages are summed k1 + 2k2 + 2k3 + k4, in that order, into one
+    running array, so only one stage is alive besides it.
     """
-    grid = u.grid
-    div_adv = div_hat(self_advect_hat(u.data, grid), grid)
-    # copy: ifft() is a view that would pin a complex buffer twice its size
-    P = ifft(params.rho * inv_ksq(grid) * div_adv, grid).copy()
-    return RealField(grid, P)
+    acc = f(y)
+    k = f(y + 0.5 * dt * acc)
+    acc += 2 * k
+    k = f(y + 0.5 * dt * k)
+    acc += 2 * k
+    acc += f(y + dt * k)
+    return y + dt / 6.0 * acc
 
 
 def step(state: FlowState, cfg: SolverConfig, dt: float | None = None) -> FlowState:
-    """One RK4 step of the projected momentum equation; recomputes P."""
+    """One RK4 step of the projected momentum equation; solves no pressure."""
     grid = state.grid
     dt = effective_dt(state, cfg) if dt is None else dt
-    u_hat = fft(state.u.data, grid)
-
-    def f(uh):
-        return _momentum_rhs(uh, cfg.nu, grid)
-
-    k1 = f(u_hat)
-    k2 = f(u_hat + 0.5 * dt * k1)
-    k3 = f(u_hat + 0.5 * dt * k2)
-    k4 = f(u_hat + dt * k3)
-    u_new_hat = project_hat(u_hat + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), grid)
-    u_new = ifft(u_new_hat, grid).copy()  # owned, as in pressure_poisson
+    u_hat = _rk4(
+        lambda uh: _momentum_rhs(uh, cfg.nu, grid), fft(state.u.data, grid), dt
+    )
+    # copy: ifft() is a view that would pin a complex buffer twice its size
+    u_new = ifft(project_hat(u_hat, grid), grid).copy()
     t_new = state.t + dt
     if not np.all(np.isfinite(u_new)) or np.max(np.abs(u_new)) > 1e100:
         raise DivergenceError(t_new)
-    u_field = RealField(grid, u_new)
-    P = pressure_poisson(u_field, state.params)
-    return FlowState(t_new, u_field, P, state.params)
+    return FlowState(t_new, RealField(grid, u_new), state.params)
 
 
 def evolve_pressure_model(
@@ -263,42 +246,29 @@ def evolve_pressure_model(
     cfg: SolverConfig,
     dt: float | None = None,
 ) -> RealField:
-    """One RK4 step of dP/dt = -dealias(u.grad P) + prefactor*(Phi + Q).
+    """One RK4 step of dP/dt = -dealias(u.grad P) + (R/c_v)*(Phi + Q).
 
-    u is frozen at the current solver state for the whole step, Phi is the
-    state's cached dissipation, and the prefactor defaults to R/c_v.  The
-    stages run on the Fourier coefficients of P.
+    u is frozen at the current solver state for the whole step and Phi is
+    the state's cached dissipation.  The stages run on the Fourier
+    coefficients of P.
     """
     grid = state.grid
     params = state.params
     dt = effective_dt(state, cfg) if dt is None else dt
-    pf = _source_prefactor(params, cfg)
+    pf = params.R / params.c_v
     source = pf * state.phi.data
     if params.Q is not None:
         source = source + pf * params.Q.data
     s_hat = fft(source, grid)
-    u = state.u.data
-
-    def f(ph):
-        return s_hat - advect_hat(u, ph, grid)
-
-    p_hat = fft(P_model.scalar_values()[np.newaxis], grid)
-    k1 = f(p_hat)
-    k2 = f(p_hat + 0.5 * dt * k1)
-    k3 = f(p_hat + 0.5 * dt * k2)
-    k4 = f(p_hat + dt * k3)
-    p_hat = p_hat + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    p_new = ifft(p_hat, grid).copy()  # owned, as in pressure_poisson
+    p_hat = _rk4(
+        lambda ph: s_hat - advect_hat(state.u.data, ph, grid),
+        fft(P_model.scalar_values()[np.newaxis], grid),
+        dt,
+    )
+    p_new = ifft(p_hat, grid).copy()  # owned, as in step
     if not np.all(np.isfinite(p_new)):
         raise DivergenceError(state.t + dt)
     return RealField(grid, p_new)
-
-
-def _source_prefactor(params: ThermoParams, cfg: SolverConfig) -> float:
-    """Model-pressure source prefactor: cfg.source_prefactor or R/c_v."""
-    if cfg.source_prefactor is None:
-        return params.R / params.c_v
-    return cfg.source_prefactor
 
 
 # ---------------------------------------------------------------------------
@@ -320,24 +290,24 @@ class RunSample:
 def _diagnose(
     cfg: ScenarioConfig,
     state: FlowState,
-    p_prev: RealField | None,
+    prev: FlowState | None,
     dt_step: float,
 ) -> tuple[NormSample, RealField]:
     """Diagnostics on the Navier-Stokes-consistent pressure state.P.
 
     D_tP in model_rhs mode and the gradient energy both come from the
     state's cached Phi, as material_derivative and gradient_energy define
-    them: prefactor*Phi and integral Phi dx/(2*mu).
+    them: (R/c_v)*Phi and integral Phi dx/(2*mu).  Only finite_difference
+    mode reads prev.P, the pressure of the state one step earlier.
     """
     params = state.params
-    if cfg.mode == MODEL_RHS or p_prev is None:
+    if cfg.mode == MODEL_RHS or prev is None:
         # first sample of a finite_difference run has no snapshot yet;
         # fall back to the model right-hand side there
-        pf = _source_prefactor(params, cfg.solver)
-        dtp = RealField(state.grid, pf * state.phi.data)
+        dtp = RealField(state.grid, params.R / params.c_v * state.phi.data)
     else:
         dtp = material_derivative(
-            p_prev, state.P, state.u, dt_step, cfg.mode, params
+            prev.P, state.P, state.u, dt_step, cfg.mode, params
         )
     total, dtp_term, lap_term = norm_E_squared(state.P, dtp)
     ge = integrate(state.phi) / (2.0 * params.mu)
@@ -351,7 +321,7 @@ def _diagnose(
         kinetic_energy=kinetic_energy(state.u),
         h2_norm_P=sobolev_norm(state.P, 2),
         hminus1_norm_dtP=sobolev_norm(dtp, -1),
-        regime=regime_check(state, cfg.T0),
+        regime=regime_check(state.P, params, cfg.T0),
     )
     return sample, dtp
 
@@ -367,23 +337,22 @@ def simulate(
     state = make_initial(cfg.ic, cfg.grid, cfg.thermo)
     if perturb_u0 != 0.0:
         u = RealField(cfg.grid, (1.0 + perturb_u0) * state.u.data)
-        state = FlowState(0.0, u, pressure_poisson(u, cfg.thermo), cfg.thermo)
+        state = FlowState(0.0, u, cfg.thermo)
     p_model = state.P
-    dt_step = cfg.solver.dt
 
-    sample, dtp = _diagnose(cfg, state, None, dt_step)
+    sample, dtp = _diagnose(cfg, state, None, cfg.solver.dt)
     yield RunSample(0, state, p_model, dtp, sample)
 
     t_end = cfg.solver.t_end
     step_idx = 0
     while state.t < t_end - 1e-12:
         dt = min(effective_dt(state, cfg.solver), t_end - state.t)
-        p_prev = state.P
+        prev = state
         p_model = evolve_pressure_model(state, p_model, cfg.solver, dt=dt)
         state = step(state, cfg.solver, dt=dt)
         step_idx += 1
         if step_idx % cfg.output_every == 0 or state.t >= t_end - 1e-12:
-            sample, dtp = _diagnose(cfg, state, p_prev, dt)
+            sample, dtp = _diagnose(cfg, state, prev, dt)
             yield RunSample(step_idx, state, p_model, dtp, sample)
 
 

@@ -46,12 +46,17 @@ class GridSpec:
     length: float = TWO_PI
 
     def __post_init__(self):
+        dim, n = self.dim, self.n
         check_rules(
-            ("dim", self.dim in (2, 3), f"dim must be 2 or 3, got {self.dim}"),
+            (
+                "dim",
+                isinstance(dim, int) and dim in (2, 3),
+                f"dim must be 2 or 3, as an int, got {dim!r}",
+            ),
             (
                 "n",
-                self.n >= 8 and (self.n & (self.n - 1)) == 0,
-                f"n must be a power of two >= 8, got {self.n}",
+                isinstance(n, int) and n >= 8 and (n & (n - 1)) == 0,
+                f"n must be a power of two >= 8, as an int, got {n!r}",
             ),
             ("length", abs(self.length - TWO_PI) <= 1e-14, "box side is fixed at 2*pi"),
         )

@@ -69,7 +69,6 @@ RULE_ROWS = [
     ("t_end", "solver", "t_end", math.inf, "t_end must be nonnegative"),
     ("nu", "solver", "nu", -0.1, "nu must be nonnegative"),
     ("cfl_safety", "solver", "cfl_safety", 1.5, "cfl_safety must lie in"),
-    ("source_prefactor", "solver", "source_prefactor", math.inf, "must be finite"),
     ("rho", "thermo", "rho", 0.0, "rho must be positive"),
     ("R", "thermo", "R", -1.0, "R must be positive"),
     ("c_v", "thermo", "c_v", math.nan, "c_v must be positive"),
@@ -132,9 +131,16 @@ class TestParseConfig:
             ("[grid]\nn = 17\n[output]\noutput_every = 0\n", (2, 4), ""),
             # the kind/dim rule waits until [grid] is valid
             ("[grid]\ndim = 3\nn = 17\n", (3,), "power of two"),
+            # kind is absent: the issue goes to the dim line it compares
+            ("[grid]\ndim = 3\n", (2,), "requires dim = 2"),
         ],
         ids=RULE_IDS
-        + ["n_and_spectrum_peak", "n_and_output_every", "kind_vs_dim_after_n"],
+        + [
+            "n_and_spectrum_peak",
+            "n_and_output_every",
+            "kind_vs_dim_after_n",
+            "kind_vs_dim_without_kind",
+        ],
     )
     def test_every_rule_reported_with_its_line(self, doc, lines, fragment):
         with pytest.raises(ConfigError) as exc:
@@ -147,9 +153,16 @@ class TestParseConfig:
 
     @pytest.mark.parametrize(
         "key, value, fragment",
-        # the box side is fixed in the API and has no key in the file
-        [row[2:] for row in RULE_ROWS] + [("length", 1.0, "fixed at 2*pi")],
-        ids=RULE_IDS + ["length"],
+        # the box side is fixed in the API and has no key in the file; the
+        # parser reads dim and n as int, the API checks their type
+        [row[2:] for row in RULE_ROWS]
+        + [
+            ("length", 1.0, "fixed at 2*pi"),
+            ("dim", 2.0, "as an int, got 2.0"),
+            ("n", 16.0, "as an int, got 16.0"),
+            ("n", "16", "as an int, got '16'"),
+        ],
+        ids=RULE_IDS + ["length", "dim_float", "n_float", "n_str"],
     )
     def test_api_rejects_what_the_parser_rejects(self, key, value, fragment):
         with pytest.raises(ConfigError) as exc:
@@ -164,7 +177,7 @@ class TestParseConfig:
         assert len(exc.value.issues) == 3
 
     def test_schema_matches_dataclass_fields(self):
-        cfg = ScenarioConfig(solver=SolverConfig(source_prefactor=1.5))
+        cfg = ScenarioConfig()
         parts = (cfg.grid, cfg.ic, cfg.solver, cfg.thermo, cfg)
         settable = {f.name for part in parts for f in dataclasses.fields(part)}
         settable -= {"grid", "ic", "solver", "thermo", "length", "Q"}
@@ -174,6 +187,13 @@ class TestParseConfig:
         text = format_config(cfg)
         for key in keys:
             assert f"\n{key} = " in text
+
+    def test_issues_listed_in_line_order(self):
+        doc = "[solver]\nnu = 0.3\n[grid]\nn=3\n[thermo]\nrho=nan\nP0=-1\nT0 = x\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        lines = [int(i.split(":")[0].removeprefix("line ")) for i in exc.value.issues]
+        assert lines == [4, 6, 7, 8]
 
     def test_unknown_section_and_key(self):
         with pytest.raises(ConfigError) as exc:
@@ -219,7 +239,7 @@ class TestParseConfig:
             ScenarioConfig(
                 grid=GridSpec(3, 16),
                 ic=InitialCondition("random_divfree", amplitude=0.5, seed=9),
-                solver=SolverConfig(dt=0.01, t_end=0.1, nu=0.2, source_prefactor=1.5),
+                solver=SolverConfig(dt=0.01, t_end=0.1, nu=0.2),
                 thermo=dataclasses.replace(ScenarioConfig().thermo, mu=0.2),
                 mode="finite_difference",
             ),

@@ -20,6 +20,7 @@ from penflow import (
     kinetic_energy,
     l2_norm_sq,
     leray_project,
+    pressure_poisson,
     regime_check,
     temperature_from_pressure,
 )
@@ -181,7 +182,7 @@ class TestLerayProjection:
         g = GridSpec(dim, 16)
         v = RealField(g, np.random.default_rng(7).standard_normal((dim,) + g.shape))
         u = leray_project(v)
-        FlowState(0.0, u, RealField.zeros(g), ThermoParams())
+        FlowState(0.0, u, ThermoParams())
         div = backward(divergence(forward(u)))
         assert np.max(np.abs(div.data)) < 1e-10
 
@@ -202,12 +203,9 @@ class TestLerayProjection:
 
 
 class TestRegimeCheck:
-    def _state(self, grid, P):
-        return FlowState(0.0, RealField.zeros(grid, grid.dim), P, ThermoParams())
-
     def test_zero_fluctuation(self):
         g = GridSpec(2, 16)
-        report = regime_check(self._state(g, RealField.zeros(g)), 300.0)
+        report = regime_check(RealField.zeros(g), ThermoParams(), 300.0)
         assert report.delta_T_rel == 0
         assert report.in_regime
 
@@ -218,7 +216,7 @@ class TestRegimeCheck:
         T0 = 300.0
         P0 = params.rho * params.R * T0
         P = RealField(g, 0.025 * P0 * np.cos(x))  # 2.5% fluctuation
-        report = regime_check(self._state(g, P), T0)
+        report = regime_check(P, params, T0)
         assert not report.in_regime
         assert report.delta_T_rel == pytest.approx(0.025, rel=1e-10)
 
@@ -229,7 +227,7 @@ class TestRegimeCheck:
         T0 = 300.0
         # T = T0 + cos(x): coefficients T0 at k=0 and 1/2 at k=(+-1,0)
         P = RealField(g, params.rho * params.R * np.cos(x))
-        report = regime_check(self._state(g, P), T0)
+        report = regime_check(P, params, T0)
         expected_sq = (2 * np.pi) ** 2 * (T0**2 + 2 * (2**2) * 0.25)
         assert report.T_h2_norm == pytest.approx(np.sqrt(expected_sq), rel=1e-10)
 
@@ -240,17 +238,7 @@ class TestFlowState:
         x, _ = g.coordinates()
         u = RealField(g, np.stack([np.sin(x), np.zeros(g.shape)]))
         with pytest.raises(ArityError):
-            FlowState(0.0, u, RealField.zeros(g), ThermoParams())
-
-    def test_rejects_nonzero_mean_pressure(self):
-        g = GridSpec(2, 16)
-        with pytest.raises(ArityError):
-            FlowState(
-                0.0,
-                RealField.zeros(g, 2),
-                RealField(g, np.ones(g.shape)),
-                ThermoParams(),
-            )
+            FlowState(0.0, u, ThermoParams())
 
     def test_kinetic_energy_taylor_green(self):
         g = GridSpec(2, 64)
@@ -260,6 +248,14 @@ class TestFlowState:
         g = GridSpec(2, 32)
         params = ThermoParams(mu=0.3)
         u = taylor_green(g)
-        state = FlowState(0.0, u, RealField.zeros(g), params)
+        state = FlowState(0.0, u, params)
         assert state.phi is state.phi
         assert state.phi.data.tobytes() == dissipation_phi(u, params).data.tobytes()
+
+    def test_pressure_solved_once_and_kept(self):
+        g = GridSpec(2, 32)
+        params = ThermoParams(rho=1.3)
+        u = taylor_green(g)
+        state = FlowState(0.0, u, params)
+        assert state.P is state.P
+        assert state.P.data.tobytes() == pressure_poisson(u, params).data.tobytes()

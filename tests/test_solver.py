@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import penflow.flow
 from penflow import (
     ConfigError,
     DataError,
@@ -27,6 +28,7 @@ from penflow import (
     pressure_poisson,
     run,
     save_checkpoint,
+    simulate,
     step,
 )
 from penflow.solver import _momentum_rhs, effective_dt
@@ -186,10 +188,11 @@ class TestStep:
 
     def test_transform_budget(self, monkeypatch):
         # single-component n^3 transforms in one model-pressure step plus one
-        # step with its pressure solve and FlowState check (122 with the
-        # convective-form self-advection and a physical-space model RK4)
+        # step with its FlowState check; P, here only the model-pressure
+        # input, is solved before counting
         g = GridSpec(3, 16)
         state = make_initial(InitialCondition("taylor_green_3d"), g)
+        state.P
         count = [0]
         for name in ("fftn", "ifftn"):
 
@@ -200,7 +203,7 @@ class TestStep:
             monkeypatch.setattr(np.fft, name, counted)
         evolve_pressure_model(state, state.P, SolverConfig())
         step(state, SolverConfig())
-        assert count[0] <= 84
+        assert count[0] <= 77
 
     def test_divergence_error_on_unstable_run(self):
         g = GridSpec(2, 32)
@@ -274,13 +277,17 @@ class TestEvolvePressureModel:
         gap2 = richardson_gap(0.01)
         assert 24 < gap1 / gap2 < 40  # 2^5 = 32
 
-    def test_prefactor_override(self):
+    def test_mean_moves_by_the_source_alone(self):
+        # advection of a periodic P by divergence-free u conserves its mean,
+        # so one step moves the mean by dt * (R/c_v) * mean(Phi)
         g = GridSpec(2, 32)
-        state = make_initial(InitialCondition("taylor_green_2d"), g)
-        cfg = SolverConfig(source_prefactor=0.0)
-        out = evolve_pressure_model(state, state.P, cfg, dt=1e-3)
-        # with a zero prefactor only advection acts; mean is conserved
-        assert abs(np.mean(out.data) - np.mean(state.P.data)) < 1e-14
+        params = ThermoParams()
+        state = make_initial(InitialCondition("random_divfree", seed=2), g, params)
+        dt = 1e-3
+        out = evolve_pressure_model(state, state.P, SolverConfig(), dt=dt)
+        shift = np.mean(out.data) - np.mean(state.P.data)
+        expected = dt * params.R / params.c_v * np.mean(state.phi.data)
+        assert shift == pytest.approx(expected, rel=1e-10)
 
 
 class TestRun:
@@ -328,6 +335,37 @@ class TestRun:
         series = run(cfg)
         ts = [s.t for s in series.samples]
         assert all(b > a for a, b in zip(ts, ts[1:]))
+
+
+class TestPressureSolves:
+    """The Navier-Stokes pressure is solved only where a sample reads it."""
+
+    @pytest.mark.parametrize(
+        "mode, solves",
+        # 20 steps, a sample every 5: 5 samples, plus in finite_difference
+        # the 4 states one step before a later sample
+        [("model_rhs", 5), ("finite_difference", 9)],
+    )
+    def test_one_solve_per_state_read(self, monkeypatch, mode, solves):
+        solved = []
+
+        def counted(u, params, _fn=penflow.flow.pressure_poisson):
+            solved.append(u)
+            return _fn(u, params)
+
+        monkeypatch.setattr(penflow.flow, "pressure_poisson", counted)
+        cfg = dataclasses.replace(
+            ScenarioConfig(),
+            grid=GridSpec(2, 16),
+            ic=InitialCondition("random_divfree", seed=1),
+            solver=SolverConfig(dt=1e-3, t_end=0.02),
+            mode=mode,
+            output_every=5,
+        )
+        samples = list(simulate(cfg))
+        assert len(samples) == 5
+        assert len(solved) == solves
+        assert len({id(u) for u in solved}) == solves
 
 
 class TestCheckpoint:
