@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import fields, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, type_issue
 from .solver import ScenarioConfig
 
 # file section -> key -> type; a key names the dataclass field it sets and
@@ -81,8 +81,7 @@ def _parse_lines(text: str, issues: list[tuple[int, str]]):
         try:
             given[key] = typ(value)
         except ValueError:
-            kind = "an integer" if typ is int else "a number"
-            issues.append((lineno, f"{key} must be {kind}, got {value!r}"))
+            issues.append((lineno, type_issue(key, typ, value)))
     return given, lines
 
 

@@ -19,7 +19,15 @@ import numpy as np
 
 from .errors import ArityError, ConfigError, DataError
 from .flow import RegimeReport, ThermoParams, dissipation_phi
-from .spectral import RealField, advect_hat, fft, ifft, ksq, l2_norm_sq, sobolev_norm
+from .spectral import (
+    RealField,
+    advect_hat,
+    fft,
+    half_wavenumbers,
+    ifft,
+    l2_norm_sq,
+    sobolev_norm,
+)
 
 FINITE_DIFFERENCE = "finite_difference"
 MODEL_RHS = "model_rhs"
@@ -140,7 +148,9 @@ def convective_term(P: RealField, u: RealField) -> RealField:
 
 def _laplacian(P: RealField) -> RealField:
     """Physical-space lap P, derivatives taken spectrally."""
-    return RealField(P.grid, ifft(-ksq(P.grid) * fft(P.data, P.grid), P.grid))
+    grid = P.grid
+    lap_hat = -half_wavenumbers(grid).ksq * fft(P.data, grid)
+    return RealField(grid, ifft(lap_hat, grid))
 
 
 def norm_E_squared(P: RealField, DtP: RealField) -> tuple[float, float, float]:

@@ -1,4 +1,10 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the rule checks that
+raise ConfigError."""
+
+import dataclasses
+import numbers
+import typing
+from functools import lru_cache
 
 
 class PenflowError(Exception):
@@ -49,6 +55,54 @@ def check_rules(*rules) -> None:
     failed = [(name, message) for name, passed, message in rules if not passed]
     if failed:
         raise ConfigError([m for _, m in failed], [f for f, _ in failed])
+
+
+# how a type rule names the type it asks for
+_TYPE_WORDS = {
+    int: "given as an int",
+    float: "a number",
+    str: "a string",
+    type(None): "None",
+}
+
+
+def _fits(value, hint) -> bool:
+    """isinstance against an annotation; bool is never taken for a number."""
+    args = typing.get_args(hint)
+    if args:
+        return any(_fits(value, h) for h in args)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, numbers.Real)
+    if hint is int:
+        return isinstance(value, numbers.Integral)
+    return isinstance(value, hint)
+
+
+def type_issue(name: str, hint, value) -> str:
+    """The message of a failed type rule, also used for unparseable text."""
+    hints = typing.get_args(hint) or (hint,)
+    words = " or ".join(_TYPE_WORDS.get(h, f"a {h.__name__}") for h in hints)
+    return f"{name} must be {words}, got {value!r}"
+
+
+@lru_cache(maxsize=None)
+def _field_types(cls) -> tuple:
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
+
+
+def check_types(obj) -> None:
+    """One type rule per field of a dataclass, from its annotation.
+
+    Run before the value rules, which assume the declared types.
+    """
+    rules = []
+    for name, hint in _field_types(type(obj)):
+        value = getattr(obj, name)
+        rules.append((name, _fits(value, hint), type_issue(name, hint, value)))
+    check_rules(*rules)
 
 
 class DivergenceError(PenflowError):

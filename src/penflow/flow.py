@@ -13,15 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityError, ConfigError, RegimeError, check_rules
+from .errors import ArityError, ConfigError, RegimeError, check_rules, check_types
 from .spectral import (
     GridSpec,
     RealField,
     div_hat,
     fft,
     grad_hat,
+    half_wavenumbers,
     ifft,
-    inv_ksq,
     project_hat,
     self_advect_hat,
     sobolev_norm,
@@ -46,6 +46,7 @@ class ThermoParams:
     Q: RealField | None = None
 
     def __post_init__(self):
+        check_types(self)
         check_rules(
             *(
                 (k, 0 < getattr(self, k) < math.inf, f"{k} must be positive and finite")
@@ -123,9 +124,8 @@ def pressure_poisson(u: RealField, params: ThermoParams) -> RealField:
     """
     grid = u.grid
     div_adv = div_hat(self_advect_hat(u.data, grid), grid)
-    # copy: ifft() is a view that would pin a complex buffer twice its size
-    P = ifft(params.rho * inv_ksq(grid) * div_adv, grid).copy()
-    return RealField(grid, P)
+    inv_ksq = half_wavenumbers(grid).inv_ksq
+    return RealField(grid, ifft(params.rho * inv_ksq * div_adv, grid))
 
 
 def temperature_from_pressure(
@@ -174,8 +174,7 @@ def leray_project(v: RealField) -> RealField:
     result is divergence-free under divergence() and FlowState's check.
     """
     grid = v.grid
-    # copy: ifft() is a view that would pin a complex buffer twice its size
-    return RealField(grid, ifft(project_hat(fft(v.data, grid), grid), grid).copy())
+    return RealField(grid, ifft(project_hat(fft(v.data, grid), grid), grid))
 
 
 def regime_check(P: RealField, params: ThermoParams, T0: float) -> RegimeReport:

@@ -28,7 +28,7 @@ from .energy import (
     material_derivative,
     norm_E_squared,
 )
-from .errors import DataError, DivergenceError, check_rules
+from .errors import DataError, DivergenceError, check_rules, check_types
 from .flow import (
     FlowState,
     ThermoParams,
@@ -41,11 +41,10 @@ from .spectral import (
     GridSpec,
     RealField,
     advect_hat,
-    dealias_mask,
     fft,
+    half_wavenumbers,
     ifft,
     integrate,
-    ksq,
     project_hat,
     self_advect_hat,
     sobolev_norm,
@@ -66,6 +65,7 @@ class SolverConfig:
     cfl_safety: float = 0.5
 
     def __post_init__(self):
+        check_types(self)
         check_rules(
             ("dt", 0 < self.dt < math.inf, "dt must be positive and finite"),
             (
@@ -86,6 +86,7 @@ class InitialCondition:
     spectrum_peak: int = 4
 
     def __post_init__(self):
+        check_types(self)
         check_rules(
             ("kind", self.kind in IC_KINDS, f"kind must be one of {IC_KINDS}"),
             ("amplitude", math.isfinite(self.amplitude), "amplitude must be finite"),
@@ -120,6 +121,7 @@ class ScenarioConfig:
     output_dir: str = "runs/out"
 
     def __post_init__(self):
+        check_types(self)
         nu, T0 = self.solver.nu, self.T0
         modes = MATERIAL_DERIVATIVE_MODES
         check_rules(
@@ -186,10 +188,11 @@ def _random_divfree(ic: InitialCondition, grid: GridSpec) -> np.ndarray:
     """Band-limited Gaussian modes, solenoidally projected, rms = amplitude."""
     rng = np.random.default_rng(ic.seed)
     raw = rng.standard_normal((grid.dim,) + grid.shape)
-    kk = np.sqrt(ksq(grid))
+    w = half_wavenumbers(grid)
+    kk = np.sqrt(w.ksq)
     envelope = np.exp(-((kk - ic.spectrum_peak) ** 2))
     envelope[kk == 0] = 0.0
-    envelope *= dealias_mask(grid)
+    envelope *= w.mask
     proj = ifft(project_hat(fft(raw, grid) * envelope, grid), grid)
     rms = np.sqrt(np.mean(np.sum(proj * proj, axis=0)))
     if rms > 0:
@@ -199,7 +202,7 @@ def _random_divfree(ic: InitialCondition, grid: GridSpec) -> np.ndarray:
 
 def _momentum_rhs(u_hat: np.ndarray, nu: float, grid: GridSpec) -> np.ndarray:
     adv = self_advect_hat(ifft(u_hat, grid), grid)
-    return project_hat(-adv, grid) - nu * ksq(grid) * u_hat
+    return project_hat(-adv, grid) - nu * half_wavenumbers(grid).ksq * u_hat
 
 
 def effective_dt(state: FlowState, cfg: SolverConfig) -> float:
@@ -232,8 +235,7 @@ def step(state: FlowState, cfg: SolverConfig, dt: float | None = None) -> FlowSt
     u_hat = _rk4(
         lambda uh: _momentum_rhs(uh, cfg.nu, grid), fft(state.u.data, grid), dt
     )
-    # copy: ifft() is a view that would pin a complex buffer twice its size
-    u_new = ifft(project_hat(u_hat, grid), grid).copy()
+    u_new = ifft(project_hat(u_hat, grid), grid)
     t_new = state.t + dt
     if not np.all(np.isfinite(u_new)) or np.max(np.abs(u_new)) > 1e100:
         raise DivergenceError(t_new)
@@ -265,7 +267,7 @@ def evolve_pressure_model(
         fft(P_model.scalar_values()[np.newaxis], grid),
         dt,
     )
-    p_new = ifft(p_hat, grid).copy()  # owned, as in step
+    p_new = ifft(p_hat, grid)
     if not np.all(np.isfinite(p_new)):
         raise DivergenceError(state.t + dt)
     return RealField(grid, p_new)

@@ -8,15 +8,28 @@ coefficients are fftn(samples) / n**dim and Parseval reads
 All quadrature is the equispaced sum times h**dim, which is spectrally
 accurate for smooth periodic fields.
 
-This is the package's only FFT module.  First derivatives use kd, the
-wavevector with the self-paired Nyquist mode zeroed; the Leray projection
-divides by |kd|^2, so its output is divergence-free under the same kd.
+This is the package's only FFT module.  Every field the package transforms
+is real, so the array kernels (fft, ifft and the *_hat operators) work on
+the rfftn half spectrum: the last axis keeps the n//2 + 1 modes with k >= 0,
+the rest being their complex conjugates.  The public API (forward,
+backward, SpectralField) keeps the full fftn layout, and backward rejects
+coefficients that are not Hermitian-symmetric; no solver or diagnostics
+path goes through it.
+
+irfftn reads the half it is given as one side of a Hermitian spectrum, so a
+kernel's multipliers must preserve Hermitian symmetry.  First derivatives
+therefore use kd, the wavevector with the self-paired Nyquist mode (-n/2
+in the full layout, +n/2 on the half layout's last axis) zeroed on every
+axis; the Leray projection divides by |kd|^2, so its output is
+divergence-free under the same kd.  Sums of |c_k|^2 over the half spectrum
+weight each mode by the number of modes it stands for (multiplicity).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +40,7 @@ from .errors import (
     GaugeError,
     SymmetryError,
     check_rules,
+    check_types,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -46,17 +60,14 @@ class GridSpec:
     length: float = TWO_PI
 
     def __post_init__(self):
+        check_types(self)
         dim, n = self.dim, self.n
         check_rules(
-            (
-                "dim",
-                isinstance(dim, int) and dim in (2, 3),
-                f"dim must be 2 or 3, as an int, got {dim!r}",
-            ),
+            ("dim", dim in (2, 3), f"dim must be 2 or 3, got {dim!r}"),
             (
                 "n",
-                isinstance(n, int) and n >= 8 and (n & (n - 1)) == 0,
-                f"n must be a power of two >= 8, as an int, got {n!r}",
+                n >= 8 and (n & (n - 1)) == 0,
+                f"n must be a power of two >= 8, got {n!r}",
             ),
             ("length", abs(self.length - TWO_PI) <= 1e-14, "box side is fixed at 2*pi"),
         )
@@ -79,48 +90,72 @@ class GridSpec:
         return np.meshgrid(*([x] * self.dim), indexing="ij")
 
 
+class Wavenumbers(NamedTuple):
+    """Read-only wavenumber arrays of one grid in one spectral layout."""
+
+    ksq: np.ndarray  # |k|^2
+    inv_ksq: np.ndarray  # 1/|k|^2, zero mode set to 0
+    mask: np.ndarray  # 2/3 rule: True where all |k_j| <= n/3
+    kd: np.ndarray  # (dim, ...) derivative wavevectors, Nyquist zeroed
+    ikd: np.ndarray  # 1j * kd
+    ikd_mask: np.ndarray  # 1j * kd * mask
+    kd_inv_kdsq: np.ndarray  # kd / |kd|^2, zero where kd = 0
+    multiplicity: np.ndarray  # modes each retained last-axis mode stands for
+
+
 @lru_cache(maxsize=None)
-def _wavenumber_cache(dim: int, n: int):
+def _wavenumber_cache(dim: int, n: int, half: bool) -> Wavenumbers:
     k1 = np.fft.fftfreq(n, d=1.0 / n)
-    axes = np.meshgrid(*([k1] * dim), indexing="ij")
-    k = np.stack(axes)  # shape (dim, n, ..., n)
+    # the half spectrum keeps the last axis's modes 0..n/2 only
+    last = np.fft.rfftfreq(n, d=1.0 / n) if half else k1
+    k = np.stack(np.meshgrid(*([k1] * (dim - 1) + [last]), indexing="ij"))
     ksq = np.sum(k * k, axis=0)
     inv_ksq = np.zeros_like(ksq)
-    nonzero = ksq > 0
-    inv_ksq[nonzero] = 1.0 / ksq[nonzero]
-    cutoff = n / 3.0
-    mask = np.all(np.abs(k) <= cutoff, axis=0)
-    # First derivatives multiply by i*k; the self-paired Nyquist mode k = -n/2
-    # would break Hermitian symmetry, so it is dropped there (standard practice).
-    k1d = k1.copy()
-    k1d[n // 2] = 0.0
-    kd = np.stack(np.meshgrid(*([k1d] * dim), indexing="ij"))
+    inv_ksq[ksq > 0] = 1.0 / ksq[ksq > 0]
+    mask = np.all(np.abs(k) <= n / 3.0, axis=0)
+    # First derivatives multiply by i*k.  The self-paired Nyquist mode
+    # (k = -n/2 in the full layout, +n/2 on the half layout's last axis)
+    # would break Hermitian symmetry, so it is dropped on every axis.
+    kd = np.where(np.abs(k) == n // 2, 0.0, k)
     kdsq = np.sum(kd * kd, axis=0)
     inv_kdsq = np.zeros_like(kdsq)
     inv_kdsq[kdsq > 0] = 1.0 / kdsq[kdsq > 0]
-    for a in (ksq, inv_ksq, mask, kd, inv_kdsq):
+    multiplicity = np.ones(last.size)
+    if half:
+        # every interior last-axis mode also stands for its conjugate
+        multiplicity[1:-1] = 2.0
+    out = Wavenumbers(
+        ksq=ksq,
+        inv_ksq=inv_ksq,
+        mask=mask,
+        kd=kd,
+        ikd=1j * kd,
+        ikd_mask=1j * kd * mask,
+        kd_inv_kdsq=kd * inv_kdsq,
+        multiplicity=multiplicity,
+    )
+    for a in out:
         a.setflags(write=False)
-    return ksq, inv_ksq, mask, kd, inv_kdsq
+    return out
+
+
+def half_wavenumbers(grid: GridSpec) -> Wavenumbers:
+    """The kernels' wavenumbers, in fft()'s rfftn half-spectrum layout."""
+    return _wavenumber_cache(grid.dim, grid.n, True)
+
+
+def _full_wavenumbers(grid: GridSpec) -> Wavenumbers:
+    return _wavenumber_cache(grid.dim, grid.n, False)
 
 
 def ksq(grid: GridSpec) -> np.ndarray:
-    """|k|^2 on the spectral grid."""
-    return _wavenumber_cache(grid.dim, grid.n)[0]
-
-
-def inv_ksq(grid: GridSpec) -> np.ndarray:
-    """1/|k|^2 with the zero mode set to 0."""
-    return _wavenumber_cache(grid.dim, grid.n)[1]
+    """|k|^2 in the SpectralField (fftn) layout."""
+    return _full_wavenumbers(grid).ksq
 
 
 def dealias_mask(grid: GridSpec) -> np.ndarray:
-    """Boolean 2/3-rule mask: True where all |k_j| <= n/3."""
-    return _wavenumber_cache(grid.dim, grid.n)[2]
-
-
-def derivative_wavevectors(grid: GridSpec) -> np.ndarray:
-    """Wavevectors for first derivatives: integer k, Nyquist mode zeroed."""
-    return _wavenumber_cache(grid.dim, grid.n)[3]
+    """Boolean 2/3-rule mask in the SpectralField layout: all |k_j| <= n/3."""
+    return _full_wavenumbers(grid).mask
 
 
 class _Field:
@@ -171,7 +206,11 @@ class RealField(_Field):
 
 
 class SpectralField(_Field):
-    """Fourier coefficients c_k, numpy fftn layout, shape (components, n, ..., n)."""
+    """Fourier coefficients c_k, shape (components, n, ..., n).
+
+    The public, full fftn layout: every mode is stored, including the
+    conjugates that the kernels' rfftn half spectrum leaves out.
+    """
 
     def __init__(self, grid: GridSpec, coeffs):
         super().__init__(grid, coeffs, np.complex128)
@@ -190,30 +229,34 @@ def _spatial_axes(grid: GridSpec) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# array kernels: unnormalised fftn layout, shape (components, n, ..., n), no
-# boundary checks.  These are the package's only FFT calls; the public
-# functions below wrap them and add the input checks.
+# array kernels: unnormalised rfftn half spectrum, shape (components, n, ...,
+# n//2 + 1), no boundary checks.  Every field the package transforms is real,
+# so the modes with a negative last-axis wavenumber (the conjugates of the
+# ones kept) are never stored.  irfftn reads the retained half as one side of
+# a Hermitian spectrum, so a multiplier applied here must keep Hermitian
+# symmetry: kd has the self-paired Nyquist mode zeroed on every axis.  These
+# are the package's only transforms besides the full-layout pair below.
 # ---------------------------------------------------------------------------
 
 
 def fft(a: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Unnormalised fftn over the spatial axes."""
-    return np.fft.fftn(a, axes=_spatial_axes(grid))
+    """Unnormalised rfftn of a real array over the spatial axes."""
+    return np.fft.rfftn(a, axes=_spatial_axes(grid))
 
 
 def ifft(a_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Inverse of fft(); the imaginary residue is discarded."""
-    return np.fft.ifftn(a_hat, axes=_spatial_axes(grid)).real
+    """Inverse of fft(): a new real array of shape (components,) + grid.shape."""
+    return np.fft.irfftn(a_hat, s=grid.shape, axes=_spatial_axes(grid))
 
 
 def grad_hat(f_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """i*kd*f of one component f_hat (n, ..., n); shape (dim, n, ..., n)."""
-    return 1j * derivative_wavevectors(grid) * f_hat
+    """i*kd*f of one component f_hat; shape (dim,) + f_hat.shape."""
+    return half_wavenumbers(grid).ikd * f_hat
 
 
 def div_hat(v_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """sum_j i*kd_j*v_j of a dim-component field; shape (1, n, ..., n)."""
-    return np.sum(1j * derivative_wavevectors(grid) * v_hat, axis=0, keepdims=True)
+    """sum_j i*kd_j*v_j of a dim-component field; one component."""
+    return np.sum(half_wavenumbers(grid).ikd * v_hat, axis=0, keepdims=True)
 
 
 def project_hat(v_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -221,20 +264,19 @@ def project_hat(v_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
 
     Modes with kd = 0 (the mean and the pure-Nyquist modes) pass unchanged.
     """
-    kd = derivative_wavevectors(grid)
-    inv_kdsq = _wavenumber_cache(grid.dim, grid.n)[4]
-    return v_hat - kd * (np.sum(kd * v_hat, axis=0) * inv_kdsq)
+    w = half_wavenumbers(grid)
+    return v_hat - w.kd_inv_kdsq * np.sum(w.kd * v_hat, axis=0)
 
 
 def advect_hat(u: np.ndarray, f_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Dealiased fft(u.grad f) of a scalar f_hat (1, n, ..., n); u is physical.
+    """Dealiased fft(u.grad f) of a scalar f_hat (one component); u is physical.
 
     Convective form, for scalars that are not band-limited (the pressures):
     there the divergence form of self_advect_hat would differ by aliasing
     error, not round-off.
     """
     uf = np.sum(u * ifft(grad_hat(f_hat[0], grid), grid), axis=0, keepdims=True)
-    return fft(uf, grid) * dealias_mask(grid)
+    return fft(uf, grid) * half_wavenumbers(grid).mask
 
 
 def self_advect_hat(u: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -244,28 +286,41 @@ def self_advect_hat(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     2/3 band this equals advect_hat of each component to round-off: the
     product modes alias only outside the mask, and u.grad u = div(u u).
     """
-    kd = derivative_wavevectors(grid)
-    out = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
+    ikd_mask = half_wavenumbers(grid).ikd_mask
+    out = np.zeros(ikd_mask.shape, dtype=np.complex128)
     for i in range(grid.dim):
         for j in range(i, grid.dim):
             uu_hat = fft(u[i : i + 1] * u[j], grid)[0]
-            out[i] += kd[j] * uu_hat
+            out[i] += ikd_mask[j] * uu_hat
             if j != i:
-                out[j] += kd[i] * uu_hat
-    out *= 1j * dealias_mask(grid)
+                out[j] += ikd_mask[i] * uu_hat
     return out
 
 
 # ---------------------------------------------------------------------------
-# public operators on RealField / SpectralField (c_k = fftn / n**dim)
+# public operators on RealField / SpectralField (c_k = fftn / n**dim, the full
+# layout, every mode stored).  _fftn/_ifftn are the full-layout pair, reached
+# only from forward and backward.
 # ---------------------------------------------------------------------------
+
+
+def _fftn(a: np.ndarray, grid: GridSpec) -> np.ndarray:
+    return np.fft.fftn(a, axes=_spatial_axes(grid))
+
+
+def _ifftn(a_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
+    return np.fft.ifftn(a_hat, axes=_spatial_axes(grid)).real
+
+
+def _check_finite(f: RealField) -> None:
+    if not np.all(np.isfinite(f.data)):
+        raise CorruptionError("non-finite values in physical field")
 
 
 def forward(f: RealField) -> SpectralField:
     """Physical samples -> Fourier coefficients."""
-    if not np.all(np.isfinite(f.data)):
-        raise CorruptionError("non-finite values in physical field")
-    return SpectralField(f.grid, fft(f.data, f.grid) / f.grid.n**f.grid.dim)
+    _check_finite(f)
+    return SpectralField(f.grid, _fftn(f.data, f.grid) / f.grid.n**f.grid.dim)
 
 
 def hermitian_asymmetry(F: SpectralField) -> float:
@@ -282,14 +337,14 @@ def backward(F: SpectralField) -> RealField:
     scale = max(1.0, float(np.max(np.abs(F.coeffs)))) if F.coeffs.size else 1.0
     if hermitian_asymmetry(F) > HERMITIAN_TOL * scale:
         raise SymmetryError("coefficients are not Hermitian-symmetric")
-    return RealField(F.grid, ifft(F.coeffs * F.grid.n**F.grid.dim, F.grid))
+    return RealField(F.grid, _ifftn(F.coeffs * F.grid.n**F.grid.dim, F.grid))
 
 
 def gradient(F: SpectralField) -> SpectralField:
-    """Spectral gradient of a scalar: component j is i*k_j*c_k."""
+    """Spectral gradient of a scalar: component j is i*kd_j*c_k."""
     if not F.is_scalar:
         raise ArityError("gradient expects a scalar field")
-    return SpectralField(F.grid, grad_hat(F.coeffs[0], F.grid))
+    return SpectralField(F.grid, _full_wavenumbers(F.grid).ikd * F.coeffs[0])
 
 
 def laplacian(F: SpectralField) -> SpectralField:
@@ -298,12 +353,13 @@ def laplacian(F: SpectralField) -> SpectralField:
 
 
 def divergence(F: SpectralField) -> SpectralField:
-    """sum_j i*k_j*c_k^(j) of a dim-component vector field."""
+    """sum_j i*kd_j*c_k^(j) of a dim-component vector field."""
     if F.components != F.grid.dim:
         raise ArityError(
             f"divergence expects {F.grid.dim} components, got {F.components}"
         )
-    return SpectralField(F.grid, div_hat(F.coeffs, F.grid))
+    ikd = _full_wavenumbers(F.grid).ikd
+    return SpectralField(F.grid, np.sum(ikd * F.coeffs, axis=0, keepdims=True))
 
 
 def poisson_solve(F: SpectralField) -> SpectralField:
@@ -313,7 +369,7 @@ def poisson_solve(F: SpectralField) -> SpectralField:
     c = F.coeffs[0]
     if abs(c[(0,) * F.grid.dim]) > MEAN_MODE_TOL:
         raise GaugeError("Poisson right-hand side must have zero mean")
-    return SpectralField(F.grid, -inv_ksq(F.grid) * c)
+    return SpectralField(F.grid, -_full_wavenumbers(F.grid).inv_ksq * c)
 
 
 def dealias(F: SpectralField) -> SpectralField:
@@ -334,13 +390,17 @@ def l2_norm_sq(f: RealField) -> float:
 def sobolev_norm(f: RealField, order: float) -> float:
     """H^order norm via sqrt(sum_k (1+|k|^2)^order |c_k|^2 (2*pi)^dim).
 
-    Supported orders: -1, 0, 1, 2 (scalar fields only).
+    Supported orders: -1, 0, 1, 2 (scalar fields only).  The sum runs over
+    the half spectrum, each retained mode counted with its multiplicity.
     """
     if order not in (-1, 0, 1, 2):
         raise ConfigError(f"unsupported Sobolev order {order}")
     if not f.is_scalar:
         raise ArityError("sobolev_norm expects a scalar field")
-    c = forward(f).coeffs[0]
-    weight = (1.0 + ksq(f.grid)) ** order
-    total = np.sum(weight * np.abs(c) ** 2) * TWO_PI**f.grid.dim
+    _check_finite(f)
+    grid = f.grid
+    w = half_wavenumbers(grid)
+    c = fft(f.data, grid)[0] / grid.n**grid.dim
+    weight = w.multiplicity * (1.0 + w.ksq) ** order
+    total = np.sum(weight * np.abs(c) ** 2) * TWO_PI**grid.dim
     return float(np.sqrt(total))

@@ -57,7 +57,9 @@ def small_config(tmp_path, **extra):
 
 
 # one row per configuration rule: (id, section, key, a value the rule
-# rejects, a fragment of its message); the last two compare sections
+# rejects, a fragment of its message); the *_type rows check the field's
+# type, which the parser reads from the text and the API from the value,
+# and the last two compare sections
 RULE_ROWS = [
     ("dim", "grid", "dim", 5, "dim must be 2 or 3"),
     ("n", "grid", "n", 17, "power of two"),
@@ -78,6 +80,9 @@ RULE_ROWS = [
     ("mode", "diagnostics", "mode", "exact", "mode must be one of"),
     ("blowup_threshold", "diagnostics", "blowup_threshold", -5.0, "nonnegative"),
     ("output_every", "output", "output_every", 0, "output_every must be >= 1"),
+    ("seed_type", "initial", "seed", 1.5, "seed must be given as an int, got"),
+    ("output_every_type", "output", "output_every", 2.5, "output_every must be given"),
+    ("dt_type", "solver", "dt", True, "dt must be a number, got"),
     ("nu_vs_mu_over_rho", "solver", "nu", 0.3, "mu/rho"),
     ("kind_vs_dim", "initial", "kind", "taylor_green_3d", "requires dim = 3"),
 ]

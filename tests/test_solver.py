@@ -32,7 +32,7 @@ from penflow import (
     step,
 )
 from penflow.solver import _momentum_rhs, effective_dt
-from penflow.spectral import fft, ksq
+from penflow.spectral import fft, half_wavenumbers
 
 
 class TestMakeInitial:
@@ -189,21 +189,25 @@ class TestStep:
     def test_transform_budget(self, monkeypatch):
         # single-component n^3 transforms in one model-pressure step plus one
         # step with its FlowState check; P, here only the model-pressure
-        # input, is solved before counting
+        # input, is solved before counting.  The kernels' rfftn/irfftn are
+        # counted by their real side; the full-layout fftn/ifftn must not run.
         g = GridSpec(3, 16)
         state = make_initial(InitialCondition("taylor_green_3d"), g)
         state.P
-        count = [0]
-        for name in ("fftn", "ifftn"):
+        count = {"rfftn": 0, "irfftn": 0, "fftn": 0, "ifftn": 0}
+        for name in count:
 
-            def counted(a, *args, _fn=getattr(np.fft, name), **kwargs):
-                count[0] += np.asarray(a).size // g.n**g.dim
-                return _fn(a, *args, **kwargs)
+            def counted(a, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+                out = _fn(a, *args, **kwargs)
+                real = out if _name == "irfftn" else np.asarray(a)
+                count[_name] += real.size // g.n**g.dim
+                return out
 
             monkeypatch.setattr(np.fft, name, counted)
         evolve_pressure_model(state, state.P, SolverConfig())
         step(state, SolverConfig())
-        assert count[0] <= 77
+        assert count["fftn"] == count["ifftn"] == 0
+        assert 0 < count["rfftn"] + count["irfftn"] <= 77
 
     def test_divergence_error_on_unstable_run(self):
         g = GridSpec(2, 32)
@@ -217,7 +221,11 @@ class TestStep:
 
 class TestGalerkinInvariants:
     """At nu=0 the dealiased nonlinear term conserves energy (2D and 3D) and
-    enstrophy (2D; in 3D vortex stretching changes it)."""
+    enstrophy (2D; in 3D vortex stretching changes it).
+
+    The sums run over the kernels' half spectrum, each retained mode
+    weighted by the number of modes it stands for, so they are the inner
+    products over the full spectrum."""
 
     @staticmethod
     def _cosine(dim, n, weight):
@@ -225,7 +233,7 @@ class TestGalerkinInvariants:
         u = make_initial(InitialCondition("random_divfree", seed=5), g).u.data
         u_hat = fft(u, g)
         rhs = _momentum_rhs(u_hat, 0.0, g)
-        w = weight(g)
+        w = half_wavenumbers(g).multiplicity * weight(g)
         inner = np.sum(w * np.conj(u_hat) * rhs).real
         norms = np.sum(w * np.abs(u_hat) ** 2) * np.sum(w * np.abs(rhs) ** 2)
         return abs(inner) / np.sqrt(norms)
@@ -235,7 +243,7 @@ class TestGalerkinInvariants:
         assert self._cosine(dim, n, lambda g: 1.0) <= 1e-12
 
     def test_enstrophy_2d(self):
-        assert self._cosine(2, 32, ksq) <= 1e-12
+        assert self._cosine(2, 32, lambda g: half_wavenumbers(g).ksq) <= 1e-12
 
 
 class TestEvolvePressureModel:

@@ -33,8 +33,12 @@ from penflow import (
 from penflow.spectral import (
     advect_hat,
     dealias_mask,
+    div_hat,
     fft,
+    grad_hat,
     hermitian_asymmetry,
+    ifft,
+    project_hat,
     self_advect_hat,
 )
 
@@ -309,6 +313,61 @@ class TestSelfAdvection:
         assert gap <= 1e-12 * np.max(np.abs(convective))
 
 
+class TestKernelLayout:
+    """The kernels' rfftn half spectrum against the public fftn layout, the
+    operators written out in the full layout with their own wavevectors."""
+
+    @staticmethod
+    def _random(dim, n, rng):
+        g = GridSpec(dim, n)
+        return g, rng.standard_normal((dim,) + g.shape)
+
+    @staticmethod
+    def _close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_fft_is_the_retained_half(self, dim, n, rng):
+        g, a = self._random(dim, n, rng)
+        full = forward(RealField(g, a)).coeffs * n**dim
+        half = fft(a, g)
+        assert half.shape == (dim,) + g.shape[:-1] + (n // 2 + 1,)
+        assert self._close(half, full[..., : n // 2 + 1])
+        assert self._close(ifft(half, g), a)
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_operators_match_full_layout(self, dim, n, rng):
+        g, a = self._random(dim, n, rng)
+        k1 = np.fft.fftfreq(n, d=1.0 / n)
+        k = np.stack(np.meshgrid(*([k1] * dim), indexing="ij"))
+        mask = np.all(np.abs(k) <= n / 3.0, axis=0)
+        kd = np.where(k == -(n // 2), 0.0, k)
+        kdsq = np.sum(kd * kd, axis=0)
+        inv_kdsq = np.where(kdsq > 0, 1.0 / np.where(kdsq > 0, kdsq, 1.0), 0.0)
+
+        def c(f):
+            return forward(RealField(g, f)).coeffs
+
+        def back(coeffs):
+            # backward's Hermitian gate also checks the formulas below
+            return backward(SpectralField(g, coeffs)).data
+
+        A = c(a)
+        advection = [
+            sum(1j * kd[j] * mask * c(a[j] * a[i])[0] for j in range(dim))
+            for i in range(dim)
+        ]
+        a_hat = fft(a, g)
+        pairs = [
+            (grad_hat(a_hat[0], g), 1j * kd * A[0]),
+            (div_hat(a_hat, g), np.sum(1j * kd * A, axis=0, keepdims=True)),
+            (project_hat(a_hat, g), A - kd * (np.sum(kd * A, axis=0) * inv_kdsq)),
+            (self_advect_hat(a, g), np.stack(advection)),
+        ]
+        for got, want in pairs:
+            assert self._close(ifft(got, g), back(want))
+
+
 class TestSobolev:
     def test_cosine_orders(self):
         g = GridSpec(2, 64)
@@ -338,13 +397,20 @@ def test_integrate_constant():
 
 
 def test_only_spectral_module_calls_fft():
-    # every transform goes through the kernels in spectral.py
+    # every transform goes through the kernels in spectral.py: any transform
+    # of an fft module (numpy's or scipy's) or a bare (i)(r)fftn call outside
+    # it is an offender; the kernels fft() and ifft() are not
+    stray = re.compile(r"\bfft\.[a-z]*fft(?!freq)|\bi?r?fftn\s*\(")
+    for line in ("np.fft.rfftn(u)", "np.fft.fft(u)", "scipy.fft.irfft2(u)", "rfftn(u)"):
+        assert stray.search(line)
+    for line in ("ifft(div_hat(fft(u, g), g), g)", "np.fft.rfftfreq(n)"):
+        assert not stray.search(line)
     src = Path(penflow.__file__).parent
     offenders = [
         f"{path.name}:{lineno}"
         for path in sorted(src.glob("*.py"))
         if path.name != "spectral.py"
         for lineno, line in enumerate(path.read_text().splitlines(), 1)
-        if re.search(r"fft\.i?fftn\b|\bi?fftn\s*\(", line)
+        if stray.search(line)
     ]
     assert offenders == []
