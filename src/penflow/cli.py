@@ -2,7 +2,8 @@
 
 Commands:
     penflow run <config>                 integrate and persist diagnostics
-    penflow twin <config> --perturb e    two runs with perturbed initial data
+    penflow twin <config> --perturb e    two runs, the twin's initial
+                                         amplitude scaled by (1 + e)
     penflow check <config>               validate the configuration only
     penflow export <run-dir>             tidy per-diagnostic CSV files
 
@@ -15,13 +16,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, is_dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .energy import NormSeries, norm_E_squared
-from .errors import ConfigError, DivergenceError
+from .energy import NormSample, NormSeries, norm_E_squared
+from .errors import ConfigError, DivergenceError, _field_types
 from .config import format_config, parse_config
 from .solver import (
     RunSample,
@@ -37,23 +39,21 @@ EXIT_CONFIG = 1
 EXIT_TRIPPED = 2
 EXIT_DIVERGED = 3
 
-# one flattened column per NormSample field (regime expanded)
-SERIES_COLUMNS = [
-    "t",
-    "norm_E_sq",
-    "dtP_term",
-    "lap_term",
-    "grad_energy",
-    "ratio",
-    "kinetic_energy",
-    "h2_norm_P",
-    "hminus1_norm_dtP",
-    "delta_T_rel",
-    "in_regime",
-    "T_h2_norm",
-    "accumulator",
-    "tripped",
-]
+
+def _leaf_paths(cls, prefix=""):
+    """Dotted paths to a dataclass's fields, a nested dataclass expanded."""
+    for name, hint in _field_types(cls):
+        if is_dataclass(hint):
+            yield from _leaf_paths(hint, f"{prefix}{name}.")
+        else:
+            yield prefix + name
+
+
+# one column per NormSample field (regime expanded into RegimeReport's),
+# then two of the BlowupState after the sample
+_SAMPLE_PATHS = tuple(_leaf_paths(NormSample))
+_BLOWUP_FIELDS = ("accumulator", "tripped")
+SERIES_COLUMNS = [p.rpartition(".")[2] for p in _SAMPLE_PATHS] + list(_BLOWUP_FIELDS)
 
 CHECKPOINT_SAMPLE_STRIDE = 10
 
@@ -67,23 +67,10 @@ def _fmt(x) -> str:
 
 
 def series_rows(series: NormSeries):
+    sample_values = attrgetter(*_SAMPLE_PATHS)
+    blowup_values = attrgetter(*_BLOWUP_FIELDS)
     for sample, blow in zip(series.samples, series.blowup_history):
-        yield [
-            sample.t,
-            sample.norm_E_sq,
-            sample.dtP_term,
-            sample.lap_term,
-            sample.grad_energy,
-            sample.ratio,
-            sample.kinetic_energy,
-            sample.h2_norm_P,
-            sample.hminus1_norm_dtP,
-            sample.regime.delta_T_rel,
-            sample.regime.in_regime,
-            sample.regime.T_h2_norm,
-            blow.accumulator,
-            blow.tripped,
-        ]
+        yield [*sample_values(sample), *blowup_values(blow)]
 
 
 def write_series_csv(series: NormSeries, path: Path) -> None:
@@ -174,19 +161,24 @@ class TwinReport:
 
 
 def twin_run(cfg: ScenarioConfig, perturbation: float) -> TwinReport:
-    """Run the scenario twice, the twin with u0 scaled by (1 + perturbation).
+    """Run the scenario and its twin, whose initial amplitude is scaled by
+    (1 + perturbation); make_initial is linear in the amplitude, so the
+    twin starts from (1 + perturbation) * u0.
 
     Reports ||P1 - P2||_E and ||u1 - u2||_L2 at every matched sample, plus
     the least-squares slope of log ||u1 - u2|| against t.
     """
     if not 0 <= perturbation < math.inf:
         raise ConfigError("perturbation must be nonnegative and finite")
+    twin = replace(
+        cfg, ic=replace(cfg.ic, amplitude=cfg.ic.amplitude * (1 + perturbation))
+    )
     times: list[float] = []
     dp: list[float] = []
     du: list[float] = []
     diverged = False
     try:
-        for a, b in zip(simulate(cfg), simulate(cfg, perturb_u0=perturbation)):
+        for a, b in zip(simulate(cfg), simulate(twin)):
             grid = cfg.grid
             d_p = RealField(grid, a.state.P.data - b.state.P.data)
             d_dtp = RealField(grid, a.dtp.data - b.dtp.data)

@@ -10,8 +10,9 @@ Example document (all keys optional, defaults shown in format_config):
     dt = 0.001
     t_end = 1.0
 
-Every rule and default lives in the configuration dataclasses (GridSpec,
-InitialCondition, SolverConfig, ThermoParams and ScenarioConfig).
+Every rule, type and default lives in the configuration dataclasses
+(GridSpec, InitialCondition, SolverConfig, ThermoParams and ScenarioConfig):
+a value's text is converted with the annotation of the field its key sets.
 parse_config reads the document, builds those objects from the keys it
 gives and prefixes each problem they report with its line, so a broken file
 reports all of its errors at once, in line order.  A rule that compares
@@ -24,22 +25,28 @@ from __future__ import annotations
 
 from dataclasses import fields, replace
 
-from .errors import ConfigError, type_issue
+from .errors import ConfigError, _field_types, type_issue
 from .solver import ScenarioConfig
 
-# file section -> key -> type; a key names the dataclass field it sets and
-# is unique across sections
+# file section -> its keys; a key names the dataclass field it sets and is
+# unique across sections
 _SCHEMA = {
-    "grid": {"dim": int, "n": int},
-    "initial": {"kind": str, "amplitude": float, "seed": int, "spectrum_peak": int},
-    "solver": {"dt": float, "t_end": float, "nu": float, "cfl_safety": float},
-    "thermo": {"rho": float, "R": float, "c_v": float, "mu": float, "P0": float, "T0": float},
-    "diagnostics": {"mode": str, "blowup_threshold": float},
-    "output": {"output_every": int, "output_dir": str},
+    "grid": ("dim", "n"),
+    "initial": ("kind", "amplitude", "seed", "spectrum_peak"),
+    "solver": ("dt", "t_end", "nu", "cfl_safety"),
+    "thermo": ("rho", "R", "c_v", "mu", "P0"),
+    "diagnostics": ("mode", "blowup_threshold"),
+    "output": ("output_every", "output_dir"),
 }
 
 # ScenarioConfig's sub-objects, thermo before solver: nu defaults to its mu/rho
 _PARTS = ("grid", "ic", "thermo", "solver")
+
+# field name -> annotation, over ScenarioConfig and its sub-objects; a key's
+# annotation is int, float or str, which also converts its text
+_TYPES = dict(_field_types(ScenarioConfig))
+for _part in _PARTS:
+    _TYPES.update(_field_types(_TYPES[_part]))
 
 # a rule comparing sections names one key; if the file lacks it, the issue
 # goes to the other key's line (an absent nu defaults to mu/rho, so passes)
@@ -70,14 +77,14 @@ def _parse_lines(text: str, issues: list[tuple[int, str]]):
         if section is None:
             issues.append((lineno, f"key {key!r} outside any known section"))
             continue
-        typ = _SCHEMA[section].get(key)
-        if typ is None:
+        if key not in _SCHEMA[section]:
             issues.append((lineno, f"unknown key {key!r} in section [{section}]"))
             continue
         if key in lines:
             issues.append((lineno, f"duplicate key {key!r} in [{section}]"))
             continue
         lines[key] = lineno
+        typ = _TYPES[key]
         try:
             given[key] = typ(value)
         except ValueError:
@@ -112,7 +119,6 @@ def parse_config(text: str) -> ScenarioConfig:
         except ConfigError as exc:
             report(exc)
     try:
-        # T0 stays None unless given, so ScenarioConfig derives it
         cfg = ScenarioConfig(
             **{name: parts.get(name, getattr(defaults, name)) for name in _PARTS},
             **given,

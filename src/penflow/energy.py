@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArityError, ConfigError, DataError
-from .flow import RegimeReport, ThermoParams, dissipation_phi
+from .flow import RegimeReport, ThermoParams, dissipation_phi, pressure_source
 from .spectral import (
     RealField,
     advect_hat,
@@ -120,14 +120,13 @@ def material_derivative(
     """D_t P = dP/dt + u.grad P.
 
     finite_difference: backward difference between snapshots plus the
-    dealiased convective term.  model_rhs: substitutes the pressure
-    evolution equation, (R/c_v) * Phi(u).
+    dealiased convective term.  model_rhs: substitutes the energy
+    equation, pressure_source (R/c_v) * (Phi(u) + Q).
     """
     if mode not in MATERIAL_DERIVATIVE_MODES:
         raise ConfigError(f"unknown material-derivative mode {mode!r}")
     if mode == MODEL_RHS:
-        phi = dissipation_phi(u, params)
-        return RealField(u.grid, params.R / params.c_v * phi.data)
+        return pressure_source(dissipation_phi(u, params), params)
     if P_prev is None:
         raise DataError("finite_difference mode needs the previous snapshot")
     if dt <= 0:

@@ -1,9 +1,11 @@
 """Physical state and thermodynamic closures.
 
 Velocity snapshots with the pressure slaved to them by a Poisson solve,
-the ideal-gas closure P = rho*R*T, the dissipation Phi = 2*mu*sum_ij
-(du_i/dx_j)^2, the Leray projection onto divergence-free fields, and the
-quasi-incompressible regime check (relative temperature deviation below 2%).
+the ideal-gas closure P = rho*R*T, the energy-equation closure
+D_tP = (R/c_v)*(Phi + Q) (pressure_source, the one place it is written),
+the dissipation Phi = 2*mu*sum_ij (du_i/dx_j)^2, the Leray projection onto
+divergence-free fields, and the quasi-incompressible regime check (relative
+temperature deviation below 2%).
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ REGIME_LIMIT = 0.02
 class ThermoParams:
     """Constant-density ideal-gas parameters (air-like defaults).
 
-    Q is an optional external heat source field; it only enters the
-    pressure-model evolution.
+    Q is an optional external heat source field; it enters D_tP through
+    pressure_source.
     """
 
     rho: float = 1.0
@@ -60,6 +62,12 @@ class ThermoParams:
     def nu(self) -> float:
         """Kinematic viscosity mu/rho used by the solver."""
         return self.mu / self.rho
+
+
+def pressure_source(phi: RealField, params: ThermoParams) -> RealField:
+    """The energy equation's D_tP = (R/c_v)*(Phi + Q) for a dissipation Phi."""
+    heat = phi.data if params.Q is None else phi.data + params.Q.data
+    return RealField(phi.grid, params.R / params.c_v * heat)
 
 
 @dataclass(frozen=True)
@@ -193,6 +201,7 @@ def regime_check(P: RealField, params: ThermoParams, T0: float) -> RegimeReport:
 
 __all__ = [
     "ThermoParams",
+    "pressure_source",
     "RegimeReport",
     "FlowState",
     "pressure_poisson",

@@ -2,9 +2,11 @@
 
 Advances the incompressible momentum equation with Leray projection at
 every substage and, through the same RK4 routine, the model pressure driven
-by viscous dissipation (dP/dt + u.grad P = (R/c_v)*Phi).  The Navier-Stokes
-pressure is FlowState.P, solved only where a sample (or, in
-finite_difference mode, the step before one) reads it.  Velocity
+by the energy equation dP/dt + u.grad P = (R/c_v)*(Phi + Q).  One function,
+flow.pressure_source, holds that source; it is also D_tP, Q included, in
+model_rhs diagnostics and at the first sample of a finite_difference run.
+The Navier-Stokes pressure is FlowState.P, solved only where a sample (or,
+in finite_difference mode, the step before one) reads it.  Velocity
 self-advection is in divergence form (spectral.self_advect_hat); the model
 pressure is not band-limited, so its advection stays convective and its RK4
 runs on the Fourier coefficients, one inverse transform per step.
@@ -35,6 +37,7 @@ from .flow import (
     kinetic_energy,
     leray_project,
     pressure_poisson,  # re-exported as penflow.solver.pressure_poisson
+    pressure_source,
     regime_check,
 )
 from .spectral import (
@@ -106,7 +109,7 @@ class ScenarioConfig:
     """Full experiment description.
 
     The solver viscosity must be the thermo mu/rho that Phi and the
-    diagnostics use.  T0 left as None is derived as P0/(rho*R).
+    diagnostics use.  P0 is the only reference state; T0 follows from it.
     """
 
     grid: GridSpec = field(default_factory=lambda: GridSpec(dim=2, n=64))
@@ -114,7 +117,6 @@ class ScenarioConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     thermo: ThermoParams = field(default_factory=ThermoParams)
     P0: float = 101325.0
-    T0: float | None = None
     mode: str = MODEL_RHS
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD
     output_every: int = 10
@@ -122,11 +124,10 @@ class ScenarioConfig:
 
     def __post_init__(self):
         check_types(self)
-        nu, T0 = self.solver.nu, self.T0
+        nu = self.solver.nu
         modes = MATERIAL_DERIVATIVE_MODES
         check_rules(
             ("P0", 0 < self.P0 < math.inf, "P0 must be positive and finite"),
-            ("T0", T0 is None or 0 < T0 < math.inf, "T0 must be positive and finite"),
             ("mode", self.mode in modes, f"mode must be one of {modes}"),
             (
                 "blowup_threshold",
@@ -141,10 +142,11 @@ class ScenarioConfig:
             ),
             _kind_fits_grid(self.ic, self.grid),
         )
-        if T0 is None:
-            object.__setattr__(
-                self, "T0", self.P0 / (self.thermo.rho * self.thermo.R)
-            )
+
+    @property
+    def T0(self) -> float:
+        """Reference temperature of P0 by the ideal gas law, P0/(rho*R)."""
+        return self.P0 / (self.thermo.rho * self.thermo.R)
 
     @property
     def seed(self) -> int:
@@ -250,18 +252,13 @@ def evolve_pressure_model(
 ) -> RealField:
     """One RK4 step of dP/dt = -dealias(u.grad P) + (R/c_v)*(Phi + Q).
 
-    u is frozen at the current solver state for the whole step and Phi is
-    the state's cached dissipation.  The stages run on the Fourier
-    coefficients of P.
+    u is frozen at the current solver state for the whole step; the source
+    is pressure_source of the state's cached Phi.  The stages run on the
+    Fourier coefficients of P.
     """
     grid = state.grid
-    params = state.params
     dt = effective_dt(state, cfg) if dt is None else dt
-    pf = params.R / params.c_v
-    source = pf * state.phi.data
-    if params.Q is not None:
-        source = source + pf * params.Q.data
-    s_hat = fft(source, grid)
+    s_hat = fft(pressure_source(state.phi, state.params).data, grid)
     p_hat = _rk4(
         lambda ph: s_hat - advect_hat(state.u.data, ph, grid),
         fft(P_model.scalar_values()[np.newaxis], grid),
@@ -299,14 +296,15 @@ def _diagnose(
 
     D_tP in model_rhs mode and the gradient energy both come from the
     state's cached Phi, as material_derivative and gradient_energy define
-    them: (R/c_v)*Phi and integral Phi dx/(2*mu).  Only finite_difference
-    mode reads prev.P, the pressure of the state one step earlier.
+    them: pressure_source (R/c_v)*(Phi + Q) and integral Phi dx/(2*mu).
+    Only finite_difference mode reads prev.P, the pressure of the state one
+    step earlier.
     """
     params = state.params
     if cfg.mode == MODEL_RHS or prev is None:
         # first sample of a finite_difference run has no snapshot yet;
         # fall back to the model right-hand side there
-        dtp = RealField(state.grid, params.R / params.c_v * state.phi.data)
+        dtp = pressure_source(state.phi, params)
     else:
         dtp = material_derivative(
             prev.P, state.P, state.u, dt_step, cfg.mode, params
@@ -328,18 +326,12 @@ def _diagnose(
     return sample, dtp
 
 
-def simulate(
-    cfg: ScenarioConfig, perturb_u0: float = 0.0
-) -> Iterator[RunSample]:
+def simulate(cfg: ScenarioConfig) -> Iterator[RunSample]:
     """Yield diagnostics at t=0 and every output_every steps until t_end.
 
-    perturb_u0 multiplies the initial velocity by (1 + perturb_u0), used by
-    the twin-run uniqueness probe.  Raises DivergenceError on NaN/Inf.
+    Raises DivergenceError on NaN/Inf.
     """
     state = make_initial(cfg.ic, cfg.grid, cfg.thermo)
-    if perturb_u0 != 0.0:
-        u = RealField(cfg.grid, (1.0 + perturb_u0) * state.u.data)
-        state = FlowState(0.0, u, cfg.thermo)
     p_model = state.P
 
     sample, dtp = _diagnose(cfg, state, None, cfg.solver.dt)

@@ -57,7 +57,6 @@ class GridSpec:
 
     dim: int
     n: int
-    length: float = TWO_PI
 
     def __post_init__(self):
         check_types(self)
@@ -69,12 +68,11 @@ class GridSpec:
                 n >= 8 and (n & (n - 1)) == 0,
                 f"n must be a power of two >= 8, got {n!r}",
             ),
-            ("length", abs(self.length - TWO_PI) <= 1e-14, "box side is fixed at 2*pi"),
         )
 
     @property
     def h(self) -> float:
-        return self.length / self.n
+        return TWO_PI / self.n
 
     @property
     def shape(self) -> tuple[int, ...]:

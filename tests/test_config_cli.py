@@ -76,7 +76,6 @@ RULE_ROWS = [
     ("c_v", "thermo", "c_v", math.nan, "c_v must be positive"),
     ("mu", "thermo", "mu", math.inf, "mu must be positive"),
     ("P0", "thermo", "P0", 0.0, "P0 must be positive"),
-    ("T0", "thermo", "T0", -1.0, "T0 must be positive"),
     ("mode", "diagnostics", "mode", "exact", "mode must be one of"),
     ("blowup_threshold", "diagnostics", "blowup_threshold", -5.0, "nonnegative"),
     ("output_every", "output", "output_every", 0, "output_every must be >= 1"),
@@ -138,6 +137,8 @@ class TestParseConfig:
             ("[grid]\ndim = 3\nn = 17\n", (3,), "power of two"),
             # kind is absent: the issue goes to the dim line it compares
             ("[grid]\ndim = 3\n", (2,), "requires dim = 2"),
+            # P0 is the only reference state; T0 is derived, not a key
+            ("[thermo]\nP0 = 5.0\nT0 = 300\n", (3,), "unknown key 'T0'"),
         ],
         ids=RULE_IDS
         + [
@@ -145,6 +146,7 @@ class TestParseConfig:
             "n_and_output_every",
             "kind_vs_dim_after_n",
             "kind_vs_dim_without_kind",
+            "T0_unknown",
         ],
     )
     def test_every_rule_reported_with_its_line(self, doc, lines, fragment):
@@ -158,16 +160,14 @@ class TestParseConfig:
 
     @pytest.mark.parametrize(
         "key, value, fragment",
-        # the box side is fixed in the API and has no key in the file; the
-        # parser reads dim and n as int, the API checks their type
+        # the parser reads dim and n as int, the API checks their type
         [row[2:] for row in RULE_ROWS]
         + [
-            ("length", 1.0, "fixed at 2*pi"),
             ("dim", 2.0, "as an int, got 2.0"),
             ("n", 16.0, "as an int, got 16.0"),
             ("n", "16", "as an int, got '16'"),
         ],
-        ids=RULE_IDS + ["length", "dim_float", "n_float", "n_str"],
+        ids=RULE_IDS + ["dim_float", "n_float", "n_str"],
     )
     def test_api_rejects_what_the_parser_rejects(self, key, value, fragment):
         with pytest.raises(ConfigError) as exc:
@@ -185,7 +185,7 @@ class TestParseConfig:
         cfg = ScenarioConfig()
         parts = (cfg.grid, cfg.ic, cfg.solver, cfg.thermo, cfg)
         settable = {f.name for part in parts for f in dataclasses.fields(part)}
-        settable -= {"grid", "ic", "solver", "thermo", "length", "Q"}
+        settable -= {"grid", "ic", "solver", "thermo", "Q"}
         keys = [key for section in _SCHEMA.values() for key in section]
         assert len(keys) == len(set(keys))
         assert set(keys) == settable

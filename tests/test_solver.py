@@ -10,8 +10,10 @@ from penflow import (
     ConfigError,
     DataError,
     DivergenceError,
+    FINITE_DIFFERENCE,
     GridSpec,
     InitialCondition,
+    MODEL_RHS,
     RealField,
     ScenarioConfig,
     SolverConfig,
@@ -25,6 +27,7 @@ from penflow import (
     laplacian,
     load_checkpoint,
     make_initial,
+    material_derivative,
     pressure_poisson,
     run,
     save_checkpoint,
@@ -287,15 +290,30 @@ class TestEvolvePressureModel:
 
     def test_mean_moves_by_the_source_alone(self):
         # advection of a periodic P by divergence-free u conserves its mean,
-        # so one step moves the mean by dt * (R/c_v) * mean(Phi)
+        # so one step moves the mean by dt * mean((R/c_v) * (Phi + Q)); the
+        # diagnostics' model_rhs D_tP must be that same source, Q included
         g = GridSpec(2, 32)
-        params = ThermoParams()
-        state = make_initial(InitialCondition("random_divfree", seed=2), g, params)
+        x, _ = g.coordinates()
+        ic = InitialCondition("random_divfree", seed=2)
         dt = 1e-3
-        out = evolve_pressure_model(state, state.P, SolverConfig(), dt=dt)
-        shift = np.mean(out.data) - np.mean(state.P.data)
-        expected = dt * params.R / params.c_v * np.mean(state.phi.data)
-        assert shift == pytest.approx(expected, rel=1e-10)
+        for heat in (np.zeros(g.shape), 2.0 + np.cos(x)):
+            params = ThermoParams(Q=RealField(g, heat) if heat.any() else None)
+            state = make_initial(ic, g, params)
+            out = evolve_pressure_model(state, state.P, SolverConfig(), dt=dt)
+            shift = np.mean(out.data) - np.mean(state.P.data)
+            expected = dt * params.R / params.c_v * np.mean(state.phi.data + heat)
+            assert shift == pytest.approx(expected, rel=1e-10)
+            source = material_derivative(
+                None, state.P, state.u, dt, MODEL_RHS, params
+            )
+            assert dt * np.mean(source.data) == pytest.approx(shift, rel=1e-10)
+            cfg = ScenarioConfig(
+                grid=g, ic=ic, solver=SolverConfig(t_end=0.0), thermo=params
+            )
+            # a finite_difference run has no previous snapshot at t = 0
+            for mode in (MODEL_RHS, FINITE_DIFFERENCE):
+                (first,) = simulate(dataclasses.replace(cfg, mode=mode))
+                np.testing.assert_array_equal(first.dtp.data, source.data)
 
 
 class TestRun:
@@ -306,6 +324,16 @@ class TestRun:
         series = run(cfg)
         assert len(series) == 1
         assert series.samples[0].t == 0.0
+
+    @pytest.mark.parametrize("P0", [5.0, 101325.0])
+    def test_delta_T_rel_follows_P0(self, P0):
+        # T - T0 = P/(rho*R) with T0 = P0/(rho*R), so delta_T_rel = max|P|/P0
+        cfg = ScenarioConfig(
+            grid=GridSpec(2, 32), solver=SolverConfig(t_end=0.0), P0=P0
+        )
+        (first,) = simulate(cfg)
+        expected = np.max(np.abs(first.state.P.data)) / P0
+        assert first.sample.regime.delta_T_rel == pytest.approx(expected, rel=1e-9)
 
     def test_energy_matches_analytic_decay(self):
         cfg = dataclasses.replace(
