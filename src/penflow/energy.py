@@ -22,7 +22,6 @@ from .flow import RegimeReport, ThermoParams, dissipation_phi, pressure_source
 from .spectral import (
     RealField,
     advect_hat,
-    fft,
     half_wavenumbers,
     ifft,
     l2_norm_sq,
@@ -142,13 +141,13 @@ def convective_term(P: RealField, u: RealField) -> RealField:
     if u.grid != P.grid:
         raise ArityError("u and P must share a grid")
     grid = P.grid
-    return RealField(grid, ifft(advect_hat(u.data, fft(P.data, grid), grid), grid))
+    return RealField(grid, ifft(advect_hat(u.data, P.half_spectrum(), grid), grid))
 
 
 def _laplacian(P: RealField) -> RealField:
     """Physical-space lap P, derivatives taken spectrally."""
     grid = P.grid
-    lap_hat = -half_wavenumbers(grid).ksq * fft(P.data, grid)
+    lap_hat = -half_wavenumbers(grid).ksq * P.half_spectrum()
     return RealField(grid, ifft(lap_hat, grid))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .spectral import (
     RealField,
     div_hat,
     fft,
-    grad_hat,
     half_wavenumbers,
     ifft,
     project_hat,
@@ -82,25 +82,31 @@ class RegimeReport:
 class FlowState:
     """Divergence-free velocity snapshot at one time.
 
-    u must be divergence-free (max |div u| < 1e-8).  The pressure P is a
-    function of u (pressure_poisson, zero-mean gauge; the constant reference
-    pressure lives in the scenario configuration) and so is the dissipation
-    Phi; each is computed on its first read and kept.
+    u must be divergence-free (max |div u| < 1e-8).  The state keeps u's
+    half spectrum as state.u.half_spectrum(): the divergence check is
+    computed from it, step starts from it and Phi's gradients come from it.
+    A u built with its spectrum (as step builds the next state) is not
+    transformed again.  The spectrum and u's samples are read-only.  The
+    pressure P is a function of u (pressure_poisson, zero-mean gauge; the
+    constant reference pressure lives in the scenario configuration) and so
+    is the dissipation Phi; each is computed on its first read and kept.
     """
 
     __slots__ = ("t", "u", "params", "_P", "_phi")
 
     def __init__(self, t: float, u: RealField, params: ThermoParams):
-        if u.components != u.grid.dim:
+        grid = u.grid
+        if u.components != grid.dim:
             raise ArityError("u must have one component per dimension")
         # kernels, not backward(): its Hermitian gate would choke on the
         # cancellation roundoff of a nearly-diverged (huge-amplitude) field
-        div = ifft(div_hat(fft(u.data, u.grid), u.grid), u.grid)
+        u_hat = u.half_spectrum()
+        div = ifft(div_hat(u_hat, grid), grid)
         u_scale = max(1.0, float(np.max(np.abs(u.data))))
         if np.max(np.abs(div)) >= DIVERGENCE_TOL * u_scale:
             raise ArityError("velocity field is not divergence-free")
         self.t = float(t)
-        self.u = u
+        self.u = RealField(grid, u.data, u_hat)
         self.params = params
         self._P = None
         self._phi = None
@@ -132,8 +138,8 @@ def pressure_poisson(u: RealField, params: ThermoParams) -> RealField:
     """
     grid = u.grid
     div_adv = div_hat(self_advect_hat(u.data, grid), grid)
-    inv_ksq = half_wavenumbers(grid).inv_ksq
-    return RealField(grid, ifft(params.rho * inv_ksq * div_adv, grid))
+    p_hat = params.rho * half_wavenumbers(grid).inv_ksq * div_adv
+    return RealField(grid, ifft(p_hat, grid), p_hat)
 
 
 def temperature_from_pressure(
@@ -148,26 +154,49 @@ def temperature_from_pressure(
     return RealField(P.grid, total / (params.rho * params.R))
 
 
+def _derivatives(u: RealField) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(i, j, du_i/dx_j) from u's half spectrum, one derivative at a time.
+
+    Each derivative is a new array of shape (1, n, ..., n), so a caller that
+    reduces them never holds the gradient tensor.
+    """
+    grid = u.grid
+    u_hat = u.half_spectrum()
+    ikd = half_wavenumbers(grid).ikd
+    d_hat = np.empty((1,) + ikd.shape[1:], dtype=np.complex128)
+    for i in range(u.components):
+        for j in range(grid.dim):
+            np.multiply(ikd[j], u_hat[i], out=d_hat[0])
+            yield i, j, ifft(d_hat, grid)
+
+
 def velocity_gradients(u: RealField) -> np.ndarray:
     """Spectral derivatives du_i/dx_j, shape (components, dim, n, ..., n)."""
-    grid = u.grid
-    u_hat = fft(u.data, grid)
-    out = np.empty((u.components, grid.dim) + grid.shape)
-    for i in range(u.components):
-        out[i] = ifft(grad_hat(u_hat[i], grid), grid)
+    out = np.empty((u.components, u.grid.dim) + u.grid.shape)
+    for i, j, d in _derivatives(u):
+        out[i, j] = d[0]
     return out
+
+
+def _gradient_squares(u: RealField) -> np.ndarray:
+    """sum_ij (du_i/dx_j)^2, shape (1, n, ..., n), summed as they come."""
+    total = np.zeros((1,) + u.grid.shape)
+    for _, _, d in _derivatives(u):
+        d *= d
+        total += d
+    return total
 
 
 def dissipation_phi(u: RealField, params: ThermoParams) -> RealField:
     """Phi(x) = 2*mu*sum_ij (du_i/dx_j)^2; nonnegative everywhere."""
-    g = velocity_gradients(u)
-    return RealField(u.grid, 2.0 * params.mu * np.sum(g * g, axis=(0, 1)))
+    phi = _gradient_squares(u)
+    phi *= 2.0 * params.mu
+    return RealField(u.grid, phi)
 
 
 def gradient_energy(u: RealField) -> float:
     """integral sum_ij (du_i/dx_j)^2 dx, same derivatives as dissipation_phi."""
-    g = velocity_gradients(u)
-    return float(np.sum(g * g)) * u.grid.cell_volume
+    return float(np.sum(_gradient_squares(u))) * u.grid.cell_volume
 
 
 def kinetic_energy(u: RealField) -> float:
@@ -182,20 +211,25 @@ def leray_project(v: RealField) -> RealField:
     result is divergence-free under divergence() and FlowState's check.
     """
     grid = v.grid
-    return RealField(grid, ifft(project_hat(fft(v.data, grid), grid), grid))
+    v_hat = project_hat(fft(v.data, grid), grid)
+    return RealField(grid, ifft(v_hat, grid), v_hat)
 
 
 def regime_check(P: RealField, params: ThermoParams, T0: float) -> RegimeReport:
     """Report max relative temperature deviation and the H^2 norm of T."""
     if T0 <= 0:
         raise ConfigError("reference temperature T0 must be positive")
-    P0 = params.rho * params.R * T0
-    T = temperature_from_pressure(P, params, P0)
+    grid = P.grid
+    rho_R = params.rho * params.R
+    T = temperature_from_pressure(P, params, rho_R * T0)
     delta = float(np.max(np.abs(T.scalar_values() - T0))) / T0
+    # T = (P0 + P)/(rho*R) has P's spectrum, scaled, plus T0 in the mean mode
+    T_hat = P.half_spectrum() / rho_R
+    T_hat[(0,) * (grid.dim + 1)] += T0 * grid.n**grid.dim
     return RegimeReport(
         delta_T_rel=delta,
         in_regime=delta < REGIME_LIMIT,
-        T_h2_norm=sobolev_norm(T, 2),
+        T_h2_norm=sobolev_norm(RealField(grid, T.data, T_hat), 2),
     )
 
 

@@ -30,7 +30,7 @@ from .energy import (
     material_derivative,
     norm_E_squared,
 )
-from .errors import DataError, DivergenceError, check_rules, check_types
+from .errors import ArityError, DataError, DivergenceError, check_rules, check_types
 from .flow import (
     FlowState,
     ThermoParams,
@@ -140,6 +140,11 @@ class ScenarioConfig:
                 abs(nu - self.thermo.nu) <= 1e-12 * max(1.0, abs(nu)),
                 f"nu must equal mu/rho = {self.thermo.nu!r}",
             ),
+            (
+                "Q",
+                self.thermo.Q is None or self.thermo.Q.grid == self.grid,
+                f"Q must be sampled on the scenario grid {self.grid}",
+            ),
             _kind_fits_grid(self.ic, self.grid),
         )
 
@@ -202,9 +207,21 @@ def _random_divfree(ic: InitialCondition, grid: GridSpec) -> np.ndarray:
     return proj
 
 
-def _momentum_rhs(u_hat: np.ndarray, nu: float, grid: GridSpec) -> np.ndarray:
-    adv = self_advect_hat(ifft(u_hat, grid), grid)
-    return project_hat(-adv, grid) - nu * half_wavenumbers(grid).ksq * u_hat
+def _momentum_rhs(
+    u_hat: np.ndarray, nu: float, grid: GridSpec, u: np.ndarray | None = None
+) -> np.ndarray:
+    """-project(u.grad u) - nu*|k|^2*u_hat, in a new array.
+
+    u is ifft(u_hat); pass it when it is already at hand.  The viscous term
+    and the sign are folded into the projected advection array.
+    """
+    if u is None:
+        u = ifft(u_hat, grid)
+    rhs = project_hat(self_advect_hat(u, grid), grid)
+    nu_ksq = nu * half_wavenumbers(grid).ksq
+    for c in range(grid.dim):
+        rhs[c] += nu_ksq * u_hat[c]
+    return np.negative(rhs, out=rhs)
 
 
 def effective_dt(state: FlowState, cfg: SolverConfig) -> float:
@@ -215,33 +232,57 @@ def effective_dt(state: FlowState, cfg: SolverConfig) -> float:
     return min(cfg.dt, cfg.cfl_safety * state.grid.h / umax)
 
 
-def _rk4(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of dy/dt = f(y).
+def _rk4(
+    f: Callable[[np.ndarray], np.ndarray],
+    y: np.ndarray,
+    dt: float,
+    f_y: np.ndarray | None = None,
+) -> np.ndarray:
+    """One classical RK4 step of dy/dt = f(y); y is only read.
 
-    The stages are summed k1 + 2k2 + 2k3 + k4, in that order, into one
-    running array, so only one stage is alive besides it.
+    f must return a new array.  f_y is f(y) when the caller already holds
+    it.  Each stage input is built in one reused array, and the stages are
+    summed k1 + 2k2 + 2k3 + k4, in that order, into one running array that
+    becomes the result, so only one stage is alive besides those two.
     """
-    acc = f(y)
-    k = f(y + 0.5 * dt * acc)
-    acc += 2 * k
-    k = f(y + 0.5 * dt * k)
-    acc += 2 * k
-    acc += f(y + dt * k)
-    return y + dt / 6.0 * acc
+    acc = f(y) if f_y is None else f_y
+    stage = np.multiply(acc, 0.5 * dt)
+    for c in (0.5 * dt, dt):
+        stage += y
+        k = f(stage)
+        np.multiply(k, c, out=stage)
+        k *= 2
+        acc += k
+        del k  # not alive through the next stage
+    stage += y
+    acc += f(stage)
+    acc *= dt / 6.0
+    acc += y
+    return acc
 
 
 def step(state: FlowState, cfg: SolverConfig, dt: float | None = None) -> FlowState:
-    """One RK4 step of the projected momentum equation; solves no pressure."""
+    """One RK4 step of the projected momentum equation; solves no pressure.
+
+    The RK4 starts from the state's kept spectrum, its first stage from the
+    physical u the state holds, and the new state takes the projected
+    spectrum with it, so each velocity is transformed once.
+    """
     grid = state.grid
     dt = effective_dt(state, cfg) if dt is None else dt
+    u0_hat = state.u.half_spectrum()
     u_hat = _rk4(
-        lambda uh: _momentum_rhs(uh, cfg.nu, grid), fft(state.u.data, grid), dt
+        lambda uh: _momentum_rhs(uh, cfg.nu, grid),
+        u0_hat,
+        dt,
+        f_y=_momentum_rhs(u0_hat, cfg.nu, grid, u=state.u.data),
     )
-    u_new = ifft(project_hat(u_hat, grid), grid)
+    project_hat(u_hat, grid)
+    u_new = ifft(u_hat, grid)
     t_new = state.t + dt
     if not np.all(np.isfinite(u_new)) or np.max(np.abs(u_new)) > 1e100:
         raise DivergenceError(t_new)
-    return FlowState(t_new, RealField(grid, u_new), state.params)
+    return FlowState(t_new, RealField(grid, u_new, u_hat), state.params)
 
 
 def evolve_pressure_model(
@@ -254,20 +295,23 @@ def evolve_pressure_model(
 
     u is frozen at the current solver state for the whole step; the source
     is pressure_source of the state's cached Phi.  The stages run on the
-    Fourier coefficients of P.
+    Fourier coefficients of P: they start from P_model.half_spectrum(), and
+    the result keeps its own.
     """
     grid = state.grid
+    if not P_model.is_scalar:
+        raise ArityError("P_model must be a scalar field")
     dt = effective_dt(state, cfg) if dt is None else dt
     s_hat = fft(pressure_source(state.phi, state.params).data, grid)
     p_hat = _rk4(
         lambda ph: s_hat - advect_hat(state.u.data, ph, grid),
-        fft(P_model.scalar_values()[np.newaxis], grid),
+        P_model.half_spectrum(),
         dt,
     )
     p_new = ifft(p_hat, grid)
     if not np.all(np.isfinite(p_new)):
         raise DivergenceError(state.t + dt)
-    return RealField(grid, p_new)
+    return RealField(grid, p_new, p_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +385,9 @@ def simulate(cfg: ScenarioConfig) -> Iterator[RunSample]:
     step_idx = 0
     while state.t < t_end - 1e-12:
         dt = min(effective_dt(state, cfg.solver), t_end - state.t)
-        prev = state
+        # only finite_difference reads the previous state; holding it in
+        # model_rhs mode would keep its arrays alive through the sample
+        prev = None if cfg.mode == MODEL_RHS else state
         p_model = evolve_pressure_model(state, p_model, cfg.solver, dt=dt)
         state = step(state, cfg.solver, dt=dt)
         step_idx += 1
@@ -363,6 +409,8 @@ def run(
             series.append(rs.sample)
             if on_sample is not None:
                 on_sample(rs)
+            # the sample's state must not stay alive through the next steps
+            del rs
     except DivergenceError as exc:
         series.diverged_at = exc.time
     series.finalize()

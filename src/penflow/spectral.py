@@ -184,14 +184,34 @@ class RealField(_Field):
 
     ``data`` has shape (components, n, ..., n); a scalar input of shape
     (n, ..., n) is promoted to one component.
+
+    ``hat``, when given, is fft(data) as the caller already holds it (the
+    kernels' half spectrum).  The field keeps it and half_spectrum()
+    returns it instead of a new transform; it and data become read-only,
+    so the two cannot drift apart.
     """
 
-    def __init__(self, grid: GridSpec, data):
+    __slots__ = ("_hat",)
+
+    def __init__(self, grid: GridSpec, data, hat: np.ndarray | None = None):
         super().__init__(grid, data, np.float64)
+        if hat is not None:
+            if hat.shape != self._data.shape[:-1] + (grid.n // 2 + 1,):
+                raise ArityError(
+                    f"half spectrum shape {hat.shape} does not match field "
+                    f"shape {self._data.shape}"
+                )
+            hat.setflags(write=False)
+            self._data.setflags(write=False)
+        self._hat = hat
 
     @property
     def data(self) -> np.ndarray:
         return self._data
+
+    def half_spectrum(self) -> np.ndarray:
+        """fft(data): the kept spectrum if the field has one, else a new one."""
+        return self._hat if self._hat is not None else fft(self._data, self.grid)
 
     @classmethod
     def zeros(cls, grid: GridSpec, components: int = 1) -> "RealField":
@@ -252,18 +272,30 @@ def grad_hat(f_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
     return half_wavenumbers(grid).ikd * f_hat
 
 
+def _contract(k: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
+    """sum_j k_j*v_j, accumulated one component at a time."""
+    out = k[0] * v_hat[0]
+    for j in range(1, len(k)):
+        out += k[j] * v_hat[j]
+    return out
+
+
 def div_hat(v_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
     """sum_j i*kd_j*v_j of a dim-component field; one component."""
-    return np.sum(half_wavenumbers(grid).ikd * v_hat, axis=0, keepdims=True)
+    return _contract(half_wavenumbers(grid).ikd, v_hat)[np.newaxis]
 
 
 def project_hat(v_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Leray projection v - kd (kd.v)/|kd|^2, so div_hat(result) == 0.
+    """Leray projection v - kd (kd.v)/|kd|^2, in place, so div_hat(v_hat) == 0.
 
-    Modes with kd = 0 (the mean and the pure-Nyquist modes) pass unchanged.
+    Returns v_hat.  Modes with kd = 0 (the mean and the pure-Nyquist modes)
+    pass unchanged.
     """
     w = half_wavenumbers(grid)
-    return v_hat - w.kd_inv_kdsq * np.sum(w.kd * v_hat, axis=0)
+    kd_v = _contract(w.kd, v_hat)
+    for j in range(grid.dim):
+        v_hat[j] -= w.kd_inv_kdsq[j] * kd_v
+    return v_hat
 
 
 def advect_hat(u: np.ndarray, f_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -273,25 +305,31 @@ def advect_hat(u: np.ndarray, f_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
     there the divergence form of self_advect_hat would differ by aliasing
     error, not round-off.
     """
-    uf = np.sum(u * ifft(grad_hat(f_hat[0], grid), grid), axis=0, keepdims=True)
+    grad = ifft(grad_hat(f_hat[0], grid), grid)
+    grad *= u
+    uf = np.sum(grad, axis=0, keepdims=True)
     return fft(uf, grid) * half_wavenumbers(grid).mask
 
 
 def self_advect_hat(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Dealiased fft(u.grad u) in divergence form, sum_j i*kd_j*fft(u_j u_c).
 
-    One fft per unique product u_i u_j.  For divergence-free u inside the
+    One fft per unique product u_i u_j, each product and each of its terms
+    written into one reused scratch array.  For divergence-free u inside the
     2/3 band this equals advect_hat of each component to round-off: the
     product modes alias only outside the mask, and u.grad u = div(u u).
     """
     ikd_mask = half_wavenumbers(grid).ikd_mask
     out = np.zeros(ikd_mask.shape, dtype=np.complex128)
+    uu = np.empty((1,) + grid.shape)
+    term = np.empty(ikd_mask.shape[1:], dtype=np.complex128)
     for i in range(grid.dim):
         for j in range(i, grid.dim):
-            uu_hat = fft(u[i : i + 1] * u[j], grid)[0]
-            out[i] += ikd_mask[j] * uu_hat
+            np.multiply(u[i], u[j], out=uu[0])
+            uu_hat = fft(uu, grid)[0]
+            out[i] += np.multiply(ikd_mask[j], uu_hat, out=term)
             if j != i:
-                out[j] += ikd_mask[i] * uu_hat
+                out[j] += np.multiply(ikd_mask[i], uu_hat, out=term)
     return out
 
 
@@ -389,7 +427,7 @@ def sobolev_norm(f: RealField, order: float) -> float:
     """H^order norm via sqrt(sum_k (1+|k|^2)^order |c_k|^2 (2*pi)^dim).
 
     Supported orders: -1, 0, 1, 2 (scalar fields only).  The sum runs over
-    the half spectrum, each retained mode counted with its multiplicity.
+    f.half_spectrum(), each retained mode counted with its multiplicity.
     """
     if order not in (-1, 0, 1, 2):
         raise ConfigError(f"unsupported Sobolev order {order}")
@@ -398,7 +436,7 @@ def sobolev_norm(f: RealField, order: float) -> float:
     _check_finite(f)
     grid = f.grid
     w = half_wavenumbers(grid)
-    c = fft(f.data, grid)[0] / grid.n**grid.dim
+    c = f.half_spectrum()[0] / grid.n**grid.dim
     weight = w.multiplicity * (1.0 + w.ksq) ** order
     total = np.sum(weight * np.abs(c) ** 2) * TWO_PI**grid.dim
     return float(np.sqrt(total))

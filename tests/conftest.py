@@ -31,3 +31,29 @@ def smooth_vector(grid, rng, components=None, kmax=3, decay=0.5):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def transform_counter(monkeypatch):
+    """Counts single-component transforms through numpy.fft, by name.
+
+    Returns a function of a grid that patches rfftn, irfftn, fftn and ifftn
+    and gives back their running counts.  A transform of m components of
+    n^dim samples counts m, each measured on its real side; the full-layout
+    fftn/ifftn run only in the public forward/backward.
+    """
+
+    def install(grid):
+        count = {"rfftn": 0, "irfftn": 0, "fftn": 0, "ifftn": 0}
+        for name in count:
+
+            def counted(a, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+                out = _fn(a, *args, **kwargs)
+                real = out if _name == "irfftn" else np.asarray(a)
+                count[_name] += real.size // grid.n**grid.dim
+                return out
+
+            monkeypatch.setattr(np.fft, name, counted)
+        return count
+
+    return install

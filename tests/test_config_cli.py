@@ -11,6 +11,7 @@ from penflow import (
     ConfigError,
     GridSpec,
     InitialCondition,
+    RealField,
     ScenarioConfig,
     SolverConfig,
     format_config,
@@ -59,7 +60,8 @@ def small_config(tmp_path, **extra):
 # one row per configuration rule: (id, section, key, a value the rule
 # rejects, a fragment of its message); the *_type rows check the field's
 # type, which the parser reads from the text and the API from the value,
-# and the last two compare sections
+# and the last three compare sections.  A row with section None is an
+# API-only rule: the key has no config-file form.
 RULE_ROWS = [
     ("dim", "grid", "dim", 5, "dim must be 2 or 3"),
     ("n", "grid", "n", 17, "power of two"),
@@ -84,8 +86,10 @@ RULE_ROWS = [
     ("dt_type", "solver", "dt", True, "dt must be a number, got"),
     ("nu_vs_mu_over_rho", "solver", "nu", 0.3, "mu/rho"),
     ("kind_vs_dim", "initial", "kind", "taylor_green_3d", "requires dim = 3"),
+    ("Q_vs_grid", None, "Q", RealField.zeros(GridSpec(2, 32)), "sampled on the"),
 ]
 RULE_IDS = [row[0] for row in RULE_ROWS]
+PARSED_ROWS = [row for row in RULE_ROWS if row[1] is not None]
 
 
 def scenario_with(key, value):
@@ -128,7 +132,7 @@ class TestParseConfig:
         "doc, lines, fragment",
         [
             (f"[{sec}]\n{key} = {val}\n", (2,), text)
-            for _, sec, key, val, text in RULE_ROWS
+            for _, sec, key, val, text in PARSED_ROWS
         ]
         + [
             ("[grid]\nn = 12\n[initial]\nspectrum_peak = 0\n", (2, 4), ""),
@@ -140,7 +144,7 @@ class TestParseConfig:
             # P0 is the only reference state; T0 is derived, not a key
             ("[thermo]\nP0 = 5.0\nT0 = 300\n", (3,), "unknown key 'T0'"),
         ],
-        ids=RULE_IDS
+        ids=[row[0] for row in PARSED_ROWS]
         + [
             "n_and_spectrum_peak",
             "n_and_output_every",

@@ -1,5 +1,7 @@
 """Thermodynamic closures, dissipation, Leray projection, regime check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,17 @@ class TestRegimeCheck:
         expected_sq = (2 * np.pi) ** 2 * (T0**2 + 2 * (2**2) * 0.25)
         assert report.T_h2_norm == pytest.approx(np.sqrt(expected_sq), rel=1e-10)
 
+    def test_kept_spectrum_gives_the_transformed_norm(self, rng):
+        # T's spectrum is derived from the one P keeps from its Poisson
+        # solve; it must match T transformed from scratch
+        g = GridSpec(2, 32)
+        params = ThermoParams()
+        P = pressure_poisson(leray_project(smooth_vector(g, rng)), params)
+        bare = RealField(g, P.data.copy())
+        kept, fresh = regime_check(P, params, 300.0), regime_check(bare, params, 300.0)
+        assert kept.delta_T_rel == fresh.delta_T_rel
+        assert kept.T_h2_norm == pytest.approx(fresh.T_h2_norm, rel=1e-13)
+
 
 class TestFlowState:
     def test_rejects_divergent_velocity(self):
@@ -251,6 +264,20 @@ class TestFlowState:
         state = FlowState(0.0, u, params)
         assert state.phi is state.phi
         assert state.phi.data.tobytes() == dissipation_phi(u, params).data.tobytes()
+
+    def test_phi_holds_no_gradient_tensor(self):
+        # Phi is accumulated one derivative at a time from the kept spectrum;
+        # the (dim, dim, n...) gradient tensor and its square would be 6x u
+        g = GridSpec(3, 32)
+        u = leray_project(smooth_vector(g, np.random.default_rng(2)))
+        state = FlowState(0.0, u, ThermoParams())
+        tracemalloc.start()
+        try:
+            state.phi
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * state.u.data.nbytes
 
     def test_pressure_solved_once_and_kept(self):
         g = GridSpec(2, 32)

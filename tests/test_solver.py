@@ -34,8 +34,8 @@ from penflow import (
     simulate,
     step,
 )
-from penflow.solver import _momentum_rhs, effective_dt
-from penflow.spectral import fft, half_wavenumbers
+from penflow.solver import _diagnose, _momentum_rhs, effective_dt
+from penflow.spectral import fft, half_wavenumbers, ifft, project_hat
 
 
 class TestMakeInitial:
@@ -189,28 +189,61 @@ class TestStep:
         for a in (state.u.data, out.u.data, out.P.data, p_model.data):
             assert a.base is None
 
-    def test_transform_budget(self, monkeypatch):
-        # single-component n^3 transforms in one model-pressure step plus one
+    @pytest.mark.parametrize(
+        "dim, kind, budget",
+        [(2, "taylor_green_2d", 40), (3, "taylor_green_3d", 65)],
+        ids=["2d", "3d"],
+    )
+    def test_transform_budget(self, transform_counter, dim, kind, budget):
+        # single-component transforms in one model-pressure step plus one
         # step with its FlowState check; P, here only the model-pressure
-        # input, is solved before counting.  The kernels' rfftn/irfftn are
-        # counted by their real side; the full-layout fftn/ifftn must not run.
-        g = GridSpec(3, 16)
-        state = make_initial(InitialCondition("taylor_green_3d"), g)
+        # input, is solved before counting.  Each velocity is transformed
+        # once: the state carries its spectrum into step and Phi, and the
+        # new state takes the one step ends with.
+        g = GridSpec(dim, 16)
+        state = make_initial(InitialCondition(kind), g)
         state.P
-        count = {"rfftn": 0, "irfftn": 0, "fftn": 0, "ifftn": 0}
-        for name in count:
-
-            def counted(a, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
-                out = _fn(a, *args, **kwargs)
-                real = out if _name == "irfftn" else np.asarray(a)
-                count[_name] += real.size // g.n**g.dim
-                return out
-
-            monkeypatch.setattr(np.fft, name, counted)
+        count = transform_counter(g)
         evolve_pressure_model(state, state.P, SolverConfig())
         step(state, SolverConfig())
         assert count["fftn"] == count["ifftn"] == 0
-        assert 0 < count["rfftn"] + count["irfftn"] <= 77
+        assert 0 < count["rfftn"] + count["irfftn"] <= budget
+
+    def test_matches_textbook_rk4_on_a_nonlinear_flow(self):
+        # step takes stage 1 from the state's physical u and runs the other
+        # stages in reused arrays; random_divfree keeps the advection that
+        # the projection removes from Taylor-Green, so a wrong stage shows
+        g = GridSpec(2, 32)
+        state = make_initial(InitialCondition("random_divfree", seed=3), g)
+        cfg, dt = SolverConfig(), 1e-2
+
+        def f(uh):
+            return _momentum_rhs(uh, cfg.nu, g)
+
+        y = fft(state.u.data, g)
+        k1 = f(y)
+        k2 = f(y + 0.5 * dt * k1)
+        k3 = f(y + 0.5 * dt * k2)
+        k4 = f(y + dt * k3)
+        y_new = project_hat(y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), g)
+        want = ifft(y_new, g)
+        got = step(state, cfg, dt=dt).u.data
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "dim, kind",
+        [(2, "taylor_green_2d"), (3, "taylor_green_3d")],
+        ids=["2d", "3d"],
+    )
+    def test_kept_spectrum_is_the_velocitys(self, dim, kind):
+        g = GridSpec(dim, 16)
+        state = make_initial(InitialCondition(kind), g)
+        for _ in range(10):
+            state = step(state, SolverConfig())
+        kept = state.u.half_spectrum()
+        assert not kept.flags.writeable and not state.u.data.flags.writeable
+        fresh = fft(state.u.data, g)
+        assert np.max(np.abs(kept - fresh)) <= 1e-12 * np.max(np.abs(fresh))
 
     def test_divergence_error_on_unstable_run(self):
         g = GridSpec(2, 32)
@@ -371,6 +404,23 @@ class TestRun:
         series = run(cfg)
         ts = [s.t for s in series.samples]
         assert all(b > a for a, b in zip(ts, ts[1:]))
+
+
+class TestDiagnose:
+    def test_transform_budget(self, transform_counter):
+        # once P and Phi are known, a model_rhs sample transforms only lap P
+        # back and D_tP forward: P keeps the spectrum of its Poisson solve,
+        # and T = (P0 + P)/(rho R) shares it
+        cfg = dataclasses.replace(
+            ScenarioConfig(),
+            grid=GridSpec(3, 16),
+            ic=InitialCondition("taylor_green_3d"),
+        )
+        state = step(make_initial(cfg.ic, cfg.grid, cfg.thermo), cfg.solver)
+        state.P, state.phi
+        count = transform_counter(cfg.grid)
+        _diagnose(cfg, state, None, cfg.solver.dt)
+        assert 0 < sum(count.values()) <= 2
 
 
 class TestPressureSolves:

@@ -335,6 +335,19 @@ class TestKernelLayout:
         assert self._close(half, full[..., : n // 2 + 1])
         assert self._close(ifft(half, g), a)
 
+    def test_kept_half_spectrum(self, rng):
+        # a field built with its spectrum returns it, and it and the samples
+        # are frozen so the two cannot drift apart; a field without one
+        # transforms its samples on each call
+        g, a = self._random(2, 16, rng)
+        a_hat = fft(a, g)
+        f = RealField(g, a, a_hat)
+        assert f.half_spectrum() is a_hat
+        assert not a_hat.flags.writeable and not f.data.flags.writeable
+        assert self._close(RealField(g, a).half_spectrum(), a_hat)
+        with pytest.raises(ArityError):
+            RealField(g, a, a_hat[:1])
+
     @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
     def test_operators_match_full_layout(self, dim, n, rng):
         g, a = self._random(dim, n, rng)
