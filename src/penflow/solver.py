@@ -4,7 +4,9 @@ Advances the incompressible momentum equation with Leray projection at
 every substage and, through the same RK4 routine, the model pressure driven
 by the energy equation dP/dt + u.grad P = (R/c_v)*(Phi + Q).  One function,
 flow.pressure_source, holds that source; it is also D_tP, Q included, in
-model_rhs diagnostics and at the first sample of a finite_difference run.
+model_rhs diagnostics and at the first sample of a finite_difference run,
+where the sample transforms it once and hands it, spectrum and all, to the
+next model-pressure step.
 The Navier-Stokes pressure is FlowState.P, solved only where a sample (or,
 in finite_difference mode, the step before one) reads it.  Velocity
 self-advection is in divergence form (spectral.self_advect_hat); the model
@@ -290,19 +292,24 @@ def evolve_pressure_model(
     P_model: RealField,
     cfg: SolverConfig,
     dt: float | None = None,
+    source: RealField | None = None,
 ) -> RealField:
     """One RK4 step of dP/dt = -dealias(u.grad P) + (R/c_v)*(Phi + Q).
 
     u is frozen at the current solver state for the whole step; the source
-    is pressure_source of the state's cached Phi.  The stages run on the
-    Fourier coefficients of P: they start from P_model.half_spectrum(), and
-    the result keeps its own.
+    is pressure_source of the state's cached Phi.  Pass it as ``source``
+    when it is already at hand (a model_rhs sample's D_tP): its
+    half_spectrum() is used, so one that carries its spectrum is not
+    transformed again.  The stages run on the Fourier coefficients of P:
+    they start from P_model.half_spectrum(), and the result keeps its own.
     """
     grid = state.grid
     if not P_model.is_scalar:
         raise ArityError("P_model must be a scalar field")
     dt = effective_dt(state, cfg) if dt is None else dt
-    s_hat = fft(pressure_source(state.phi, state.params).data, grid)
+    if source is None:
+        source = pressure_source(state.phi, state.params)
+    s_hat = source.half_spectrum()
     p_hat = _rk4(
         lambda ph: s_hat - advect_hat(state.u.data, ph, grid),
         P_model.half_spectrum(),
@@ -330,6 +337,15 @@ class RunSample:
     sample: NormSample
 
 
+def _dtp_is_source(cfg: ScenarioConfig, prev: FlowState | None) -> bool:
+    """Whether a sample's D_tP is pressure_source of its state.
+
+    So it is in model_rhs mode, and at the first sample of a
+    finite_difference run, which has no snapshot yet.
+    """
+    return cfg.mode == MODEL_RHS or prev is None
+
+
 def _diagnose(
     cfg: ScenarioConfig,
     state: FlowState,
@@ -341,13 +357,13 @@ def _diagnose(
     D_tP in model_rhs mode and the gradient energy both come from the
     state's cached Phi, as material_derivative and gradient_energy define
     them: pressure_source (R/c_v)*(Phi + Q) and integral Phi dx/(2*mu).
-    Only finite_difference mode reads prev.P, the pressure of the state one
-    step earlier.
+    That D_tP carries its half spectrum, which its H^-1 norm reads and the
+    next model-pressure step may reuse.  Only finite_difference mode reads
+    prev.P, the pressure of the state one step earlier.
     """
     params = state.params
-    if cfg.mode == MODEL_RHS or prev is None:
-        # first sample of a finite_difference run has no snapshot yet;
-        # fall back to the model right-hand side there
+    is_source = _dtp_is_source(cfg, prev)
+    if is_source:
         dtp = pressure_source(state.phi, params)
     else:
         dtp = material_derivative(
@@ -355,6 +371,10 @@ def _diagnose(
         )
     total, dtp_term, lap_term = norm_E_squared(state.P, dtp)
     ge = integrate(state.phi) / (2.0 * params.mu)
+    if is_source:
+        # made after P's solve and the norms above: made before them, the
+        # kept spectrum raised a 3D n=64 run's peak RSS by 4 MB (heap layout)
+        dtp = RealField(state.grid, dtp.data, fft(dtp.data, state.grid))
     sample = NormSample(
         t=state.t,
         norm_E_sq=total,
@@ -380,6 +400,10 @@ def simulate(cfg: ScenarioConfig) -> Iterator[RunSample]:
 
     sample, dtp = _diagnose(cfg, state, None, cfg.solver.dt)
     yield RunSample(0, state, p_model, dtp, sample)
+    # a D_tP that is the source goes on to the next model-pressure step;
+    # nothing else of a sample stays alive through the steps after it
+    source = dtp
+    del dtp
 
     t_end = cfg.solver.t_end
     step_idx = 0
@@ -388,12 +412,17 @@ def simulate(cfg: ScenarioConfig) -> Iterator[RunSample]:
         # only finite_difference reads the previous state; holding it in
         # model_rhs mode would keep its arrays alive through the sample
         prev = None if cfg.mode == MODEL_RHS else state
-        p_model = evolve_pressure_model(state, p_model, cfg.solver, dt=dt)
+        p_model = evolve_pressure_model(
+            state, p_model, cfg.solver, dt=dt, source=source
+        )
+        source = None
         state = step(state, cfg.solver, dt=dt)
         step_idx += 1
         if step_idx % cfg.output_every == 0 or state.t >= t_end - 1e-12:
             sample, dtp = _diagnose(cfg, state, prev, dt)
             yield RunSample(step_idx, state, p_model, dtp, sample)
+            source = dtp if _dtp_is_source(cfg, prev) else None
+            del dtp
 
 
 def run(

@@ -1,9 +1,10 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
-from penflow import RealField
+from penflow import RealField, spectral
 
 
 def smooth_scalar(grid, rng, kmax=3, decay=0.5):
@@ -33,27 +34,39 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def patch_everywhere(monkeypatch, original, replacement):
+    """Bind replacement in place of original in every penflow module."""
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] != "penflow":
+            continue
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, replacement)
+
+
 @pytest.fixture
 def transform_counter(monkeypatch):
-    """Counts single-component transforms through numpy.fft, by name.
+    """Counts single-component transforms at penflow's FFT seam, by name.
 
-    Returns a function of a grid that patches rfftn, irfftn, fftn and ifftn
-    and gives back their running counts.  A transform of m components of
-    n^dim samples counts m, each measured on its real side; the full-layout
-    fftn/ifftn run only in the public forward/backward.
+    Returns a function of a grid that patches spectral.fft and ifft (the
+    kernels' half-spectrum pair, wherever a penflow module binds them) and
+    spectral._fftn and _ifftn (the full-layout pair behind the public
+    forward/backward), and gives back their running counts.  A transform
+    of m components of n^dim samples counts m, each measured on its real
+    side, however many numpy calls it is split into.
     """
 
     def install(grid):
-        count = {"rfftn": 0, "irfftn": 0, "fftn": 0, "ifftn": 0}
+        count = {"fft": 0, "ifft": 0, "_fftn": 0, "_ifftn": 0}
         for name in count:
 
-            def counted(a, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            def counted(a, *args, _fn=getattr(spectral, name), _name=name, **kwargs):
                 out = _fn(a, *args, **kwargs)
-                real = out if _name == "irfftn" else np.asarray(a)
+                real = out if _name in ("ifft", "_ifftn") else a
                 count[_name] += real.size // grid.n**grid.dim
                 return out
 
-            monkeypatch.setattr(np.fft, name, counted)
+            patch_everywhere(monkeypatch, getattr(spectral, name), counted)
         return count
 
     return install

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +32,7 @@ from penflow.cli import (
     twin_run,
     write_twin_report,
 )
+import penflow
 from penflow.config import _SCHEMA
 
 REPO_BASELINE = Path(__file__).resolve().parent.parent / "configs" / "baseline.cfg"
@@ -436,3 +440,29 @@ class TestMain:
         assert (tmp_path / "r1" / "series.csv").read_bytes() == (
             tmp_path / "r2" / "series.csv"
         ).read_bytes()
+
+
+def test_2d_baseline_starts_no_thread(tmp_path):
+    # the shipped 2D scenario never reaches the split path: a fresh
+    # interpreter running it imports no executor and starts no thread
+    code = f"""
+import dataclasses, sys, threading
+from penflow.cli import run_scenario
+from penflow.config import parse_config
+cfg = parse_config(open({str(REPO_BASELINE)!r}).read())
+cfg = dataclasses.replace(
+    cfg,
+    solver=dataclasses.replace(cfg.solver, t_end=0.02),
+    output_dir={str(tmp_path)!r},
+)
+run_scenario(cfg)
+print("concurrent.futures" in sys.modules, threading.active_count())
+"""
+    src = str(Path(penflow.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "1"]
+    assert (tmp_path / "series.csv").exists()

@@ -1,7 +1,12 @@
 """Spectral core: transforms, derivatives, Poisson inversion, dealiasing."""
 
+import dataclasses
 import itertools
+import os
 import re
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +34,10 @@ from penflow import (
     make_initial,
     poisson_solve,
     sobolev_norm,
+    spectral,
 )
+from penflow.cli import run_scenario
+from penflow.solver import ScenarioConfig, SolverConfig
 from penflow.spectral import (
     advect_hat,
     dealias_mask,
@@ -379,6 +387,185 @@ class TestKernelLayout:
         ]
         for got, want in pairs:
             assert self._close(ifft(got, g), back(want))
+
+
+class TestSplitTransforms:
+    """fft/ifft of at least _SPLIT_MIN_SAMPLES real samples run each numpy
+    pass on slabs across threads; the results are numpy's, bit for bit."""
+
+    @pytest.fixture
+    def split_calls(self, monkeypatch):
+        # at least two threads even on one CPU, and every pass counted, so
+        # that a test of the split path cannot pass on the serial one
+        threads = max(2, spectral._thread_count())
+        monkeypatch.setattr(spectral, "_thread_count", lambda: threads)
+        calls = []
+        split = spectral._split
+
+        def counted(fn, length, threads):
+            calls.append(length)
+            split(fn, length, threads)
+
+        monkeypatch.setattr(spectral, "_split", counted)
+        return calls
+
+    @staticmethod
+    def _serial(a, a_hat, g):
+        axes = tuple(range(1, g.dim + 1))
+        return (
+            np.fft.rfftn(a, axes=axes),
+            np.fft.irfftn(a_hat, s=g.shape, axes=axes),
+        )
+
+    @pytest.mark.parametrize(
+        "dim, n, components", [(3, 64, 1), (3, 64, 3), (2, 512, 1)]
+    )
+    def test_bitwise_numpy(self, split_calls, dim, n, components, rng):
+        g = GridSpec(dim, n)
+        a = rng.standard_normal((components,) + g.shape)
+        a_hat = fft(a, g)
+        want_hat, want = self._serial(a, a_hat, g)
+        assert a_hat.tobytes() == want_hat.tobytes()
+        assert ifft(a_hat, g).tobytes() == want.tobytes()
+        assert len(split_calls) == 4
+
+    def test_bitwise_numpy_on_views(self, split_calls, rng):
+        # strided inputs: a transposed array and every other component
+        g = GridSpec(3, 64)
+        a = np.swapaxes(rng.standard_normal((1,) + g.shape), 1, 3)
+        stacked = np.fft.rfftn(rng.standard_normal((4,) + g.shape), axes=(1, 2, 3))
+        a_hat = stacked[::2]
+        assert not a.flags.c_contiguous and not a_hat.flags.c_contiguous
+        want_hat, want = self._serial(a, a_hat, g)
+        assert fft(a, g).tobytes() == want_hat.tobytes()
+        assert ifft(a_hat, g).tobytes() == want.tobytes()
+        assert len(split_calls) == 4
+
+    def test_outputs_are_fresh_and_writable(self, split_calls, rng):
+        # callers write into the results (grad *= u, d *= d)
+        g = GridSpec(3, 64)
+        a = rng.standard_normal((1,) + g.shape)
+        a_hat = fft(a, g)
+        for out in (a_hat, ifft(a_hat, g)):
+            assert out.base is None and out.flags.writeable
+            assert not np.shares_memory(out, a)
+        assert len(split_calls) == 4
+
+    def test_threshold(self):
+        # the crossover: 3D n=64 splits, 3D n=32 and 2D n=64 do not
+        threads = spectral._thread_count()
+        for dim, n, components, split in [
+            (3, 64, 1, True),
+            (2, 256, 2, True),
+            (3, 32, 3, False),
+            (2, 64, 2, False),
+        ]:
+            g = GridSpec(dim, n)
+            a = np.empty((components,) + g.shape)
+            assert spectral._split_threads(a, g) == (threads if split else 1)
+
+    def test_scenario_outputs_match_the_serial_path(
+        self, split_calls, monkeypatch, tmp_path
+    ):
+        cfg = dataclasses.replace(
+            ScenarioConfig(),
+            grid=GridSpec(3, 32),
+            ic=InitialCondition("taylor_green_3d"),
+            solver=SolverConfig(dt=1e-3, t_end=4e-3),
+            output_every=2,
+        )
+        run_scenario(dataclasses.replace(cfg, output_dir=str(tmp_path / "serial")))
+        assert split_calls == []
+        monkeypatch.setattr(spectral, "_SPLIT_MIN_SAMPLES", 0)
+        run_scenario(dataclasses.replace(cfg, output_dir=str(tmp_path / "split")))
+        assert split_calls
+        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert "series.csv" in names and any(n.endswith(".ckpt") for n in names)
+        assert names == sorted(p.name for p in (tmp_path / "split").iterdir())
+        for name in names:
+            if name != "summary.txt":
+                serial = (tmp_path / "serial" / name).read_bytes()
+                assert (tmp_path / "split" / name).read_bytes() == serial, name
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "worker"])
+    def test_error_after_every_slice_finished(self, split_calls, failing):
+        # slice 0 runs on the calling thread, slice 2 is the slow one
+        finished = []
+
+        def fn(s):
+            if s.start == failing:
+                raise ValueError("slice failed")
+            if s.start == 2:
+                time.sleep(0.2)
+            finished.append(s.start)
+
+        with pytest.raises(ValueError, match="slice failed"):
+            spectral._split(fn, 3, 3)
+        assert sorted(finished) == sorted({0, 1, 2} - {failing})
+
+    def test_concurrent_callers(self, split_calls, monkeypatch, rng):
+        # two threads split transforms of several sizes at once, more
+        # threads than CPUs sharing pocketfft's plan cache; every result
+        # must still be numpy's, bit for bit
+        monkeypatch.setattr(spectral, "_SPLIT_MIN_SAMPLES", 0)
+        rounds = 25
+        cases = []
+        for dim, n in itertools.product((2, 3), (8, 16, 32, 64)):
+            g = GridSpec(dim, n)
+            a = rng.standard_normal((2,) + g.shape)
+            want_hat = np.fft.rfftn(a, axes=tuple(range(1, dim + 1)))
+            cases.append((g, a, want_hat, self._serial(a, want_hat, g)[1]))
+        mismatches, errors = [], []
+
+        def hammer(order):
+            try:
+                for _ in range(rounds):
+                    for g, a, want_hat, want in order:
+                        got_hat = fft(a, g)
+                        if got_hat.tobytes() != want_hat.tobytes():
+                            mismatches.append(("fft", g))
+                        if ifft(got_hat, g).tobytes() != want.tobytes():
+                            mismatches.append(("ifft", g))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(order,))
+                for order in (cases, cases[::-1])
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and mismatches == []
+        assert len(split_calls) == 2 * rounds * len(cases) * 4
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_its_own_workers(self, split_calls, rng):
+        # the child inherits the pool object but none of its threads
+        g = GridSpec(3, 64)
+        a = rng.standard_normal((1,) + g.shape)
+        want = fft(a, g).tobytes()
+        pid = os.fork()
+        if pid == 0:  # child: report through the exit status only
+            try:
+                os._exit(0 if fft(a, g).tobytes() == want else 1)
+            finally:
+                os._exit(2)
+        deadline = time.monotonic() + 60
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("split transform in a forked child did not finish")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
 class TestSobolev:
