@@ -8,7 +8,7 @@ Commands:
     penflow export <run-dir>             tidy per-diagnostic CSV files
 
 Exit status: 0 clean, 1 config/I-O error, 2 blow-up accumulator tripped,
-3 numerical divergence.
+3 numerical divergence, 4 regime exit (total pressure nonpositive).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ EXIT_CLEAN = 0
 EXIT_CONFIG = 1
 EXIT_TRIPPED = 2
 EXIT_DIVERGED = 3
+EXIT_REGIME = 4
 
 
 def _leaf_paths(cls, prefix=""):
@@ -80,22 +81,31 @@ def write_series_csv(series: NormSeries, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _status(series: NormSeries) -> str:
+    if series.diverged_at is not None:
+        return f"numerical divergence at t = {series.diverged_at:.6g}"
+    if series.regime_exit_at is not None:
+        return (
+            f"regime exit at t = {series.regime_exit_at:.6g}: "
+            "total pressure nonpositive"
+        )
+    return "accumulator tripped" if series.tripped else "clean"
+
+
 def write_summary(series: NormSeries, path: Path) -> None:
     cfg = series.scenario
     bound = series.bound
     last = series.samples[-1] if series.samples else None
     worst_delta = max((s.regime.delta_T_rel for s in series.samples), default=0.0)
+    in_regime = series.regime_exit_at is None and all(
+        s.regime.in_regime for s in series.samples
+    )
     lines = [
         "penflow run summary",
         "===================",
         f"samples recorded     : {len(series)}",
         f"final time           : {_fmt(last.t) if last else 'n/a'}",
-        f"status               : "
-        + (
-            f"numerical divergence at t = {series.diverged_at:.6g}"
-            if series.diverged_at is not None
-            else ("accumulator tripped" if series.tripped else "clean")
-        ),
+        f"status               : {_status(series)}",
         "",
         "dissipation bound fit (grad_energy <= C * ||P||_E^2)",
         f"  c_fit              : {_fmt(bound.c_fit) if bound else 'n/a'}",
@@ -112,7 +122,7 @@ def write_summary(series: NormSeries, path: Path) -> None:
         "",
         "quasi-incompressible regime (|T - T0|/T0 < 2%)",
         f"  worst delta_T_rel  : {_fmt(worst_delta)}",
-        f"  always in regime   : {_fmt(all(s.regime.in_regime for s in series.samples))}",
+        f"  always in regime   : {_fmt(in_regime)}",
     ]
     if cfg is not None:
         lines += ["", "scenario", "--------", format_config(cfg).rstrip()]
@@ -122,6 +132,8 @@ def write_summary(series: NormSeries, path: Path) -> None:
 def exit_code(series: NormSeries) -> int:
     if series.diverged_at is not None:
         return EXIT_DIVERGED
+    if series.regime_exit_at is not None:
+        return EXIT_REGIME
     if series.tripped:
         return EXIT_TRIPPED
     return EXIT_CLEAN

@@ -80,6 +80,7 @@ class NormSeries:
         self.blowup_history: list[BlowupState] = []
         self.bound: BoundFit | None = None
         self.diverged_at: float | None = None
+        self.regime_exit_at: float | None = None
 
     def append(self, sample: NormSample) -> None:
         if self.samples and sample.t <= self.samples[-1].t:
@@ -91,7 +92,8 @@ class NormSeries:
         self.blowup_history.append(self.blowup)
 
     def finalize(self) -> None:
-        self.bound = bound_check(self)
+        """Fit the bound; a run stopped before its first sample has none."""
+        self.bound = bound_check(self) if self.samples else None
 
     @property
     def tripped(self) -> bool:

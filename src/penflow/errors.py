@@ -28,7 +28,14 @@ class GaugeError(PenflowError):
 
 
 class RegimeError(PenflowError):
-    """Thermodynamic state left the valid regime (e.g. nonpositive pressure)."""
+    """Thermodynamic state left the valid regime (e.g. nonpositive pressure).
+
+    time is the time of the state that left it, where the raiser knows it.
+    """
+
+    def __init__(self, message, time=None):
+        self.time = time
+        super().__init__(message)
 
 
 class DataError(PenflowError):

@@ -90,9 +90,11 @@ class FlowState:
     pressure P is a function of u (pressure_poisson, zero-mean gauge; the
     constant reference pressure lives in the scenario configuration) and so
     is the dissipation Phi; each is computed on its first read and kept.
+    umax is max |u| over the samples, which the divergence check scales by
+    and the CFL cap reads.
     """
 
-    __slots__ = ("t", "u", "params", "_P", "_phi")
+    __slots__ = ("t", "u", "umax", "params", "_P", "_phi")
 
     def __init__(self, t: float, u: RealField, params: ThermoParams):
         grid = u.grid
@@ -102,11 +104,12 @@ class FlowState:
         # cancellation roundoff of a nearly-diverged (huge-amplitude) field
         u_hat = u.half_spectrum()
         div = ifft(div_hat(u_hat, grid), grid)
-        u_scale = max(1.0, float(np.max(np.abs(u.data))))
-        if np.max(np.abs(div)) >= DIVERGENCE_TOL * u_scale:
+        umax = float(np.max(np.abs(u.data)))
+        if np.max(np.abs(div)) >= DIVERGENCE_TOL * max(1.0, umax):
             raise ArityError("velocity field is not divergence-free")
         self.t = float(t)
         self.u = RealField(grid, u.data, u_hat)
+        self.umax = umax
         self.params = params
         self._P = None
         self._phi = None

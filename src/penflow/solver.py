@@ -32,7 +32,14 @@ from .energy import (
     material_derivative,
     norm_E_squared,
 )
-from .errors import ArityError, DataError, DivergenceError, check_rules, check_types
+from .errors import (
+    ArityError,
+    DataError,
+    DivergenceError,
+    RegimeError,
+    check_rules,
+    check_types,
+)
 from .flow import (
     FlowState,
     ThermoParams,
@@ -228,10 +235,9 @@ def _momentum_rhs(
 
 def effective_dt(state: FlowState, cfg: SolverConfig) -> float:
     """cfg.dt capped by the CFL condition cfl_safety*h/max|u|."""
-    umax = float(np.max(np.abs(state.u.data)))
-    if umax == 0.0:
+    if state.umax == 0.0:
         return cfg.dt
-    return min(cfg.dt, cfg.cfl_safety * state.grid.h / umax)
+    return min(cfg.dt, cfg.cfl_safety * state.grid.h / state.umax)
 
 
 def _rk4(
@@ -282,7 +288,8 @@ def step(state: FlowState, cfg: SolverConfig, dt: float | None = None) -> FlowSt
     project_hat(u_hat, grid)
     u_new = ifft(u_hat, grid)
     t_new = state.t + dt
-    if not np.all(np.isfinite(u_new)) or np.max(np.abs(u_new)) > 1e100:
+    # one reduction: a NaN max fails the comparison, as Inf does
+    if not np.max(np.abs(u_new)) <= 1e100:
         raise DivergenceError(t_new)
     return FlowState(t_new, RealField(grid, u_new, u_hat), state.params)
 
@@ -375,25 +382,29 @@ def _diagnose(
         # made after P's solve and the norms above: made before them, the
         # kept spectrum raised a 3D n=64 run's peak RSS by 4 MB (heap layout)
         dtp = RealField(state.grid, dtp.data, fft(dtp.data, state.grid))
-    sample = NormSample(
-        t=state.t,
-        norm_E_sq=total,
-        dtP_term=dtp_term,
-        lap_term=lap_term,
-        grad_energy=ge,
-        ratio=ge / total if total > 1e-14 else None,
-        kinetic_energy=kinetic_energy(state.u),
-        h2_norm_P=sobolev_norm(state.P, 2),
-        hminus1_norm_dtP=sobolev_norm(dtp, -1),
-        regime=regime_check(state.P, params, cfg.T0),
-    )
+    try:
+        sample = NormSample(
+            t=state.t,
+            norm_E_sq=total,
+            dtP_term=dtp_term,
+            lap_term=lap_term,
+            grad_energy=ge,
+            ratio=ge / total if total > 1e-14 else None,
+            kinetic_energy=kinetic_energy(state.u),
+            h2_norm_P=sobolev_norm(state.P, 2),
+            hminus1_norm_dtP=sobolev_norm(dtp, -1),
+            regime=regime_check(state.P, params, cfg.T0),
+        )
+    except RegimeError as exc:
+        raise RegimeError(str(exc), time=state.t) from exc
     return sample, dtp
 
 
 def simulate(cfg: ScenarioConfig) -> Iterator[RunSample]:
     """Yield diagnostics at t=0 and every output_every steps until t_end.
 
-    Raises DivergenceError on NaN/Inf.
+    Raises DivergenceError on NaN/Inf, and RegimeError, with the sampled
+    state's time, when a sample finds the total pressure nonpositive.
     """
     state = make_initial(cfg.ic, cfg.grid, cfg.thermo)
     p_model = state.P
@@ -429,7 +440,11 @@ def run(
     cfg: ScenarioConfig,
     on_sample: Callable[[RunSample], None] | None = None,
 ) -> NormSeries:
-    """Integrate to t_end (or divergence) and collect the diagnostic series."""
+    """Integrate to t_end, divergence or a regime exit, collecting the series.
+
+    A divergence or a regime exit ends the run with its time recorded on
+    the series (diverged_at, regime_exit_at) and the samples before it kept.
+    """
     series = NormSeries(
         scenario=cfg, blowup=BlowupState(threshold=cfg.blowup_threshold)
     )
@@ -442,6 +457,8 @@ def run(
             del rs
     except DivergenceError as exc:
         series.diverged_at = exc.time
+    except RegimeError as exc:
+        series.regime_exit_at = exc.time
     series.finalize()
     return series
 

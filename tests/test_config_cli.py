@@ -23,6 +23,7 @@ from penflow import (
 from penflow.cli import (
     EXIT_CLEAN,
     EXIT_CONFIG,
+    EXIT_REGIME,
     EXIT_TRIPPED,
     SERIES_COLUMNS,
     export_plot_data,
@@ -400,6 +401,19 @@ class TestMain:
         assert main([argv[0], str(path), *argv[1:]]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_regime_exit_is_an_outcome(self, tmp_path):
+        # amplitude 10 at P0 = 1: the t=0 sample finds the total pressure
+        # nonpositive; the run stops with its own exit code and still
+        # writes the (empty) series and a summary naming the exit
+        path = small_config(tmp_path, initial={"amplitude": 10}, thermo={"P0": 1})
+        assert main(["run", str(path)]) == EXIT_REGIME
+        header, rows = read_series_csv(tmp_path / "out" / "series.csv")
+        assert header == SERIES_COLUMNS and rows == []
+        summary = (tmp_path / "out" / "summary.txt").read_text()
+        assert "status               : regime exit at t = 0:" in summary
+        assert "always in regime   : false" in summary
+        assert "c_fit              : n/a" in summary
 
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent/path.cfg"]) == EXIT_CONFIG

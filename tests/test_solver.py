@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 import penflow.flow
+import penflow.solver
 from penflow import (
     ConfigError,
     DataError,
     DivergenceError,
+    FlowState,
     FINITE_DIFFERENCE,
     GridSpec,
     InitialCondition,
     MODEL_RHS,
     RealField,
+    RegimeError,
     ScenarioConfig,
     SolverConfig,
     ThermoParams,
@@ -257,6 +260,31 @@ class TestStep:
                 for _ in range(200):
                     state = step(state, cfg, dt=1.0)  # bypasses the CFL cap
 
+    @pytest.mark.parametrize(
+        "amplitude, bad",
+        [(1.0, np.nan), (1.0, np.inf), (1e120, None)],
+        ids=["nan", "inf", "huge"],
+    )
+    def test_guard_raises_on_nonfinite_and_huge(self, amplitude, bad):
+        # the guard is one reduction, max|u| <= 1e100: a NaN max and an
+        # infinite one both fail it, as does a finite max above the bound
+        # (dt is small enough that the huge flow stays finite)
+        g = GridSpec(2, 16)
+        u = make_initial(InitialCondition(amplitude=amplitude), g).u.data.copy()
+        if bad is not None:
+            u[0, 3, 5] = bad
+        with np.errstate(all="ignore"):
+            state = FlowState(0.0, RealField(g, u), ThermoParams())
+            with pytest.raises(DivergenceError):
+                step(state, SolverConfig(), dt=1e-200)
+
+    def test_cfl_reads_the_states_max_speed(self):
+        g = GridSpec(2, 16)
+        state = make_initial(InitialCondition(amplitude=3.0), g)
+        assert state.umax == float(np.max(np.abs(state.u.data)))
+        cfg = SolverConfig(dt=1.0)
+        assert effective_dt(state, cfg) == cfg.cfl_safety * g.h / state.umax
+
 
 class TestGalerkinInvariants:
     """At nu=0 the dealiased nonlinear term conserves energy (2D and 3D) and
@@ -397,6 +425,43 @@ class TestRun:
         assert [a.kinetic_energy for a in s1.samples] == [
             a.kinetic_energy for a in s2.samples
         ]
+
+    def test_regime_exit_keeps_the_samples_before_it(self, monkeypatch):
+        # the third sample leaves the regime: run() stops there, keeps the
+        # two samples before it and records the third one's time
+        cfg = dataclasses.replace(
+            ScenarioConfig(),
+            grid=GridSpec(2, 16),
+            solver=SolverConfig(dt=1e-3, t_end=0.01),
+            output_every=2,
+        )
+        check = penflow.solver.regime_check
+        calls = []
+
+        def leaves_at_third(P, params, T0):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RegimeError("total pressure nonpositive")
+            return check(P, params, T0)
+
+        monkeypatch.setattr(penflow.solver, "regime_check", leaves_at_third)
+        series = run(cfg)
+        assert [s.t for s in series.samples] == pytest.approx([0.0, 0.002])
+        assert series.regime_exit_at == pytest.approx(0.004)
+        assert series.diverged_at is None
+        assert series.bound is not None
+
+    def test_regime_exit_at_t0_leaves_an_empty_series(self):
+        cfg = dataclasses.replace(
+            ScenarioConfig(),
+            grid=GridSpec(2, 16),
+            ic=InitialCondition(amplitude=10.0),
+            P0=1.0,
+        )
+        series = run(cfg)
+        assert len(series) == 0
+        assert series.regime_exit_at == 0.0
+        assert series.bound is None
 
     def test_timestamps_increasing(self):
         cfg = dataclasses.replace(

@@ -389,33 +389,90 @@ class TestKernelLayout:
             assert self._close(ifft(got, g), back(want))
 
 
+def _numpy_pair(a, a_hat, g):
+    """numpy's own rfftn of a and irfftn of a_hat, the kernels' reference."""
+    axes = tuple(range(1, g.dim + 1))
+    return (
+        np.fft.rfftn(a, axes=axes),
+        np.fft.irfftn(a_hat, s=g.shape, axes=axes),
+    )
+
+
+class TestSmallTransforms:
+    """Below _SPLIT_MIN_SAMPLES fft/ifft run numpy's passes as one slab in
+    the calling thread; the results are rfftn/irfftn's, bit for bit."""
+
+    @pytest.mark.parametrize("components", [1, 3])
+    @pytest.mark.parametrize("dim, n", [(2, 8), (2, 64), (3, 32)])
+    def test_bitwise_numpy(self, dim, n, components, rng):
+        g = GridSpec(dim, n)
+        a = rng.standard_normal((components,) + g.shape)
+        assert spectral._split_threads(a, g) == 1
+        # an arbitrary half spectrum too: irfft must read it as irfftn does
+        shape = (components,) + g.shape[:-1] + (n // 2 + 1,)
+        b_hat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        a_hat = fft(a, g)
+        want_hat, want = _numpy_pair(a, a_hat, g)
+        assert a_hat.tobytes() == want_hat.tobytes()
+        assert ifft(a_hat, g).tobytes() == want.tobytes()
+        assert ifft(b_hat, g).tobytes() == _numpy_pair(a, b_hat, g)[1].tobytes()
+
+    @pytest.mark.parametrize("dim, n", [(2, 64), (3, 32)])
+    def test_bitwise_numpy_on_views(self, dim, n, rng):
+        # strided inputs: a transposed array and every other component
+        g = GridSpec(dim, n)
+        a = np.swapaxes(rng.standard_normal((1,) + g.shape), 1, dim)
+        axes = tuple(range(1, dim + 1))
+        stacked = np.fft.rfftn(rng.standard_normal((4,) + g.shape), axes=axes)
+        a_hat = stacked[::2]
+        assert not a.flags.c_contiguous and not a_hat.flags.c_contiguous
+        want_hat, want = _numpy_pair(a, a_hat, g)
+        assert fft(a, g).tobytes() == want_hat.tobytes()
+        assert ifft(a_hat, g).tobytes() == want.tobytes()
+
+    def test_no_nd_numpy_call(self, monkeypatch, rng):
+        # the passes are called directly, so rfftn/irfftn's argument
+        # handling is not paid per transform
+        def refuse(*args, **kwargs):
+            raise AssertionError("n-d numpy transform called")
+
+        monkeypatch.setattr(np.fft, "rfftn", refuse)
+        monkeypatch.setattr(np.fft, "irfftn", refuse)
+        g = GridSpec(2, 64)
+        a = rng.standard_normal((2,) + g.shape)
+        assert np.allclose(ifft(fft(a, g), g), a, rtol=0, atol=1e-12)
+
+    def test_one_slab_touches_no_worker(self, monkeypatch):
+        def refuse():
+            raise AssertionError("worker pool touched")
+
+        monkeypatch.setattr(spectral, "_workers", refuse)
+        seen = []
+        spectral._split(seen.append, 5, 1)
+        assert seen == [slice(0, 5)]
+
+
 class TestSplitTransforms:
     """fft/ifft of at least _SPLIT_MIN_SAMPLES real samples run each numpy
     pass on slabs across threads; the results are numpy's, bit for bit."""
 
     @pytest.fixture
     def split_calls(self, monkeypatch):
-        # at least two threads even on one CPU, and every pass counted, so
-        # that a test of the split path cannot pass on the serial one
+        # at least two threads even on one CPU, and every pass that hands
+        # slabs to workers counted, so that a test of the split path cannot
+        # pass on the one-slab path that every smaller transform takes
         threads = max(2, spectral._thread_count())
         monkeypatch.setattr(spectral, "_thread_count", lambda: threads)
         calls = []
         split = spectral._split
 
         def counted(fn, length, threads):
-            calls.append(length)
+            if threads > 1:
+                calls.append(length)
             split(fn, length, threads)
 
         monkeypatch.setattr(spectral, "_split", counted)
         return calls
-
-    @staticmethod
-    def _serial(a, a_hat, g):
-        axes = tuple(range(1, g.dim + 1))
-        return (
-            np.fft.rfftn(a, axes=axes),
-            np.fft.irfftn(a_hat, s=g.shape, axes=axes),
-        )
 
     @pytest.mark.parametrize(
         "dim, n, components", [(3, 64, 1), (3, 64, 3), (2, 512, 1)]
@@ -424,7 +481,7 @@ class TestSplitTransforms:
         g = GridSpec(dim, n)
         a = rng.standard_normal((components,) + g.shape)
         a_hat = fft(a, g)
-        want_hat, want = self._serial(a, a_hat, g)
+        want_hat, want = _numpy_pair(a, a_hat, g)
         assert a_hat.tobytes() == want_hat.tobytes()
         assert ifft(a_hat, g).tobytes() == want.tobytes()
         assert len(split_calls) == 4
@@ -436,7 +493,7 @@ class TestSplitTransforms:
         stacked = np.fft.rfftn(rng.standard_normal((4,) + g.shape), axes=(1, 2, 3))
         a_hat = stacked[::2]
         assert not a.flags.c_contiguous and not a_hat.flags.c_contiguous
-        want_hat, want = self._serial(a, a_hat, g)
+        want_hat, want = _numpy_pair(a, a_hat, g)
         assert fft(a, g).tobytes() == want_hat.tobytes()
         assert ifft(a_hat, g).tobytes() == want.tobytes()
         assert len(split_calls) == 4
@@ -514,7 +571,7 @@ class TestSplitTransforms:
             g = GridSpec(dim, n)
             a = rng.standard_normal((2,) + g.shape)
             want_hat = np.fft.rfftn(a, axes=tuple(range(1, dim + 1)))
-            cases.append((g, a, want_hat, self._serial(a, want_hat, g)[1]))
+            cases.append((g, a, want_hat, _numpy_pair(a, want_hat, g)[1]))
         mismatches, errors = [], []
 
         def hammer(order):
