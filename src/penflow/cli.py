@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .energy import NormSample, NormSeries, norm_E_squared
-from .errors import ConfigError, DivergenceError, _field_types
+from .errors import ConfigError, DivergenceError, RegimeError, _field_types
 from .config import format_config, parse_config
 from .solver import (
     RunSample,
@@ -170,6 +170,7 @@ class TwinReport:
     du_l2: list[float]
     divergence_rate: float | None
     diverged: bool = False
+    regime_exit_at: float | None = None
 
 
 def twin_run(cfg: ScenarioConfig, perturbation: float) -> TwinReport:
@@ -178,7 +179,8 @@ def twin_run(cfg: ScenarioConfig, perturbation: float) -> TwinReport:
     twin starts from (1 + perturbation) * u0.
 
     Reports ||P1 - P2||_E and ||u1 - u2||_L2 at every matched sample, plus
-    the least-squares slope of log ||u1 - u2|| against t.
+    the least-squares slope of log ||u1 - u2|| against t.  A divergence or
+    a regime exit of either run ends both, with the samples before it kept.
     """
     if not 0 <= perturbation < math.inf:
         raise ConfigError("perturbation must be nonnegative and finite")
@@ -189,6 +191,7 @@ def twin_run(cfg: ScenarioConfig, perturbation: float) -> TwinReport:
     dp: list[float] = []
     du: list[float] = []
     diverged = False
+    regime_exit_at = None
     try:
         for a, b in zip(simulate(cfg), simulate(twin)):
             grid = cfg.grid
@@ -200,13 +203,15 @@ def twin_run(cfg: ScenarioConfig, perturbation: float) -> TwinReport:
             du.append(float(np.sqrt(l2_norm_sq(d_u))))
     except DivergenceError:
         diverged = True
+    except RegimeError as exc:
+        regime_exit_at = exc.time
     rate = None
     pts = [(t, d) for t, d in zip(times, du) if d > 0]
     if len(pts) >= 2:
         ts = np.array([p[0] for p in pts])
         logs = np.log(np.array([p[1] for p in pts]))
         rate = float(np.polyfit(ts, logs, 1)[0])
-    return TwinReport(perturbation, times, dp, du, rate, diverged)
+    return TwinReport(perturbation, times, dp, du, rate, diverged, regime_exit_at)
 
 
 def write_twin_report(report: TwinReport, outdir: Path) -> None:
@@ -224,6 +229,7 @@ def write_twin_report(report: TwinReport, outdir: Path) -> None:
         f"max ||P1-P2||_E       : {_fmt(max(report.dp_norm_E, default=0.0))}",
         f"log-difference slope  : {_fmt(report.divergence_rate)}",
         f"diverged              : {_fmt(report.diverged)}",
+        f"regime exit at t      : {_fmt(report.regime_exit_at) or 'none'}",
     ]
     (outdir / "twin_summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
 
@@ -306,7 +312,9 @@ def main(argv=None) -> int:
         report = twin_run(cfg, args.perturb)
         write_twin_report(report, Path(cfg.output_dir))
         print(f"wrote {Path(cfg.output_dir) / 'twin_series.csv'}")
-        return EXIT_DIVERGED if report.diverged else EXIT_CLEAN
+        if report.diverged:
+            return EXIT_DIVERGED
+        return EXIT_CLEAN if report.regime_exit_at is None else EXIT_REGIME
     except ConfigError as exc:
         for issue in exc.issues:
             print(f"error: {issue}", file=sys.stderr)

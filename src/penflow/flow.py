@@ -16,7 +16,14 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ArityError, ConfigError, RegimeError, check_rules, check_types
+from .errors import (
+    ArityError,
+    ConfigError,
+    DivergenceError,
+    RegimeError,
+    check_rules,
+    check_types,
+)
 from .spectral import (
     GridSpec,
     RealField,
@@ -24,6 +31,7 @@ from .spectral import (
     fft,
     half_wavenumbers,
     ifft,
+    on_slabs,
     project_hat,
     self_advect_hat,
     sobolev_norm,
@@ -91,7 +99,8 @@ class FlowState:
     constant reference pressure lives in the scenario configuration) and so
     is the dissipation Phi; each is computed on its first read and kept.
     umax is max |u| over the samples, which the divergence check scales by
-    and the CFL cap reads.
+    and the CFL cap reads.  A u with a NaN or Inf sample raises
+    DivergenceError at time t.
     """
 
     __slots__ = ("t", "u", "umax", "params", "_P", "_phi")
@@ -100,12 +109,15 @@ class FlowState:
         grid = u.grid
         if u.components != grid.dim:
             raise ArityError("u must have one component per dimension")
+        umax = float(np.max(np.abs(u.data)))
+        if not math.isfinite(umax):
+            raise DivergenceError(t)
         # kernels, not backward(): its Hermitian gate would choke on the
         # cancellation roundoff of a nearly-diverged (huge-amplitude) field
         u_hat = u.half_spectrum()
         div = ifft(div_hat(u_hat, grid), grid)
-        umax = float(np.max(np.abs(u.data)))
-        if np.max(np.abs(div)) >= DIVERGENCE_TOL * max(1.0, umax):
+        # written so that a NaN divergence fails it too
+        if not np.max(np.abs(div)) < DIVERGENCE_TOL * max(1.0, umax):
             raise ArityError("velocity field is not divergence-free")
         self.t = float(t)
         self.u = RealField(grid, u.data, u_hat)
@@ -169,7 +181,7 @@ def _derivatives(u: RealField) -> Iterator[tuple[int, int, np.ndarray]]:
     d_hat = np.empty((1,) + ikd.shape[1:], dtype=np.complex128)
     for i in range(u.components):
         for j in range(grid.dim):
-            np.multiply(ikd[j], u_hat[i], out=d_hat[0])
+            on_slabs(grid, np.multiply, ikd[j], u_hat[i], d_hat[0])
             yield i, j, ifft(d_hat, grid)
 
 
@@ -181,12 +193,17 @@ def velocity_gradients(u: RealField) -> np.ndarray:
     return out
 
 
+def _add_square(total, d) -> None:
+    # total += d*d, d overwritten
+    d *= d
+    total += d
+
+
 def _gradient_squares(u: RealField) -> np.ndarray:
     """sum_ij (du_i/dx_j)^2, shape (1, n, ..., n), summed as they come."""
     total = np.zeros((1,) + u.grid.shape)
     for _, _, d in _derivatives(u):
-        d *= d
-        total += d
+        on_slabs(u.grid, _add_square, total, d)
     return total
 
 

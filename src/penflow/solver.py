@@ -57,6 +57,7 @@ from .spectral import (
     half_wavenumbers,
     ifft,
     integrate,
+    on_slabs,
     project_hat,
     self_advect_hat,
     sobolev_norm,
@@ -216,6 +217,14 @@ def _random_divfree(ic: InitialCondition, grid: GridSpec) -> np.ndarray:
     return proj
 
 
+def _viscous_and_sign(rhs, u_hat, ksq, nu, nu_ksq, term) -> None:
+    # rhs = -(rhs + nu*|k|^2*u_hat), one component at a time
+    np.multiply(nu, ksq, out=nu_ksq)
+    for c in range(len(rhs)):
+        rhs[c] += np.multiply(nu_ksq, u_hat[c], out=term)
+    np.negative(rhs, out=rhs)
+
+
 def _momentum_rhs(
     u_hat: np.ndarray, nu: float, grid: GridSpec, u: np.ndarray | None = None
 ) -> np.ndarray:
@@ -227,10 +236,11 @@ def _momentum_rhs(
     if u is None:
         u = ifft(u_hat, grid)
     rhs = project_hat(self_advect_hat(u, grid), grid)
-    nu_ksq = nu * half_wavenumbers(grid).ksq
-    for c in range(grid.dim):
-        rhs[c] += nu_ksq * u_hat[c]
-    return np.negative(rhs, out=rhs)
+    ksq = half_wavenumbers(grid).ksq
+    nu_ksq = np.empty(ksq.shape)
+    term = np.empty(ksq.shape, dtype=np.complex128)
+    on_slabs(grid, _viscous_and_sign, rhs, u_hat, ksq, nu, nu_ksq, term)
+    return rhs
 
 
 def effective_dt(state: FlowState, cfg: SolverConfig) -> float:
@@ -240,10 +250,32 @@ def effective_dt(state: FlowState, cfg: SolverConfig) -> float:
     return min(cfg.dt, cfg.cfl_safety * state.grid.h / state.umax)
 
 
+def _first_stage(acc, y, h, stage) -> None:
+    # stage = y + h*acc
+    np.multiply(acc, h, out=stage)
+    stage += y
+
+
+def _next_stage(k, acc, y, h, stage) -> None:
+    # stage = y + h*k; acc += 2*k, k overwritten
+    np.multiply(k, h, out=stage)
+    k *= 2
+    acc += k
+    stage += y
+
+
+def _last_stage(acc, k, y, h) -> None:
+    # acc = y + h*(acc + k)
+    acc += k
+    acc *= h
+    acc += y
+
+
 def _rk4(
     f: Callable[[np.ndarray], np.ndarray],
     y: np.ndarray,
     dt: float,
+    grid: GridSpec,
     f_y: np.ndarray | None = None,
 ) -> np.ndarray:
     """One classical RK4 step of dy/dt = f(y); y is only read.
@@ -251,21 +283,17 @@ def _rk4(
     f must return a new array.  f_y is f(y) when the caller already holds
     it.  Each stage input is built in one reused array, and the stages are
     summed k1 + 2k2 + 2k3 + k4, in that order, into one running array that
-    becomes the result, so only one stage is alive besides those two.
+    becomes the result, so only one stage is alive besides those two.  The
+    updates run through spectral.on_slabs.
     """
     acc = f(y) if f_y is None else f_y
-    stage = np.multiply(acc, 0.5 * dt)
+    stage = np.empty_like(acc)
+    on_slabs(grid, _first_stage, acc, y, 0.5 * dt, stage)
     for c in (0.5 * dt, dt):
-        stage += y
         k = f(stage)
-        np.multiply(k, c, out=stage)
-        k *= 2
-        acc += k
+        on_slabs(grid, _next_stage, k, acc, y, c, stage)
         del k  # not alive through the next stage
-    stage += y
-    acc += f(stage)
-    acc *= dt / 6.0
-    acc += y
+    on_slabs(grid, _last_stage, acc, f(stage), y, dt / 6.0)
     return acc
 
 
@@ -283,6 +311,7 @@ def step(state: FlowState, cfg: SolverConfig, dt: float | None = None) -> FlowSt
         lambda uh: _momentum_rhs(uh, cfg.nu, grid),
         u0_hat,
         dt,
+        grid,
         f_y=_momentum_rhs(u0_hat, cfg.nu, grid, u=state.u.data),
     )
     project_hat(u_hat, grid)
@@ -321,6 +350,7 @@ def evolve_pressure_model(
         lambda ph: s_hat - advect_hat(state.u.data, ph, grid),
         P_model.half_spectrum(),
         dt,
+        grid,
     )
     p_new = ifft(p_hat, grid)
     if not np.all(np.isfinite(p_new)):

@@ -38,6 +38,22 @@ transforms of a stage (the products of self_advect_hat, the derivatives
 behind Phi) stay one call each: batched, they were no faster on the 2D
 baseline and held every derivative of a 3D n=64 field at once (peak RSS
 from 135 to 180 MB).
+
+The elementwise work of the 3D n=64 step splits the same way, through one
+dispatcher, on_slabs(grid, fn, *arrays): the products u_i u_j and the
+ikd_mask terms of self_advect_hat, project_hat, grad_hat, the products, sum
+and mask of advect_hat, the viscous term and sign of the momentum
+right-hand side, the three stage updates of the RK4, and the derivative
+multiply and square-and-add behind Phi.  Each body is written once, as a
+plain function of whole arrays.  On a grid of fewer than _SPLIT_MIN_SAMPLES
+points (2D n=64, 3D n=32) on_slabs calls it once with the caller's own
+arrays; on a larger one it runs it on slabs of the first spatial axis of
+every array.  The caller allocates every output and scratch array, so no
+worker allocates.  Two designs measured worse on a prototype: a per-kernel
+closure that slices inside fn(s) on every grid cost the 2D baseline 8%
+(about 25 index operations per kernel at ~150 ns each), and temporaries
+allocated by the workers raised the 3D n=64 peak RSS by 1.9% (per-thread
+malloc arenas).
 """
 
 from __future__ import annotations
@@ -266,8 +282,10 @@ def _spatial_axes(grid: GridSpec) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # split transforms: fft and ifft of at least _SPLIT_MIN_SAMPLES real samples
 # (components * n**dim) run each numpy pass on slabs across threads, since
-# numpy's FFTs release the GIL.  Below that, handing slabs to a thread costs
-# more than it saves: on 2 vCPUs, one 3D n=32 component ran 0.7x as fast
+# numpy's FFTs release the GIL; on_slabs does the same for an elementwise
+# kernel on a grid of at least _SPLIT_MIN_SAMPLES points, since ufuncs
+# release it too.  Below that, handing slabs to a thread costs more than it
+# saves: on 2 vCPUs, one 3D n=32 component ran 0.7x as fast
 # split and a 2D n=64 pair 0.3x, while 2 components of 2D n=256 (2**17
 # samples) ran 1.3x and one 3D n=64 component 1.9-2.3x.
 # ---------------------------------------------------------------------------
@@ -347,6 +365,30 @@ def _split(fn: Callable[[slice], None], length: int, threads: int) -> None:
         f.result()
 
 
+def on_slabs(grid: GridSpec, fn: Callable[..., None], *arrays) -> None:
+    """fn(*arrays), split across the CPUs on a grid of >= _SPLIT_MIN_SAMPLES.
+
+    fn is an elementwise kernel body that writes into arrays its caller
+    allocated.  On a smaller grid it is called once with the caller's own
+    arrays.  On a larger one every array argument is cut on its first
+    spatial axis (axis ndim - dim) and fn runs on the slabs through _split;
+    any other argument (a scalar) is passed as it is.  Each element goes
+    through the same operations either way, so the results are identical.
+    """
+    if grid.n**grid.dim < _SPLIT_MIN_SAMPLES:
+        fn(*arrays)
+        return
+    lead = [
+        (slice(None),) * (a.ndim - grid.dim) if isinstance(a, np.ndarray) else None
+        for a in arrays
+    ]
+
+    def slab(s: slice) -> None:
+        fn(*(a if pre is None else a[pre + (s,)] for a, pre in zip(arrays, lead)))
+
+    _split(slab, grid.n, _thread_count())
+
+
 # ---------------------------------------------------------------------------
 # array kernels: unnormalised rfftn half spectrum, shape (components, n, ...,
 # n//2 + 1), no boundary checks.  Every field the package transforms is real,
@@ -406,7 +448,10 @@ def ifft(a_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def grad_hat(f_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
     """i*kd*f of one component f_hat; shape (dim,) + f_hat.shape."""
-    return half_wavenumbers(grid).ikd * f_hat
+    ikd = half_wavenumbers(grid).ikd
+    out = np.empty(ikd.shape, dtype=np.complex128)
+    on_slabs(grid, np.multiply, ikd, f_hat, out)
+    return out
 
 
 def _contract(k: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
@@ -422,6 +467,15 @@ def div_hat(v_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
     return _contract(half_wavenumbers(grid).ikd, v_hat)[np.newaxis]
 
 
+def _project(v_hat, kd, kd_inv_kdsq, kd_v, tmp) -> None:
+    # kd_v = sum_j kd_j*v_j as _contract sums it, then v_j -= kd_j*kd_v/|kd|^2
+    np.multiply(kd[0], v_hat[0], out=kd_v)
+    for j in range(1, len(kd)):
+        kd_v += np.multiply(kd[j], v_hat[j], out=tmp)
+    for j in range(len(kd)):
+        v_hat[j] -= np.multiply(kd_inv_kdsq[j], kd_v, out=tmp)
+
+
 def project_hat(v_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Leray projection v - kd (kd.v)/|kd|^2, in place, so div_hat(v_hat) == 0.
 
@@ -429,10 +483,17 @@ def project_hat(v_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
     pass unchanged.
     """
     w = half_wavenumbers(grid)
-    kd_v = _contract(w.kd, v_hat)
-    for j in range(grid.dim):
-        v_hat[j] -= w.kd_inv_kdsq[j] * kd_v
+    kd_v = np.empty(v_hat.shape[1:], dtype=np.complex128)
+    on_slabs(grid, _project, v_hat, w.kd, w.kd_inv_kdsq, kd_v, np.empty_like(kd_v))
     return v_hat
+
+
+def _dot(grad, u, uf) -> None:
+    # uf = sum_j grad_j*u_j, added in np.sum's order; grad is overwritten
+    grad *= u
+    np.add(grad[0], grad[1], out=uf)
+    for j in range(2, len(grad)):
+        uf += grad[j]
 
 
 def advect_hat(u: np.ndarray, f_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -443,9 +504,21 @@ def advect_hat(u: np.ndarray, f_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
     error, not round-off.
     """
     grad = ifft(grad_hat(f_hat[0], grid), grid)
-    grad *= u
-    uf = np.sum(grad, axis=0, keepdims=True)
-    return fft(uf, grid) * half_wavenumbers(grid).mask
+    uf = np.empty((1,) + grid.shape)
+    on_slabs(grid, _dot, grad, u, uf[0])
+    uf_hat = fft(uf, grid)
+    # a new array, not uf_hat in place: that (with grad freed before the
+    # fft) raised a 3D n=64 run's peak RSS by 4 MB through heap layout alone
+    out = np.empty_like(uf_hat)
+    on_slabs(grid, np.multiply, uf_hat, half_wavenumbers(grid).mask, out)
+    return out
+
+
+def _add_divergence_terms(out, ikd_mask, uu_hat, term, i, j) -> None:
+    # the terms of fft(u_i u_j) in out_i and, off the diagonal, out_j
+    out[i] += np.multiply(ikd_mask[j], uu_hat, out=term)
+    if j != i:
+        out[j] += np.multiply(ikd_mask[i], uu_hat, out=term)
 
 
 def self_advect_hat(u: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -462,11 +535,9 @@ def self_advect_hat(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     term = np.empty(ikd_mask.shape[1:], dtype=np.complex128)
     for i in range(grid.dim):
         for j in range(i, grid.dim):
-            np.multiply(u[i], u[j], out=uu[0])
+            on_slabs(grid, np.multiply, u[i], u[j], uu[0])
             uu_hat = fft(uu, grid)[0]
-            out[i] += np.multiply(ikd_mask[j], uu_hat, out=term)
-            if j != i:
-                out[j] += np.multiply(ikd_mask[i], uu_hat, out=term)
+            on_slabs(grid, _add_divergence_terms, out, ikd_mask, uu_hat, term, i, j)
     return out
 
 

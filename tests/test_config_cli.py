@@ -447,6 +447,19 @@ class TestMain:
         assert code == EXIT_CLEAN
         assert (tmp_path / "tw" / "twin_series.csv").exists()
 
+    def test_twin_regime_exit_is_an_outcome(self, tmp_path):
+        # the config of test_regime_exit_is_an_outcome: both runs leave the
+        # regime at their t=0 sample; the twin stops with run's exit code
+        # and still writes its (empty) series and a summary naming the exit
+        path = small_config(tmp_path, initial={"amplitude": 10}, thermo={"P0": 1})
+        out = tmp_path / "tw"
+        code = main(["twin", str(path), "--perturb", "1e-6", "--output-dir", str(out)])
+        assert code == EXIT_REGIME
+        assert (out / "twin_series.csv").read_text() == "t,dp_norm_E,du_l2\n"
+        summary = (out / "twin_summary.txt").read_text()
+        assert "regime exit at t      : 0.0" in summary
+        assert "diverged              : false" in summary
+
     def test_run_is_deterministic(self, tmp_path):
         path = small_config(tmp_path)
         main(["run", str(path), "--output-dir", str(tmp_path / "r1")])

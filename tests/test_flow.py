@@ -8,6 +8,7 @@ import pytest
 from penflow import (
     ArityError,
     ConfigError,
+    DivergenceError,
     FlowState,
     GridSpec,
     RealField,
@@ -252,6 +253,17 @@ class TestFlowState:
         u = RealField(g, np.stack([np.sin(x), np.zeros(g.shape)]))
         with pytest.raises(ArityError):
             FlowState(0.0, u, ThermoParams())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_velocity(self, bad):
+        # max(1.0, nan) is 1.0 and a NaN compares false, so the divergence
+        # check alone would let a NaN sample through
+        g = GridSpec(2, 16)
+        u = taylor_green(g).data.copy()
+        u[1, 2, 7] = bad
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+            FlowState(0.25, RealField(g, u), ThermoParams())
+        assert info.value.time == 0.25
 
     def test_kinetic_energy_taylor_green(self):
         g = GridSpec(2, 64)

@@ -266,17 +266,17 @@ class TestStep:
         ids=["nan", "inf", "huge"],
     )
     def test_guard_raises_on_nonfinite_and_huge(self, amplitude, bad):
-        # the guard is one reduction, max|u| <= 1e100: a NaN max and an
-        # infinite one both fail it, as does a finite max above the bound
-        # (dt is small enough that the huge flow stays finite)
+        # a NaN or Inf u is refused by FlowState itself; the huge finite
+        # one builds and reaches step's guard, one reduction, max|u| <=
+        # 1e100 (dt is small enough that the huge flow stays finite)
         g = GridSpec(2, 16)
         u = make_initial(InitialCondition(amplitude=amplitude), g).u.data.copy()
         if bad is not None:
             u[0, 3, 5] = bad
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError):
             state = FlowState(0.0, RealField(g, u), ThermoParams())
-            with pytest.raises(DivergenceError):
-                step(state, SolverConfig(), dt=1e-200)
+            assert bad is None, "FlowState accepted a non-finite u"
+            step(state, SolverConfig(), dt=1e-200)
 
     def test_cfl_reads_the_states_max_speed(self):
         g = GridSpec(2, 16)

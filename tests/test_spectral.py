@@ -37,7 +37,8 @@ from penflow import (
     spectral,
 )
 from penflow.cli import run_scenario
-from penflow.solver import ScenarioConfig, SolverConfig
+from penflow.flow import _gradient_squares
+from penflow.solver import ScenarioConfig, SolverConfig, _momentum_rhs, _rk4
 from penflow.spectral import (
     advect_hat,
     dealias_mask,
@@ -452,27 +453,28 @@ class TestSmallTransforms:
         assert seen == [slice(0, 5)]
 
 
+@pytest.fixture
+def split_calls(monkeypatch):
+    # at least two threads even on one CPU, and every pass that hands
+    # slabs to workers counted, so that a test of the split path cannot
+    # pass on the one-slab path that every smaller transform takes
+    threads = max(2, spectral._thread_count())
+    monkeypatch.setattr(spectral, "_thread_count", lambda: threads)
+    calls = []
+    split = spectral._split
+
+    def counted(fn, length, threads):
+        if threads > 1:
+            calls.append(length)
+        split(fn, length, threads)
+
+    monkeypatch.setattr(spectral, "_split", counted)
+    return calls
+
+
 class TestSplitTransforms:
     """fft/ifft of at least _SPLIT_MIN_SAMPLES real samples run each numpy
     pass on slabs across threads; the results are numpy's, bit for bit."""
-
-    @pytest.fixture
-    def split_calls(self, monkeypatch):
-        # at least two threads even on one CPU, and every pass that hands
-        # slabs to workers counted, so that a test of the split path cannot
-        # pass on the one-slab path that every smaller transform takes
-        threads = max(2, spectral._thread_count())
-        monkeypatch.setattr(spectral, "_thread_count", lambda: threads)
-        calls = []
-        split = spectral._split
-
-        def counted(fn, length, threads):
-            if threads > 1:
-                calls.append(length)
-            split(fn, length, threads)
-
-        monkeypatch.setattr(spectral, "_split", counted)
-        return calls
 
     @pytest.mark.parametrize(
         "dim, n, components", [(3, 64, 1), (3, 64, 3), (2, 512, 1)]
@@ -623,6 +625,93 @@ class TestSplitTransforms:
                 pytest.fail("split transform in a forked child did not finish")
             time.sleep(0.01)
         assert os.waitstatus_to_exitcode(status[1]) == 0
+
+
+# every kernel routed through spectral.on_slabs, as a function of inputs
+# that are computed once; each returns the array the kernel writes
+_ROUTED_KERNELS = {
+    "self_advect_hat": lambda g, x: self_advect_hat(x["u"], g),
+    "project_hat": lambda g, x: project_hat(x["v_hat"].copy(), g),
+    "grad_hat": lambda g, x: grad_hat(x["p_hat"][0], g),
+    "advect_hat": lambda g, x: advect_hat(x["u"], x["p_hat"], g),
+    "_momentum_rhs": lambda g, x: _momentum_rhs(x["u_hat"], 0.1, g, u=x["u"]),
+    "_rk4": lambda g, x: _rk4(lambda y: y * (1.0 - 0.5j), x["u_hat"], 0.3, g),
+    "_gradient_squares": lambda g, x: _gradient_squares(x["field"]),
+}
+
+
+class TestOnSlabs:
+    """on_slabs runs an elementwise kernel body on slabs across threads on
+    a grid of at least _SPLIT_MIN_SAMPLES points; every result is the
+    unsplit one, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        g = GridSpec(3, 64)
+        state = make_initial(InitialCondition("random_divfree", seed=5), g)
+        u = state.u.data
+        return {
+            "u": u,
+            "u_hat": state.u.half_spectrum(),
+            "v_hat": fft(u * u, g),  # not divergence-free
+            "p_hat": state.P.half_spectrum(),
+            "field": state.u,
+        }
+
+    @pytest.mark.parametrize("name", sorted(_ROUTED_KERNELS))
+    def test_kernel_matches_the_unsplit_path(
+        self, split_calls, monkeypatch, inputs, name
+    ):
+        g = GridSpec(3, 64)
+        kernel = _ROUTED_KERNELS[name]
+        split = kernel(g, inputs)
+        assert split_calls
+        # above every field of the grid, so nothing is split
+        monkeypatch.setattr(spectral, "_SPLIT_MIN_SAMPLES", sys.maxsize)
+        split_calls.clear()
+        serial = kernel(g, inputs)
+        assert split_calls == []
+        assert split.dtype == serial.dtype and split.shape == serial.shape
+        assert split.tobytes() == serial.tobytes()
+
+    def test_small_grid_passes_the_callers_arrays(self, split_calls, monkeypatch):
+        def refuse():
+            raise AssertionError("worker pool touched")
+
+        monkeypatch.setattr(spectral, "_workers", refuse)
+        g = GridSpec(3, 32)
+        a = np.zeros((3,) + g.shape)
+        b = np.zeros(g.shape[:-1] + (17,), dtype=np.complex128)
+        calls = []
+        spectral.on_slabs(g, lambda *args: calls.append(args), a, b, 0.5)
+        assert len(calls) == 1
+        assert calls[0][0] is a and calls[0][1] is b and calls[0][2] == 0.5
+        assert split_calls == []
+
+    def test_large_grid_cuts_every_array_on_its_first_spatial_axis(
+        self, split_calls
+    ):
+        g = GridSpec(3, 64)
+        a = np.zeros((3,) + g.shape)  # components first: cut on axis 1
+        b = np.zeros(g.shape[:-1] + (33,), dtype=np.complex128)  # on axis 0
+        seen = []
+
+        def fn(x, y, c):
+            seen.append((x.shape, y.shape, c))
+            assert np.shares_memory(x, a) and np.shares_memory(y, b)
+            x += 1
+            y += 1
+
+        spectral.on_slabs(g, fn, a, b, 0.5)
+        assert split_calls == [64]
+        assert len(seen) == spectral._thread_count()
+        assert all(c == 0.5 for _, _, c in seen)
+        assert all(xs[0] == 3 and xs[2:] == g.shape[1:] for xs, _, _ in seen)
+        assert all(ys[1:] == b.shape[1:] for _, ys, _ in seen)
+        assert [xs[1] for xs, _, _ in seen] == [ys[0] for _, ys, _ in seen]
+        assert sum(xs[1] for xs, _, _ in seen) == g.n
+        # every element written exactly once
+        assert np.all(a == 1) and np.all(b == 1)
 
 
 class TestSobolev:
