@@ -1,7 +1,8 @@
 """Physical state and thermodynamic closures.
 
-Velocity snapshots with the pressure slaved to them by a Poisson solve,
-the ideal-gas closure P = rho*R*T, the energy-equation closure
+Velocity snapshots with the pressure slaved to them by a Poisson solve
+(whose self-advection a sampled state keeps for the next step's first RK4
+stage), the ideal-gas closure P = rho*R*T, the energy-equation closure
 D_tP = (R/c_v)*(Phi + Q) (pressure_source, the one place it is written),
 the dissipation Phi = 2*mu*sum_ij (du_i/dx_j)^2, the Leray projection onto
 divergence-free fields, and the quasi-incompressible regime check (relative
@@ -98,12 +99,14 @@ class FlowState:
     pressure P is a function of u (pressure_poisson, zero-mean gauge; the
     constant reference pressure lives in the scenario configuration) and so
     is the dissipation Phi; each is computed on its first read and kept.
-    umax is max |u| over the samples, which the divergence check scales by
-    and the CFL cap reads.  A u with a NaN or Inf sample raises
-    DivergenceError at time t.
+    P's solve starts from u's self-advection, the first RK4 stage of a step
+    from this state: the state keeps that array until a step takes it
+    (take_self_advection), so it is computed once.  umax is max |u| over
+    the samples, which the divergence check scales by and the CFL cap
+    reads.  A u with a NaN or Inf sample raises DivergenceError at time t.
     """
 
-    __slots__ = ("t", "u", "umax", "params", "_P", "_phi")
+    __slots__ = ("t", "u", "umax", "params", "_P", "_phi", "_advection")
 
     def __init__(self, t: float, u: RealField, params: ThermoParams):
         grid = u.grid
@@ -125,6 +128,7 @@ class FlowState:
         self.params = params
         self._P = None
         self._phi = None
+        self._advection = None
 
     @property
     def grid(self) -> GridSpec:
@@ -134,8 +138,22 @@ class FlowState:
     def P(self) -> RealField:
         """pressure_poisson(u, params), solved once per state."""
         if self._P is None:
-            self._P = pressure_poisson(self.u, self.params)
+            advection = self_advect_hat(self.u.data, self.grid)
+            self._P = pressure_poisson(self.u, self.params, advection=advection)
+            self._advection = advection
         return self._P
+
+    def take_self_advection(self) -> np.ndarray:
+        """self_advect_hat(u.data), in an array the caller may overwrite.
+
+        The one P's solve left is handed over once and forgotten, so
+        nothing can read it after the caller writes into it; without one,
+        it is computed.
+        """
+        advection, self._advection = self._advection, None
+        if advection is None:
+            advection = self_advect_hat(self.u.data, self.grid)
+        return advection
 
     @property
     def phi(self) -> RealField:
@@ -145,14 +163,20 @@ class FlowState:
         return self._phi
 
 
-def pressure_poisson(u: RealField, params: ThermoParams) -> RealField:
+def pressure_poisson(
+    u: RealField, params: ThermoParams, *, advection: np.ndarray | None = None
+) -> RealField:
     """Zero-mean P with lap P = -rho * div(u.grad u), quadratic term dealiased.
 
     u.grad u is taken in divergence form, exact for divergence-free u inside
-    the 2/3 band (every state the solver makes).
+    the 2/3 band (every state the solver makes).  advection is
+    self_advect_hat(u.data) when the caller already holds it; it is only
+    read.
     """
     grid = u.grid
-    div_adv = div_hat(self_advect_hat(u.data, grid), grid)
+    if advection is None:
+        advection = self_advect_hat(u.data, grid)
+    div_adv = div_hat(advection, grid)
     p_hat = params.rho * half_wavenumbers(grid).inv_ksq * div_adv
     return RealField(grid, ifft(p_hat, grid), p_hat)
 

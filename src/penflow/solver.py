@@ -8,10 +8,13 @@ model_rhs diagnostics and at the first sample of a finite_difference run,
 where the sample transforms it once and hands it, spectrum and all, to the
 next model-pressure step.
 The Navier-Stokes pressure is FlowState.P, solved only where a sample (or,
-in finite_difference mode, the step before one) reads it.  Velocity
-self-advection is in divergence form (spectral.self_advect_hat); the model
-pressure is not band-limited, so its advection stays convective and its RK4
-runs on the Fourier coefficients, one inverse transform per step.
+in finite_difference mode, the step before one) reads it; the
+self-advection of a sampled state, which that solve starts from, is the
+next step's first RK4 stage, computed once.  Velocity self-advection is in
+divergence form (spectral.self_advect_hat); the model pressure is not
+band-limited, so its advection stays convective and its RK4 runs on the
+Fourier coefficients.  Its physical samples are computed only when read (a
+checkpoint), not at every step.
 """
 
 from __future__ import annotations
@@ -226,16 +229,20 @@ def _viscous_and_sign(rhs, u_hat, ksq, nu, nu_ksq, term) -> None:
 
 
 def _momentum_rhs(
-    u_hat: np.ndarray, nu: float, grid: GridSpec, u: np.ndarray | None = None
+    u_hat: np.ndarray,
+    nu: float,
+    grid: GridSpec,
+    advection: np.ndarray | None = None,
 ) -> np.ndarray:
     """-project(u.grad u) - nu*|k|^2*u_hat, in a new array.
 
-    u is ifft(u_hat); pass it when it is already at hand.  The viscous term
-    and the sign are folded into the projected advection array.
+    advection is self_advect_hat(ifft(u_hat)); pass it when it is already
+    at hand, in an array the caller gives up.  The projection, the viscous
+    term and the sign are folded into that array, which is the result.
     """
-    if u is None:
-        u = ifft(u_hat, grid)
-    rhs = project_hat(self_advect_hat(u, grid), grid)
+    if advection is None:
+        advection = self_advect_hat(ifft(u_hat, grid), grid)
+    rhs = project_hat(advection, grid)
     ksq = half_wavenumbers(grid).ksq
     nu_ksq = np.empty(ksq.shape)
     term = np.empty(ksq.shape, dtype=np.complex128)
@@ -301,7 +308,8 @@ def step(state: FlowState, cfg: SolverConfig, dt: float | None = None) -> FlowSt
     """One RK4 step of the projected momentum equation; solves no pressure.
 
     The RK4 starts from the state's kept spectrum, its first stage from the
-    physical u the state holds, and the new state takes the projected
+    state's self-advection (the one its P solve left, or one made from the
+    physical u the state holds), and the new state takes the projected
     spectrum with it, so each velocity is transformed once.
     """
     grid = state.grid
@@ -312,15 +320,18 @@ def step(state: FlowState, cfg: SolverConfig, dt: float | None = None) -> FlowSt
         u0_hat,
         dt,
         grid,
-        f_y=_momentum_rhs(u0_hat, cfg.nu, grid, u=state.u.data),
+        f_y=_momentum_rhs(
+            u0_hat, cfg.nu, grid, advection=state.take_self_advection()
+        ),
     )
     project_hat(u_hat, grid)
-    u_new = ifft(u_hat, grid)
     t_new = state.t + dt
-    # one reduction: a NaN max fails the comparison, as Inf does
-    if not np.max(np.abs(u_new)) <= 1e100:
+    u_new = RealField(grid, ifft(u_hat, grid), u_hat)
+    # FlowState raises DivergenceError on a NaN or Inf max |u| itself
+    new_state = FlowState(t_new, u_new, state.params)
+    if not new_state.umax <= 1e100:
         raise DivergenceError(t_new)
-    return FlowState(t_new, RealField(grid, u_new, u_hat), state.params)
+    return new_state
 
 
 def evolve_pressure_model(
@@ -337,7 +348,10 @@ def evolve_pressure_model(
     when it is already at hand (a model_rhs sample's D_tP): its
     half_spectrum() is used, so one that carries its spectrum is not
     transformed again.  The stages run on the Fourier coefficients of P:
-    they start from P_model.half_spectrum(), and the result keeps its own.
+    they start from P_model.half_spectrum(), and the result is made from
+    its own: finiteness is checked on the spectrum (a sample is non-finite
+    exactly when a coefficient is, overflow aside), and the samples are
+    computed only when something reads them.
     """
     grid = state.grid
     if not P_model.is_scalar:
@@ -352,10 +366,9 @@ def evolve_pressure_model(
         dt,
         grid,
     )
-    p_new = ifft(p_hat, grid)
-    if not np.all(np.isfinite(p_new)):
+    if not np.all(np.isfinite(p_hat)):
         raise DivergenceError(state.t + dt)
-    return RealField(grid, p_new, p_hat)
+    return RealField.from_half_spectrum(grid, p_hat)
 
 
 # ---------------------------------------------------------------------------

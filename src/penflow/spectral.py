@@ -54,6 +54,16 @@ closure that slices inside fn(s) on every grid cost the 2D baseline 8%
 (about 25 index operations per kernel at ~150 ns each), and temporaries
 allocated by the workers raised the 3D n=64 peak RSS by 1.9% (per-thread
 malloc arenas).
+
+A slab reaches a worker through one shared queue.SimpleQueue, with its own
+completion lock and error list; the workers are plain daemon threads
+started on first use.  On a 2-vCPU host a round trip of no-op slabs took
+53-57 us through ThreadPoolExecutor.submit and concurrent.futures.wait and
+14.2-14.6 us through the queue and a lock, and a 3D n=64 run makes about
+900 such handoffs.  A worker drops its references to a job (fn, the slice,
+the lock, the error list) before it releases the lock: fn's closure holds
+the transform's arrays, and a worker that kept its last job until the next
+one arrived raised a 3D n=64 run's peak RSS from 108 to 120 MB.
 """
 
 from __future__ import annotations
@@ -221,7 +231,8 @@ class RealField(_Field):
     ``hat``, when given, is fft(data) as the caller already holds it (the
     kernels' half spectrum).  The field keeps it and half_spectrum()
     returns it instead of a new transform; it and data become read-only,
-    so the two cannot drift apart.
+    so the two cannot drift apart.  from_half_spectrum builds a field from
+    a spectrum alone, whose samples are ifft(hat), computed on first read.
     """
 
     __slots__ = ("_hat",)
@@ -238,9 +249,37 @@ class RealField(_Field):
             self._data.setflags(write=False)
         self._hat = hat
 
+    @classmethod
+    def from_half_spectrum(cls, grid: GridSpec, hat: np.ndarray) -> "RealField":
+        """The field whose half spectrum is hat; its samples wait for a read.
+
+        hat has the kernels' layout, (components, n, ..., n//2 + 1), and
+        becomes read-only, as do the samples ifft(hat) once computed.
+        """
+        if hat.shape[1:] != grid.shape[:-1] + (grid.n // 2 + 1,):
+            raise ArityError(
+                f"half spectrum shape {hat.shape} incompatible with grid {grid.shape}"
+            )
+        field = cls.__new__(cls)
+        field.grid = grid
+        field._data = None
+        hat.setflags(write=False)
+        field._hat = hat
+        return field
+
     @property
     def data(self) -> np.ndarray:
+        # every read of the samples comes here: a field made from its
+        # spectrum alone computes them now, once
+        if self._data is None:
+            data = ifft(self._hat, self.grid)
+            data.setflags(write=False)
+            self._data = data
         return self._data
+
+    @property
+    def components(self) -> int:
+        return (self._data if self._hat is None else self._hat).shape[0]
 
     def half_spectrum(self) -> np.ndarray:
         """fft(data): the kept spectrum if the field has one, else a new one."""
@@ -253,7 +292,7 @@ class RealField(_Field):
     def scalar_values(self) -> np.ndarray:
         if not self.is_scalar:
             raise ArityError(f"expected scalar field, got {self.components} components")
-        return self._data[0]
+        return self.data[0]
 
 
 class SpectralField(_Field):
@@ -287,7 +326,10 @@ def _spatial_axes(grid: GridSpec) -> tuple[int, ...]:
 # release it too.  Below that, handing slabs to a thread costs more than it
 # saves: on 2 vCPUs, one 3D n=32 component ran 0.7x as fast
 # split and a 2D n=64 pair 0.3x, while 2 components of 2D n=256 (2**17
-# samples) ran 1.3x and one 3D n=64 component 1.9-2.3x.
+# samples) ran 1.3x and one 3D n=64 component 1.9-2.3x.  Slabs are handed
+# over through a queue.SimpleQueue and a lock per slab (a 14 us round trip
+# against 55 us for an executor's futures), and a worker drops each job
+# before its caller can return, so no transform's arrays outlive it there.
 # ---------------------------------------------------------------------------
 
 _SPLIT_MIN_SAMPLES = 2**17
@@ -295,8 +337,8 @@ _SPLIT_MIN_SAMPLES = 2**17
 # 2 CPUs has been measured
 _MAX_THREADS = 4
 
-_pool_lock = threading.Lock()
-_pool = None
+_jobs_lock = threading.Lock()
+_jobs = None
 
 
 @lru_cache(maxsize=None)
@@ -315,23 +357,44 @@ def _split_threads(a: np.ndarray, grid: GridSpec) -> int:
     return _thread_count()
 
 
-def _workers():
-    """The process's worker threads, started on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
+def _serve(jobs) -> None:
+    """A worker's loop: run each handed slab, record its error, release it."""
+    while True:
+        fn, s, done, errors = jobs.get()
+        try:
+            fn(s)
+        except BaseException as exc:
+            errors.append(exc)
+        # fn's closure holds the transform's arrays: drop the job before
+        # its caller can return, not when the next job replaces it
+        del fn, s, errors
+        done.release()
+        del done
 
-            _pool = ThreadPoolExecutor(
-                _thread_count() - 1, thread_name_prefix="penflow-fft"
-            )
-        return _pool
+
+def _workers():
+    """The job queue (a queue.SimpleQueue) of the process's worker threads,
+    started on first use."""
+    global _jobs
+    with _jobs_lock:
+        if _jobs is None:
+            # imported here: loaded at import, the queue module raised the
+            # 2D baseline's peak RSS, which never splits, by 0.19 MB
+            import queue
+
+            jobs = queue.SimpleQueue()
+            for i in range(max(1, _thread_count() - 1)):
+                threading.Thread(
+                    target=_serve, args=(jobs,), name=f"penflow-fft_{i}", daemon=True
+                ).start()
+            _jobs = jobs
+        return _jobs
 
 
 def _forget_workers() -> None:
     # a forked child has none of its parent's threads
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+    global _jobs, _jobs_lock
+    _jobs, _jobs_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -342,27 +405,33 @@ def _split(fn: Callable[[slice], None], length: int, threads: int) -> None:
     """fn(s) for `threads` contiguous slices s of range(length).
 
     The calling thread runs the first slice, and with one thread the only
-    one, touching no worker.  Every slice finishes before this returns or
-    raises, so no worker still writes into the caller's arrays when it sees
-    an error.
+    one, touching no worker.  The others go to the workers' queue, each
+    with its own completion lock and error list, so concurrent callers
+    never see each other's slabs finish; more slices than workers wait
+    there.  Every slice finishes before this returns or raises, so no
+    worker still writes into the caller's arrays when it sees an error; the
+    first slice's error, in slice order, is the one raised.
     """
     if threads == 1:
         fn(slice(0, length))
         return
-    from concurrent.futures import wait
-
     bounds = [length * i // threads for i in range(threads + 1)]
-    slabs = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    pool = _workers()
-    futures = []
+    jobs = _workers()
+    handed = []
     try:
-        for s in slabs[1:]:
-            futures.append(pool.submit(fn, s))
-        fn(slabs[0])
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            done = threading.Lock()
+            done.acquire()
+            errors = []
+            jobs.put((fn, slice(lo, hi), done, errors))
+            handed.append((done, errors))
+        fn(slice(0, bounds[1]))
     finally:
-        wait(futures)
-    for f in futures:
-        f.result()
+        for done, _ in handed:
+            done.acquire()
+    for _, errors in handed:
+        if errors:
+            raise errors[0]
 
 
 def on_slabs(grid: GridSpec, fn: Callable[..., None], *arrays) -> None:

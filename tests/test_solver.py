@@ -215,6 +215,41 @@ class TestStep:
         assert count["_fftn"] == count["_ifftn"] == 0
         assert 0 < count["fft"] + count["ifft"] <= budget
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_sampled_state_advection_is_the_first_stage(self, transform_counter, dim):
+        # P's solve and the step's first RK4 stage share u's self-advection:
+        # reading P and then stepping saves its dim(dim+1)/2 product
+        # transforms against a P solve and a step on their own
+        g = GridSpec(dim, 16)
+        ic = InitialCondition("random_divfree", seed=4)
+        counts = []
+        for read_p, take_step in ((True, False), (False, True), (True, True)):
+            state = make_initial(ic, g)
+            count = transform_counter(g)
+            if read_p:
+                state.P
+            if take_step:
+                step(state, SolverConfig())
+            counts.append(count["fft"])
+        p_only, step_only, both = counts
+        assert both == p_only + step_only - dim * (dim + 1) // 2
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_repeat_steps_are_byte_identical(self, dim):
+        # the first step takes the advection P's solve left and writes into
+        # it; a second step from the same state, and a step from a state
+        # whose P was never read, compute their own and give the same bytes
+        g = GridSpec(dim, 16)
+        ic = InitialCondition("random_divfree", seed=4)
+        state = make_initial(ic, g)
+        state.P
+        first = step(state, SolverConfig())
+        second = step(state, SolverConfig())
+        fresh = step(make_initial(ic, g), SolverConfig())
+        for other in (second, fresh):
+            assert other.u.data.tobytes() == first.u.data.tobytes()
+            assert other.u.half_spectrum().tobytes() == first.u.half_spectrum().tobytes()
+
     def test_matches_textbook_rk4_on_a_nonlinear_flow(self):
         # step takes stage 1 from the state's physical u and runs the other
         # stages in reused arrays; random_divfree keeps the advection that
@@ -351,6 +386,48 @@ class TestEvolvePressureModel:
         gap1 = richardson_gap(0.02)
         gap2 = richardson_gap(0.01)
         assert 24 < gap1 / gap2 < 40  # 2^5 = 32
+
+    def test_samples_are_computed_when_read(self, transform_counter):
+        # the next step reads only p_hat: the samples wait for a reader (a
+        # checkpoint), then are ifft(p_hat) bit for bit, once, read-only
+        g = GridSpec(2, 16)
+        state = make_initial(InitialCondition("random_divfree", seed=2), g)
+        state.P, state.phi
+        count = transform_counter(g)
+        out = evolve_pressure_model(state, state.P, SolverConfig())
+        later = evolve_pressure_model(state, out, SolverConfig())
+        stepped = count["ifft"]
+        assert out.is_scalar and later.components == 1
+        assert count["ifft"] == stepped
+        p_hat = out.half_spectrum()
+        assert out.data.tobytes() == ifft(p_hat, g).tobytes()
+        assert count["ifft"] == stepped + 1
+        assert out.scalar_values().base is out.data
+        assert count["ifft"] == stepped + 1
+        assert not out.data.flags.writeable and not p_hat.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_pressure_raises(self, bad):
+        g = GridSpec(2, 16)
+        state = make_initial(InitialCondition("random_divfree", seed=2), g)
+        p = np.zeros((1,) + g.shape)
+        p[0, 3, 5] = bad
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+            evolve_pressure_model(state, RealField(g, p), SolverConfig())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_samples_are_finite_exactly_when_the_spectrum_is(self, bad, rng):
+        # why evolve_pressure_model may check p_hat instead of its samples
+        g = GridSpec(2, 16)
+        a = rng.standard_normal((1,) + g.shape)
+        a_hat = fft(a, g)
+        assert np.all(np.isfinite(a_hat)) and np.all(np.isfinite(ifft(a_hat, g)))
+        with np.errstate(all="ignore"):
+            a[0, 3, 5] = bad
+            assert not np.all(np.isfinite(fft(a, g)))
+            a_hat = a_hat.copy()
+            a_hat[0, 2, 3] = bad
+            assert not np.all(np.isfinite(ifft(a_hat, g)))
 
     def test_mean_moves_by_the_source_alone(self):
         # advection of a periodic P by divergence-free u conserves its mean,
@@ -527,9 +604,9 @@ class TestPressureSolves:
     def test_one_solve_per_state_read(self, monkeypatch, mode, solves):
         solved = []
 
-        def counted(u, params, _fn=penflow.flow.pressure_poisson):
+        def counted(u, params, _fn=penflow.flow.pressure_poisson, **kwargs):
             solved.append(u)
-            return _fn(u, params)
+            return _fn(u, params, **kwargs)
 
         monkeypatch.setattr(penflow.flow, "pressure_poisson", counted)
         cfg = dataclasses.replace(

@@ -4,9 +4,11 @@ import dataclasses
 import itertools
 import os
 import re
+import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -357,6 +359,32 @@ class TestKernelLayout:
         with pytest.raises(ArityError):
             RealField(g, a, a_hat[:1])
 
+    def test_samples_of_a_half_spectrum_are_computed_on_read(
+        self, monkeypatch, rng
+    ):
+        # a field made from its spectrum alone transforms it on the first
+        # read of its samples, through every reader, and never again
+        g, a = self._random(2, 16, rng)
+        a_hat = fft(a[:1], g)
+        calls = []
+
+        def counted(x, grid, _ifft=spectral.ifft):
+            calls.append(x)
+            return _ifft(x, grid)
+
+        monkeypatch.setattr(spectral, "ifft", counted)
+        f = RealField.from_half_spectrum(g, a_hat)
+        assert f.components == 1 and f.is_scalar
+        assert f.half_spectrum() is a_hat and not a_hat.flags.writeable
+        assert calls == []
+        values = f.scalar_values()
+        assert len(calls) == 1 and calls[0] is a_hat
+        assert f.data is f.data and len(calls) == 1
+        assert values.base is f.data and not f.data.flags.writeable
+        assert f.data.tobytes() == ifft(a_hat, g).tobytes()
+        with pytest.raises(ArityError):
+            RealField.from_half_spectrum(g, fft(a[:1], g)[..., :-1])
+
     @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
     def test_operators_match_full_layout(self, dim, n, rng):
         g, a = self._random(dim, n, rng)
@@ -605,6 +633,57 @@ class TestSplitTransforms:
         assert errors == [] and mismatches == []
         assert len(split_calls) == 2 * rounds * len(cases) * 4
 
+    def test_worker_keeps_no_finished_job(self, split_calls):
+        # fn's closure holds the caller's arrays: a worker that kept its
+        # last job until the next one would keep them alive
+        a = np.zeros(8)
+        alive = weakref.ref(a)
+
+        def fn(s, a=a):
+            a[s] += 1
+
+        spectral._split(fn, 8, 2)
+        assert split_calls == [8]
+        del fn, a
+        assert alive() is None
+
+    def test_3d_transform_hands_slabs_to_named_workers(self):
+        # a fresh interpreter: every slab of a 3D n=64 transform runs in
+        # the calling thread or a penflow-fft worker, and no executor
+        # module is imported
+        code = """
+import sys, threading
+import numpy as np
+from penflow import spectral
+spectral._thread_count = lambda: 2
+names = set()
+split = spectral._split
+def named(fn, length, threads):
+    def slab(s):
+        names.add(threading.current_thread().name)
+        fn(s)
+    split(slab, length, threads)
+spectral._split = named
+g = spectral.GridSpec(3, 64)
+a = np.random.default_rng(0).standard_normal((1,) + g.shape)
+spectral.ifft(spectral.fft(a, g), g)
+names.discard(threading.main_thread().name)
+print("concurrent.futures" in sys.modules, *sorted(names))
+"""
+        src = str(Path(penflow.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        futures_imported, *workers = out.stdout.split()
+        assert futures_imported == "False"
+        assert workers and all(w.startswith("penflow-fft") for w in workers)
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_starts_its_own_workers(self, split_calls, rng):
         # the child inherits the pool object but none of its threads
@@ -634,7 +713,9 @@ _ROUTED_KERNELS = {
     "project_hat": lambda g, x: project_hat(x["v_hat"].copy(), g),
     "grad_hat": lambda g, x: grad_hat(x["p_hat"][0], g),
     "advect_hat": lambda g, x: advect_hat(x["u"], x["p_hat"], g),
-    "_momentum_rhs": lambda g, x: _momentum_rhs(x["u_hat"], 0.1, g, u=x["u"]),
+    "_momentum_rhs": lambda g, x: _momentum_rhs(
+        x["u_hat"], 0.1, g, advection=self_advect_hat(x["u"], g)
+    ),
     "_rk4": lambda g, x: _rk4(lambda y: y * (1.0 - 0.5j), x["u_hat"], 0.3, g),
     "_gradient_squares": lambda g, x: _gradient_squares(x["field"]),
 }
