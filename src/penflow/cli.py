@@ -7,8 +7,9 @@ Commands:
     penflow check <config>               validate the configuration only
     penflow export <run-dir>             tidy per-diagnostic CSV files
 
-Exit status: 0 clean, 1 config/I-O error, 2 blow-up accumulator tripped,
-3 numerical divergence, 4 regime exit (total pressure nonpositive).
+Exit status: 0 clean, 1 config/I-O error (for export, a malformed
+series.csv too), 2 blow-up accumulator tripped, 3 numerical divergence, 4
+regime exit (total pressure nonpositive).
 """
 
 from __future__ import annotations
@@ -23,7 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from .energy import NormSample, NormSeries, norm_E_squared
-from .errors import ConfigError, DivergenceError, RegimeError, _field_types
+from .errors import (
+    ConfigError,
+    DataError,
+    DivergenceError,
+    RegimeError,
+    _field_types,
+)
 from .config import format_config, parse_config
 from .solver import (
     RunSample,
@@ -235,10 +242,21 @@ def write_twin_report(report: TwinReport, outdir: Path) -> None:
 
 
 def read_series_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+    """The header and rows of a series.csv; DataError if it has no header
+    or a row whose field count is not the header's."""
     text = path.read_text(encoding="utf-8")
     lines = [ln for ln in text.splitlines() if ln]
+    if not lines:
+        raise DataError(f"{path} has no header")
     header = lines[0].split(",")
-    return header, [ln.split(",") for ln in lines[1:]]
+    rows = [ln.split(",") for ln in lines[1:]]
+    for lineno, row in enumerate(rows, 2):
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}: row {lineno} has {len(row)} fields, the header "
+                f"{len(header)}"
+            )
+    return header, rows
 
 
 def export_plot_data(run_dir: Path) -> list[Path]:
@@ -297,7 +315,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "export":
-            written = export_plot_data(Path(args.run_dir))
+            try:
+                written = export_plot_data(Path(args.run_dir))
+            except DataError as exc:
+                # a malformed series.csv; elsewhere a DataError is a bug
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_CONFIG
             for path in written:
                 print(path)
             return EXIT_CLEAN

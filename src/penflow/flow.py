@@ -148,7 +148,10 @@ class FlowState:
 
         The one P's solve left is handed over once and forgotten, so
         nothing can read it after the caller writes into it; without one,
-        it is computed.
+        it is computed.  It is the full form, trace included, either way:
+        P's solve needs the trace, which no projection removes there, and
+        a state whose P was read must step to the same bytes as one whose
+        P was not.
         """
         advection, self._advection = self._advection, None
         if advection is None:

@@ -11,15 +11,23 @@ The Navier-Stokes pressure is FlowState.P, solved only where a sample (or,
 in finite_difference mode, the step before one) reads it; the
 self-advection of a sampled state, which that solve starts from, is the
 next step's first RK4 stage, computed once.  Velocity self-advection is in
-divergence form (spectral.self_advect_hat); the model pressure is not
-band-limited, so its advection stays convective and its RK4 runs on the
-Fourier coefficients.  Its physical samples are computed only when read (a
-checkpoint), not at every step.
+divergence form (spectral.self_advect_hat).  RK4 stages 2-4 build it from
+the trace-free products u u - u_d^2 I, d the last component: the
+projection removes the gradient i*kd*fft(u_d^2) that the trace adds, so
+the projected stage is the same to round-off for one product transform
+fewer.  Stage 1 takes the full form, the one a sampled state's P solve
+needs and leaves, and an unsampled state computes that same form, so the
+two step to the same bytes.  A model-pressure step plus a step make 60
+single-component transforms in 3D and 35 in 2D, 54 and 32 from a sampled
+state.  The model pressure is not band-limited, so its advection stays
+convective and its RK4 runs on the Fourier coefficients.  Its physical
+samples are computed only when read (a checkpoint), not at every step.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -37,6 +45,7 @@ from .energy import (
 )
 from .errors import (
     ArityError,
+    ConfigError,
     DataError,
     DivergenceError,
     RegimeError,
@@ -236,12 +245,17 @@ def _momentum_rhs(
 ) -> np.ndarray:
     """-project(u.grad u) - nu*|k|^2*u_hat, in a new array.
 
-    advection is self_advect_hat(ifft(u_hat)); pass it when it is already
-    at hand, in an array the caller gives up.  The projection, the viscous
-    term and the sign are folded into that array, which is the result.
+    advection is self_advect_hat(ifft(u_hat)), full or trace-free, in an
+    array the caller gives up; the projection, the viscous term and the
+    sign are folded into it, and it is the result.  Without it the
+    trace-free form is computed: the projection removes the gradient
+    i*kd*fft(u_d^2) by which it differs from the full one, so the result
+    is the same to round-off for one product transform fewer.  A step
+    passes the full form at its first stage, the one a sampled state's P
+    solve leaves (see step).
     """
     if advection is None:
-        advection = self_advect_hat(ifft(u_hat, grid), grid)
+        advection = self_advect_hat(ifft(u_hat, grid), grid, trace_free=True)
     rhs = project_hat(advection, grid)
     ksq = half_wavenumbers(grid).ksq
     nu_ksq = np.empty(ksq.shape)
@@ -308,8 +322,9 @@ def step(state: FlowState, cfg: SolverConfig, dt: float | None = None) -> FlowSt
     """One RK4 step of the projected momentum equation; solves no pressure.
 
     The RK4 starts from the state's kept spectrum, its first stage from the
-    state's self-advection (the one its P solve left, or one made from the
-    physical u the state holds), and the new state takes the projected
+    state's full self-advection (the one its P solve left, or one made from
+    the physical u the state holds), its other stages from trace-free
+    products (_momentum_rhs), and the new state takes the projected
     spectrum with it, so each velocity is transformed once.
     """
     grid = state.grid
@@ -525,6 +540,12 @@ def save_checkpoint(path, f: RealField, time: float) -> None:
 
 
 def load_checkpoint(path) -> tuple[RealField, float]:
+    """The field and time save_checkpoint wrote to path.
+
+    Raises DataError, naming path, for a file that is not one checkpoint: a
+    bad magic, a header that names no grid, or samples that stop short of
+    the header's count or run past it.
+    """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -532,8 +553,15 @@ def load_checkpoint(path) -> tuple[RealField, float]:
         magic, dim, n, components, time = _HEADER.unpack(header)
         if magic != CHECKPOINT_MAGIC:
             raise DataError(f"bad checkpoint magic in {path}")
-        grid = GridSpec(dim=dim, n=n)
-        count = components * n**dim
-        data = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
-        field_data = data.reshape((components,) + grid.shape).astype(np.float64)
+        try:
+            grid = GridSpec(dim=dim, n=n)
+        except ConfigError as exc:
+            raise DataError(f"checkpoint {path} names no grid: {exc}") from exc
+        size = components * n**dim * 8
+        stored = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if stored != size:
+            problem = "truncated" if stored < size else "trailing bytes after"
+            raise DataError(f"{problem} checkpoint samples in {path}")
+        data = np.frombuffer(fh.read(size), dtype="<f8")
+    field_data = data.reshape((components,) + grid.shape).astype(np.float64)
     return RealField(grid, field_data), time

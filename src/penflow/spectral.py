@@ -40,20 +40,20 @@ baseline and held every derivative of a 3D n=64 field at once (peak RSS
 from 135 to 180 MB).
 
 The elementwise work of the 3D n=64 step splits the same way, through one
-dispatcher, on_slabs(grid, fn, *arrays): the products u_i u_j and the
-ikd_mask terms of self_advect_hat, project_hat, grad_hat, the products, sum
-and mask of advect_hat, the viscous term and sign of the momentum
-right-hand side, the three stage updates of the RK4, and the derivative
-multiply and square-and-add behind Phi.  Each body is written once, as a
-plain function of whole arrays.  On a grid of fewer than _SPLIT_MIN_SAMPLES
-points (2D n=64, 3D n=32) on_slabs calls it once with the caller's own
-arrays; on a larger one it runs it on slabs of the first spatial axis of
-every array.  The caller allocates every output and scratch array, so no
-worker allocates.  Two designs measured worse on a prototype: a per-kernel
-closure that slices inside fn(s) on every grid cost the 2D baseline 8%
-(about 25 index operations per kernel at ~150 ns each), and temporaries
-allocated by the workers raised the 3D n=64 peak RSS by 1.9% (per-thread
-malloc arenas).
+dispatcher, on_slabs(grid, fn, *arrays): the products u_i u_j (or
+u_i^2 - u_d^2) and the ikd_mask terms of self_advect_hat, project_hat,
+grad_hat, the products, sum and mask of advect_hat, the viscous term and
+sign of the momentum right-hand side, the three stage updates of the RK4,
+and the derivative multiply and square-and-add behind Phi.  Each body is
+written once, as a plain function of whole arrays.  On a grid of fewer
+than _SPLIT_MIN_SAMPLES points (2D n=64, 3D n=32) on_slabs calls it once
+with the caller's own arrays; on a larger one it runs it on slabs of the
+first spatial axis of every array.  The caller allocates every output and
+scratch array, so no worker allocates.  Two designs measured worse on a
+prototype: a per-kernel closure that slices inside fn(s) on every grid
+cost the 2D baseline 8% (about 25 index operations per kernel at ~150 ns
+each), and temporaries allocated by the workers raised the 3D n=64 peak
+RSS by 1.9% (per-thread malloc arenas).
 
 A slab reaches a worker through one shared queue.SimpleQueue, with its own
 completion lock and error list; the workers are plain daemon threads
@@ -64,6 +64,11 @@ started on first use.  On a 2-vCPU host a round trip of no-op slabs took
 the lock, the error list) before it releases the lock: fn's closure holds
 the transform's arrays, and a worker that kept its last job until the next
 one arrived raised a 3D n=64 run's peak RSS from 108 to 120 MB.
+
+The momentum right-hand side transforms one product fewer than the full
+self-advection: self_advect_hat(trace_free=True) takes u u - u_d^2 I,
+whose divergence differs from the full one by a gradient that project_hat
+removes.
 """
 
 from __future__ import annotations
@@ -590,21 +595,45 @@ def _add_divergence_terms(out, ikd_mask, uu_hat, term, i, j) -> None:
         out[j] += np.multiply(ikd_mask[i], uu_hat, out=term)
 
 
-def self_advect_hat(u: np.ndarray, grid: GridSpec) -> np.ndarray:
+def _trace_free_square(ui, ud, uu, ud_sq) -> None:
+    # uu = u_i^2 - u_d^2, u_d^2 written into the scratch ud_sq
+    np.multiply(ud, ud, out=ud_sq)
+    np.multiply(ui, ui, out=uu)
+    uu -= ud_sq
+
+
+def self_advect_hat(
+    u: np.ndarray, grid: GridSpec, trace_free: bool = False
+) -> np.ndarray:
     """Dealiased fft(u.grad u) in divergence form, sum_j i*kd_j*fft(u_j u_c).
 
     One fft per unique product u_i u_j, each product and each of its terms
     written into one reused scratch array.  For divergence-free u inside the
     2/3 band this equals advect_hat of each component to round-off: the
     product modes alias only outside the mask, and u.grad u = div(u u).
+
+    trace_free takes u u - u_d^2 I instead, d the last component: the
+    products u_i u_j (i < j) and u_i^2 - u_d^2 (i < d), one transform fewer.
+    The two results differ by i*kd*mask*fft(u_d^2), a gradient under kd,
+    which project_hat removes exactly, so for any u their projections agree
+    to round-off.
     """
     ikd_mask = half_wavenumbers(grid).ikd_mask
     out = np.zeros(ikd_mask.shape, dtype=np.complex128)
     uu = np.empty((1,) + grid.shape)
     term = np.empty(ikd_mask.shape[1:], dtype=np.complex128)
+    # u_d^2 goes into term's memory, unused until a product's terms are
+    # added: an array of its own would add 2 MB to a 3D n=64 stage
+    ud_sq = term.view(np.float64)[..., : grid.n]
+    d = grid.dim - 1
     for i in range(grid.dim):
         for j in range(i, grid.dim):
-            on_slabs(grid, np.multiply, u[i], u[j], uu[0])
+            if not trace_free or i != j:
+                on_slabs(grid, np.multiply, u[i], u[j], uu[0])
+            elif i < d:
+                on_slabs(grid, _trace_free_square, u[i], u[d], uu[0], ud_sq)
+            else:
+                continue  # u_d^2 - u_d^2
             uu_hat = fft(uu, grid)[0]
             on_slabs(grid, _add_divergence_terms, out, ikd_mask, uu_hat, term, i, j)
     return out

@@ -12,6 +12,7 @@ import pytest
 
 from penflow import (
     ConfigError,
+    DataError,
     GridSpec,
     InitialCondition,
     RealField,
@@ -331,6 +332,20 @@ class TestExport:
         lines = [l for l in ke.splitlines() if not l.startswith("#")]
         assert lines[0] == "t,kinetic_energy"
         assert float(lines[1].split(",")[1]) == pytest.approx(np.pi**2, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "t,kinetic_energy\n0.0,1.0\n0.1\n"],
+        ids=["empty", "short-row"],
+    )
+    def test_malformed_series_is_a_data_error(self, tmp_path, capsys, text):
+        (tmp_path / "series.csv").write_text(text)
+        with pytest.raises(DataError, match="series.csv"):
+            export_plot_data(tmp_path)
+        assert main(["export", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "series.csv" in err
+        assert not list(tmp_path.glob("plot_*.csv"))
 
     def test_reexport_is_byte_identical(self, tmp_path):
         cfg = parse_config(small_config(tmp_path).read_text())

@@ -323,6 +323,25 @@ class TestSelfAdvection:
         gap = np.max(np.abs(self_advect_hat(u, g) - convective))
         assert gap <= 1e-12 * np.max(np.abs(convective))
 
+    @pytest.mark.parametrize("field", ["random_divfree", "smooth_vector"])
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_trace_free_rhs_matches_the_full_one(self, dim, n, field, rng):
+        # u u and u u - u_d^2 I differ by a gradient the projection removes,
+        # for any u: a solenoidal one and one that is not
+        g = GridSpec(dim, n)
+        if field == "random_divfree":
+            u = make_initial(InitialCondition(field, seed=dim), g).u.data
+        else:
+            u = smooth_vector(g, rng).data
+        u_hat = fft(u, g)
+        full = _momentum_rhs(u_hat, 0.1, g, advection=self_advect_hat(u, g))
+        trace_free = _momentum_rhs(u_hat, 0.1, g)
+        scale = np.max(np.abs(full))
+        assert np.max(np.abs(trace_free - full)) <= 1e-12 * scale
+        # the trace-free advection alone is not the full one
+        gap = self_advect_hat(u, g, trace_free=True) - self_advect_hat(u, g)
+        assert np.max(np.abs(gap)) > 1e-3 * scale
+
 
 class TestKernelLayout:
     """The kernels' rfftn half spectrum against the public fftn layout, the
@@ -710,12 +729,16 @@ print("concurrent.futures" in sys.modules, *sorted(names))
 # that are computed once; each returns the array the kernel writes
 _ROUTED_KERNELS = {
     "self_advect_hat": lambda g, x: self_advect_hat(x["u"], g),
+    "self_advect_hat_trace_free": lambda g, x: self_advect_hat(
+        x["u"], g, trace_free=True
+    ),
     "project_hat": lambda g, x: project_hat(x["v_hat"].copy(), g),
     "grad_hat": lambda g, x: grad_hat(x["p_hat"][0], g),
     "advect_hat": lambda g, x: advect_hat(x["u"], x["p_hat"], g),
     "_momentum_rhs": lambda g, x: _momentum_rhs(
         x["u_hat"], 0.1, g, advection=self_advect_hat(x["u"], g)
     ),
+    "_momentum_rhs_trace_free": lambda g, x: _momentum_rhs(x["u_hat"], 0.1, g),
     "_rk4": lambda g, x: _rk4(lambda y: y * (1.0 - 0.5j), x["u_hat"], 0.3, g),
     "_gradient_squares": lambda g, x: _gradient_squares(x["field"]),
 }
