@@ -16,9 +16,9 @@ a value's text is converted with the annotation of the field its key sets.
 parse_config reads the document, builds those objects from the keys it
 gives and prefixes each problem they report with its line, so a broken file
 reports all of its errors at once, in line order.  A rule that compares
-sections (nu = mu/rho, a Taylor-Green kind against dim) is reported once
-the grid, initial, solver and thermo settings are all valid, on the line of
-the key it names or, if that key is absent, of the other key it compares.
+sections (a Taylor-Green kind against dim) is reported once the grid,
+initial, solver and thermo settings are all valid, on the line of the key
+it names or, if that key is absent, of the other key it compares.
 """
 
 from __future__ import annotations
@@ -33,14 +33,14 @@ from .solver import ScenarioConfig
 _SCHEMA = {
     "grid": ("dim", "n"),
     "initial": ("kind", "amplitude", "seed", "spectrum_peak"),
-    "solver": ("dt", "t_end", "nu", "cfl_safety"),
+    "solver": ("dt", "t_end", "cfl_safety"),
     "thermo": ("rho", "R", "c_v", "mu", "P0"),
     "diagnostics": ("mode", "blowup_threshold"),
     "output": ("output_every", "output_dir"),
 }
 
-# ScenarioConfig's sub-objects, thermo before solver: nu defaults to its mu/rho
-_PARTS = ("grid", "ic", "thermo", "solver")
+# ScenarioConfig's sub-objects
+_PARTS = ("grid", "ic", "solver", "thermo")
 
 # field name -> annotation, over ScenarioConfig and its sub-objects; a key's
 # annotation is int, float or str, which also converts its text
@@ -48,8 +48,11 @@ _TYPES = dict(_field_types(ScenarioConfig))
 for _part in _PARTS:
     _TYPES.update(_field_types(_TYPES[_part]))
 
+# keys that are derived from others, not set: the hint a line setting one gets
+_DERIVED = {"nu": "the viscosity is [thermo] mu/rho"}
+
 # a rule comparing sections names one key; if the file lacks it, the issue
-# goes to the other key's line (an absent nu defaults to mu/rho, so passes)
+# goes to the other key's line
 _COMPARED = {"kind": "dim"}
 
 
@@ -78,7 +81,10 @@ def _parse_lines(text: str, issues: list[tuple[int, str]]):
             issues.append((lineno, f"key {key!r} outside any known section"))
             continue
         if key not in _SCHEMA[section]:
-            issues.append((lineno, f"unknown key {key!r} in section [{section}]"))
+            issue = f"unknown key {key!r} in section [{section}]"
+            if key in _DERIVED:
+                issue += f" ({_DERIVED[key]})"
+            issues.append((lineno, issue))
             continue
         if key in lines:
             issues.append((lineno, f"duplicate key {key!r} in [{section}]"))
@@ -112,8 +118,6 @@ def parse_config(text: str) -> ScenarioConfig:
     for name in _PARTS:
         part = getattr(defaults, name)
         kwargs = {f.name: given.pop(f.name) for f in fields(part) if f.name in given}
-        if name == "solver" and "nu" not in kwargs:
-            kwargs["nu"] = parts.get("thermo", defaults.thermo).nu
         try:
             parts[name] = replace(part, **kwargs)
         except ConfigError as exc:

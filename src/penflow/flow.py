@@ -199,17 +199,20 @@ def temperature_from_pressure(
 def _derivatives(u: RealField) -> Iterator[tuple[int, int, np.ndarray]]:
     """(i, j, du_i/dx_j) from u's half spectrum, one derivative at a time.
 
-    Each derivative is a new array of shape (1, n, ..., n), so a caller that
-    reduces them never holds the gradient tensor.
+    Every derivative is written into one array of shape (1, n, ..., n),
+    which the next one overwrites, so a caller reduces or copies each
+    before it asks for the next and never holds the gradient tensor.
     """
     grid = u.grid
     u_hat = u.half_spectrum()
     ikd = half_wavenumbers(grid).ikd
     d_hat = np.empty((1,) + ikd.shape[1:], dtype=np.complex128)
+    scratch = np.empty_like(d_hat)
+    d = np.empty((1,) + grid.shape)
     for i in range(u.components):
         for j in range(grid.dim):
             on_slabs(grid, np.multiply, ikd[j], u_hat[i], d_hat[0])
-            yield i, j, ifft(d_hat, grid)
+            yield i, j, ifft(d_hat, grid, out=d, scratch=scratch)
 
 
 def velocity_gradients(u: RealField) -> np.ndarray:

@@ -64,13 +64,14 @@ from .flow import (
 from .spectral import (
     GridSpec,
     RealField,
-    advect_hat,
+    advector,
     fft,
     half_wavenumbers,
     ifft,
     integrate,
     on_slabs,
     project_hat,
+    real_view,
     self_advect_hat,
     sobolev_norm,
 )
@@ -86,7 +87,6 @@ DEFAULT_BLOWUP_THRESHOLD = 478.0
 class SolverConfig:
     dt: float = 1e-3
     t_end: float = 1.0
-    nu: float = 0.1
     cfl_safety: float = 0.5
 
     def __post_init__(self):
@@ -98,7 +98,6 @@ class SolverConfig:
                 0 <= self.t_end < math.inf,
                 "t_end must be nonnegative and finite",
             ),
-            ("nu", 0 <= self.nu < math.inf, "nu must be nonnegative and finite"),
             ("cfl_safety", 0 < self.cfl_safety <= 1, "cfl_safety must lie in (0, 1]"),
         )
 
@@ -130,7 +129,7 @@ def _kind_fits_grid(ic: InitialCondition, grid: GridSpec):
 class ScenarioConfig:
     """Full experiment description.
 
-    The solver viscosity must be the thermo mu/rho that Phi and the
+    The solver's viscosity is thermo.nu, the mu/rho that Phi and the
     diagnostics use.  P0 is the only reference state; T0 follows from it.
     """
 
@@ -146,7 +145,6 @@ class ScenarioConfig:
 
     def __post_init__(self):
         check_types(self)
-        nu = self.solver.nu
         modes = MATERIAL_DERIVATIVE_MODES
         check_rules(
             ("P0", 0 < self.P0 < math.inf, "P0 must be positive and finite"),
@@ -157,11 +155,6 @@ class ScenarioConfig:
                 "blowup_threshold must be nonnegative and finite",
             ),
             ("output_every", self.output_every >= 1, "output_every must be >= 1"),
-            (
-                "nu",
-                abs(nu - self.thermo.nu) <= 1e-12 * max(1.0, abs(nu)),
-                f"nu must equal mu/rho = {self.thermo.nu!r}",
-            ),
             (
                 "Q",
                 self.thermo.Q is None or self.thermo.Q.grid == self.grid,
@@ -191,26 +184,36 @@ def make_initial(
     """Divergence-free initial state at t = 0; its P is solved on first read."""
     params = params if params is not None else ThermoParams()
     check_rules(_kind_fits_grid(ic, grid))
-    if ic.kind == "taylor_green_2d":
-        x, y = grid.coordinates()
-        u = np.stack(
-            [
-                ic.amplitude * np.sin(x) * np.cos(y),
-                -ic.amplitude * np.cos(x) * np.sin(y),
-            ]
-        )
-    elif ic.kind == "taylor_green_3d":
-        x, y, z = grid.coordinates()
-        u = np.stack(
-            [
-                ic.amplitude * np.sin(x) * np.cos(y) * np.cos(z),
-                -ic.amplitude * np.cos(x) * np.sin(y) * np.cos(z),
-                np.zeros(grid.shape),
-            ]
-        )
+    if ic.kind in ("taylor_green_2d", "taylor_green_3d"):
+        u = _taylor_green(ic.amplitude, grid)
     else:
         u = _random_divfree(ic, grid)
     return FlowState(0.0, leray_project(RealField(grid, u)), params)
+
+
+def _taylor_green(amplitude: float, grid: GridSpec) -> np.ndarray:
+    """A sin x cos y (cos z), -A cos x sin y (cos z) (and 0 in 3D).
+
+    Built from the 1-D factors at the coordinates of GridSpec.coordinates,
+    broadcast and multiplied left to right, so every sample is the product
+    a meshgrid evaluation gives, bit for bit, for n sines and cosines
+    instead of n**dim of each.
+    """
+    x = np.arange(grid.n) * grid.h
+    sin, cos = np.sin(x), np.cos(x)
+
+    def axis(f, j):
+        # f along axis j of the grid
+        return f.reshape((1,) * j + (grid.n,) + (1,) * (grid.dim - 1 - j))
+
+    u = np.zeros((grid.dim,) + grid.shape)
+    first = amplitude * axis(sin, 0) * axis(cos, 1)
+    second = -amplitude * axis(cos, 0) * axis(sin, 1)
+    if grid.dim == 3:
+        first = first * axis(cos, 2)
+        second = second * axis(cos, 2)
+    u[0], u[1] = first, second
+    return u
 
 
 def _random_divfree(ic: InitialCondition, grid: GridSpec) -> np.ndarray:
@@ -242,6 +245,9 @@ def _momentum_rhs(
     nu: float,
     grid: GridSpec,
     advection: np.ndarray | None = None,
+    *,
+    u: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """-project(u.grad u) - nu*|k|^2*u_hat, in a new array.
 
@@ -252,15 +258,21 @@ def _momentum_rhs(
     i*kd*fft(u_d^2) by which it differs from the full one, so the result
     is the same to round-off for one product transform fewer.  A step
     passes the full form at its first stage, the one a sampled state's P
-    solve leaves (see step).
+    solve leaves (see step).  u and scratch are work arrays, overwritten
+    and allocated when not given: u, the physical velocity of that
+    computation; scratch, a complex array of u_hat's shape, which that
+    computation, the projection and the viscous term share (two of its
+    components suffice when advection is given).
     """
     if advection is None:
-        advection = self_advect_hat(ifft(u_hat, grid), grid, trace_free=True)
-    rhs = project_hat(advection, grid)
+        u = ifft(u_hat, grid, out=u, scratch=scratch)
+        advection = self_advect_hat(u, grid, trace_free=True, scratch=scratch)
+    if scratch is None:
+        scratch = np.empty((2,) + u_hat.shape[1:], dtype=np.complex128)
+    rhs = project_hat(advection, grid, scratch=scratch)
     ksq = half_wavenumbers(grid).ksq
-    nu_ksq = np.empty(ksq.shape)
-    term = np.empty(ksq.shape, dtype=np.complex128)
-    on_slabs(grid, _viscous_and_sign, rhs, u_hat, ksq, nu, nu_ksq, term)
+    nu_ksq = real_view(scratch[1], ksq.shape[-1])
+    on_slabs(grid, _viscous_and_sign, rhs, u_hat, ksq, nu, nu_ksq, scratch[0])
     return rhs
 
 
@@ -325,23 +337,30 @@ def step(state: FlowState, cfg: SolverConfig, dt: float | None = None) -> FlowSt
     state's full self-advection (the one its P solve left, or one made from
     the physical u the state holds), its other stages from trace-free
     products (_momentum_rhs), and the new state takes the projected
-    spectrum with it, so each velocity is transformed once.
+    spectrum with it, so each velocity is transformed once.  The viscosity
+    is the state's params.nu, mu/rho.
     """
     grid = state.grid
+    nu = state.params.nu
     dt = effective_dt(state, cfg) if dt is None else dt
     u0_hat = state.u.half_spectrum()
+    k1 = _momentum_rhs(u0_hat, nu, grid, advection=state.take_self_advection())
+    # stages 2-4 share one physical velocity and one scratch, made once per
+    # step: made per stage, these multi-MB arrays of a 3D n=64 step were
+    # trimmed from the heap and faulted back in at every stage
+    u_stage = np.empty(state.u.data.shape)
+    scratch = np.empty_like(u0_hat)
     u_hat = _rk4(
-        lambda uh: _momentum_rhs(uh, cfg.nu, grid),
+        lambda uh: _momentum_rhs(uh, nu, grid, u=u_stage, scratch=scratch),
         u0_hat,
         dt,
         grid,
-        f_y=_momentum_rhs(
-            u0_hat, cfg.nu, grid, advection=state.take_self_advection()
-        ),
+        f_y=k1,
     )
-    project_hat(u_hat, grid)
+    del u_stage  # not alive through the new velocity's inverse
+    project_hat(u_hat, grid, scratch=scratch)
     t_new = state.t + dt
-    u_new = RealField(grid, ifft(u_hat, grid), u_hat)
+    u_new = RealField(grid, ifft(u_hat, grid, scratch=scratch), u_hat)
     # FlowState raises DivergenceError on a NaN or Inf max |u| itself
     new_state = FlowState(t_new, u_new, state.params)
     if not new_state.umax <= 1e100:
@@ -375,12 +394,14 @@ def evolve_pressure_model(
     if source is None:
         source = pressure_source(state.phi, state.params)
     s_hat = source.half_spectrum()
-    p_hat = _rk4(
-        lambda ph: s_hat - advect_hat(state.u.data, ph, grid),
-        P_model.half_spectrum(),
-        dt,
-        grid,
-    )
+    # the four stages share advect's work arrays, made once per step
+    advect = advector(state.u.data, grid)
+
+    def rhs(ph: np.ndarray) -> np.ndarray:
+        k = advect(ph)
+        return np.subtract(s_hat, k, out=k)
+
+    p_hat = _rk4(rhs, P_model.half_spectrum(), dt, grid)
     if not np.all(np.isfinite(p_hat)):
         raise DivergenceError(state.t + dt)
     return RealField.from_half_spectrum(grid, p_hat)

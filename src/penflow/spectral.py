@@ -69,6 +69,23 @@ The momentum right-hand side transforms one product fewer than the full
 self-advection: self_advect_hat(trace_free=True) takes u u - u_d^2 I,
 whose divergence differs from the full one by a gradient that project_hat
 removes.
+
+Work arrays are made once per call of a step, not once per RK4 stage:
+fft and ifft write into a caller's out (ifft's passes into its scratch),
+self_advect_hat and project_hat take a scratch, and advector(u, grid)
+keeps advect_hat's gradient arrays for the stages of a model-pressure
+step.  A stage's scratch also holds the self-advection's products,
+spectra and terms, so no stage holds more live bytes at its peak than
+with arrays of its own.  A 3D n=64 array lives in mmap'ed pages or, once
+glibc's mmap threshold has risen past it, at the heap top, which glibc
+trims after each free; either way a new one faults its pages in again, at
+about 3.1 us per 4 KB page on a 2-vCPU host.  Made per stage, the arrays
+cost a 3D n=64 run 40-45k minor faults after its first sample; made per
+call, about 17k.  Two designs measured worse on a prototype: keeping the
+arrays from one step to the next (peak RSS 159.6 MB against 130.9 MB),
+and also dropping a sampled state's P and Phi after its sample (135.2 MB,
+heap layout).  A process-wide mallopt was left out: it slowed the 2D
+runs, and it is a side effect on the whole process.
 """
 
 from __future__ import annotations
@@ -474,13 +491,20 @@ def on_slabs(grid: GridSpec, fn: Callable[..., None], *arrays) -> None:
 # ---------------------------------------------------------------------------
 
 
-def fft(a: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Unnormalised rfftn of a real array over the spatial axes."""
+def fft(
+    a: np.ndarray, grid: GridSpec, *, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Unnormalised rfftn of a real array over the spatial axes.
+
+    out, when given, is a complex array of the result's shape that the
+    result is written into and returned as; a is only read.
+    """
     axes = _spatial_axes(grid)
     threads = _split_threads(a, grid)
     # numpy's pass order: the real transform over the last axis, then the
     # other axes from the last to the first
-    out = np.empty(a.shape[:-1] + (grid.n // 2 + 1,), dtype=np.complex128)
+    if out is None:
+        out = np.empty(a.shape[:-1] + (grid.n // 2 + 1,), dtype=np.complex128)
 
     def planes(s: slice) -> None:
         o = out[:, s]
@@ -497,17 +521,32 @@ def fft(a: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def ifft(a_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Inverse of fft(): a new real array of shape (components,) + grid.shape."""
+def ifft(
+    a_hat: np.ndarray,
+    grid: GridSpec,
+    *,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Inverse of fft(): a real array of shape (components,) + grid.shape.
+
+    out, when given, is the real array the result is written into and
+    returned as; scratch, a complex array of a_hat's shape that the passes
+    overwrite.  Either is allocated when not given.  a_hat is only read,
+    unless it is its own scratch: the passes then run in place.
+    """
     axes = _spatial_axes(grid)
     threads = _split_threads(a_hat, grid)
     # numpy's pass order: the complex axes from the first, then the real
     # transform over the last axis
-    tmp = np.empty(a_hat.shape, dtype=np.complex128)
-    out = np.empty(a_hat.shape[:-1] + (grid.n,))
+    tmp = np.empty(a_hat.shape, dtype=np.complex128) if scratch is None else scratch
+    if out is None:
+        out = np.empty(a_hat.shape[:-1] + (grid.n,))
 
     def lines(s: slice) -> None:
-        np.fft.ifft(a_hat[..., s], axis=1, out=tmp[..., s])
+        # slabs of axis 2, as fft's last pass: in 3D each is a run of
+        # contiguous rows, not a strip of every row
+        np.fft.ifft(a_hat[:, :, s], axis=1, out=tmp[:, :, s])
 
     def planes(s: slice) -> None:
         t = tmp[:, s]
@@ -515,15 +554,21 @@ def ifft(a_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
             np.fft.ifft(t, axis=ax, out=t)
         np.fft.irfft(t, grid.n, axis=axes[-1], out=out[:, s])
 
-    _split(lines, a_hat.shape[-1], threads)
+    _split(lines, a_hat.shape[2], threads)
     _split(planes, grid.n, threads)
     return out
 
 
-def grad_hat(f_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """i*kd*f of one component f_hat; shape (dim,) + f_hat.shape."""
+def grad_hat(
+    f_hat: np.ndarray, grid: GridSpec, *, out: np.ndarray | None = None
+) -> np.ndarray:
+    """i*kd*f of one component f_hat; shape (dim,) + f_hat.shape.
+
+    out, when given, is the complex array the result is written into.
+    """
     ikd = half_wavenumbers(grid).ikd
-    out = np.empty(ikd.shape, dtype=np.complex128)
+    if out is None:
+        out = np.empty(ikd.shape, dtype=np.complex128)
     on_slabs(grid, np.multiply, ikd, f_hat, out)
     return out
 
@@ -550,15 +595,19 @@ def _project(v_hat, kd, kd_inv_kdsq, kd_v, tmp) -> None:
         v_hat[j] -= np.multiply(kd_inv_kdsq[j], kd_v, out=tmp)
 
 
-def project_hat(v_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
+def project_hat(
+    v_hat: np.ndarray, grid: GridSpec, *, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """Leray projection v - kd (kd.v)/|kd|^2, in place, so div_hat(v_hat) == 0.
 
     Returns v_hat.  Modes with kd = 0 (the mean and the pure-Nyquist modes)
-    pass unchanged.
+    pass unchanged.  scratch is a complex array of at least two components
+    of v_hat's component shape, overwritten; allocated when not given.
     """
     w = half_wavenumbers(grid)
-    kd_v = np.empty(v_hat.shape[1:], dtype=np.complex128)
-    on_slabs(grid, _project, v_hat, w.kd, w.kd_inv_kdsq, kd_v, np.empty_like(kd_v))
+    if scratch is None:
+        scratch = np.empty((2,) + v_hat.shape[1:], dtype=np.complex128)
+    on_slabs(grid, _project, v_hat, w.kd, w.kd_inv_kdsq, scratch[0], scratch[1])
     return v_hat
 
 
@@ -570,22 +619,47 @@ def _dot(grad, u, uf) -> None:
         uf += grad[j]
 
 
+def real_view(c: np.ndarray, length: int) -> np.ndarray:
+    """The first `length` reals of each last-axis line of a complex array,
+    as a real array in c's memory (length <= 2 * c.shape[-1])."""
+    return c.view(np.float64)[..., :length]
+
+
+def advector(u: np.ndarray, grid: GridSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """f_hat -> advect_hat(u, f_hat, grid), its work arrays allocated once.
+
+    Every call reuses the gradient spectrum and the physical gradient made
+    here.  The gradient spectrum is its own inverse's scratch, and the
+    product u.grad f and its spectrum live in it once that inverse is done.
+    Each call returns a new array.  u is only read.
+    """
+    g_hat = np.empty((grid.dim,) + half_wavenumbers(grid).ksq.shape, np.complex128)
+    grad = np.empty((grid.dim,) + grid.shape)
+    uf = real_view(g_hat[:1], grid.n)
+    uf_hat = g_hat[1:2]
+    mask = half_wavenumbers(grid).mask
+
+    def advect(f_hat: np.ndarray) -> np.ndarray:
+        grad_hat(f_hat[0], grid, out=g_hat)
+        ifft(g_hat, grid, out=grad, scratch=g_hat)
+        on_slabs(grid, _dot, grad, u, uf[0])
+        fft(uf, grid, out=uf_hat)
+        out = np.empty_like(uf_hat)
+        on_slabs(grid, np.multiply, uf_hat, mask, out)
+        return out
+
+    return advect
+
+
 def advect_hat(u: np.ndarray, f_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Dealiased fft(u.grad f) of a scalar f_hat (one component); u is physical.
 
     Convective form, for scalars that are not band-limited (the pressures):
     there the divergence form of self_advect_hat would differ by aliasing
-    error, not round-off.
+    error, not round-off.  advector(u, grid) gives the same function with
+    its work arrays kept for repeated calls.
     """
-    grad = ifft(grad_hat(f_hat[0], grid), grid)
-    uf = np.empty((1,) + grid.shape)
-    on_slabs(grid, _dot, grad, u, uf[0])
-    uf_hat = fft(uf, grid)
-    # a new array, not uf_hat in place: that (with grad freed before the
-    # fft) raised a 3D n=64 run's peak RSS by 4 MB through heap layout alone
-    out = np.empty_like(uf_hat)
-    on_slabs(grid, np.multiply, uf_hat, half_wavenumbers(grid).mask, out)
-    return out
+    return advector(u, grid)(f_hat)
 
 
 def _add_divergence_terms(out, ikd_mask, uu_hat, term, i, j) -> None:
@@ -603,12 +677,15 @@ def _trace_free_square(ui, ud, uu, ud_sq) -> None:
 
 
 def self_advect_hat(
-    u: np.ndarray, grid: GridSpec, trace_free: bool = False
+    u: np.ndarray,
+    grid: GridSpec,
+    trace_free: bool = False,
+    *,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Dealiased fft(u.grad u) in divergence form, sum_j i*kd_j*fft(u_j u_c).
 
-    One fft per unique product u_i u_j, each product and each of its terms
-    written into one reused scratch array.  For divergence-free u inside the
+    One fft per unique product u_i u_j.  For divergence-free u inside the
     2/3 band this equals advect_hat of each component to round-off: the
     product modes alias only outside the mask, and u.grad u = div(u u).
 
@@ -617,14 +694,21 @@ def self_advect_hat(
     The two results differ by i*kd*mask*fft(u_d^2), a gradient under kd,
     which project_hat removes exactly, so for any u their projections agree
     to round-off.
+
+    Every product, its spectrum and its terms are written into two
+    half-spectrum components of scratch (complex, at least two components
+    of the result's shape, overwritten), allocated when not given.
     """
     ikd_mask = half_wavenumbers(grid).ikd_mask
     out = np.zeros(ikd_mask.shape, dtype=np.complex128)
-    uu = np.empty((1,) + grid.shape)
-    term = np.empty(ikd_mask.shape[1:], dtype=np.complex128)
-    # u_d^2 goes into term's memory, unused until a product's terms are
-    # added: an array of its own would add 2 MB to a 3D n=64 stage
-    ud_sq = term.view(np.float64)[..., : grid.n]
+    if scratch is None:
+        scratch = np.empty((2,) + ikd_mask.shape[1:], dtype=np.complex128)
+    # each product goes into term's memory and u_d^2 into uu_hat's, both
+    # free until the product is transformed; the spectrum then goes into
+    # uu_hat and the product's terms into term
+    term, uu_hat = scratch[0], scratch[1]
+    uu = real_view(scratch[:1], grid.n)
+    ud_sq = real_view(uu_hat, grid.n)
     d = grid.dim - 1
     for i in range(grid.dim):
         for j in range(i, grid.dim):
@@ -634,7 +718,7 @@ def self_advect_hat(
                 on_slabs(grid, _trace_free_square, u[i], u[d], uu[0], ud_sq)
             else:
                 continue  # u_d^2 - u_d^2
-            uu_hat = fft(uu, grid)[0]
+            fft(uu, grid, out=uu_hat[np.newaxis])
             on_slabs(grid, _add_divergence_terms, out, ikd_mask, uu_hat, term, i, j)
     return out
 

@@ -1,10 +1,11 @@
 import itertools
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from penflow import RealField, spectral
+from penflow import RealField, ScenarioConfig, run, spectral
 
 
 def smooth_scalar(grid, rng, kmax=3, decay=0.5):
@@ -27,6 +28,17 @@ def smooth_vector(grid, rng, components=None, kmax=3, decay=0.5):
         [smooth_scalar(grid, rng, kmax, decay).scalar_values() for _ in range(comps)]
     )
     return RealField(grid, data)
+
+
+@pytest.fixture(scope="session")
+def baseline():
+    """Shipped Taylor-Green baseline: 2D, n=64, nu=0.1, dt=1e-3, t in [0,1]."""
+    cfg = ScenarioConfig()
+    t0 = time.perf_counter()
+    series = run(cfg)
+    elapsed = time.perf_counter() - t0
+    series.finalize()
+    return cfg, series, elapsed
 
 
 @pytest.fixture

@@ -6,7 +6,6 @@ on the terminal even without -s.
 
 import contextlib
 import dataclasses
-import time
 
 import numpy as np
 import pytest
@@ -69,17 +68,6 @@ def criterion(request):
     return _criterion
 
 
-@pytest.fixture(scope="session")
-def baseline():
-    """Shipped Taylor-Green baseline: 2D, n=64, nu=0.1, dt=1e-3, t in [0,1]."""
-    cfg = ScenarioConfig()
-    t0 = time.perf_counter()
-    series = run(cfg)
-    elapsed = time.perf_counter() - t0
-    series.finalize()
-    return cfg, series, elapsed
-
-
 def _fd_gradient(f, grid, axis):
     h = grid.h
     return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2 * h)
@@ -101,7 +89,7 @@ def test_criterion_1_taylor_green_decay(baseline, criterion):
         assert elapsed < 30.0
         assert len(series) == 101
         for s in series.samples:
-            exact = np.pi**2 * np.exp(-4 * cfg.solver.nu * s.t)
+            exact = np.pi**2 * np.exp(-4 * cfg.thermo.nu * s.t)
             assert abs(s.kinetic_energy - exact) <= 1e-6 * exact
 
 
@@ -175,7 +163,7 @@ def test_criterion_6_blowup_accumulator(baseline, criterion):
             cfg = ScenarioConfig(
                 grid=GridSpec(2, 32),
                 ic=InitialCondition("random_divfree", seed=seed),
-                solver=SolverConfig(dt=2e-3, t_end=0.05, nu=0.05),
+                solver=SolverConfig(dt=2e-3, t_end=0.05),
                 thermo=ThermoParams(mu=0.05),
                 output_every=5,
             )
@@ -247,7 +235,7 @@ def test_criterion_8_model_self_consistency(criterion):
         # finite_difference converges to the model value at rate O(dt)
         def fd_error(dt):
             state = make_initial(InitialCondition("taylor_green_2d"), grid, params)
-            cfg = SolverConfig(dt=dt, nu=0.1)
+            cfg = SolverConfig(dt=dt)
             p = state.P
             for _ in range(round(0.1 / dt)):
                 p_prev = p
@@ -269,7 +257,7 @@ def test_criterion_8_model_self_consistency(criterion):
 def test_criterion_9_uniqueness_probe(criterion):
     with criterion(9, "paired-run uniqueness probe ordering"):
         cfg = ScenarioConfig(
-            solver=SolverConfig(dt=1e-3, t_end=0.2, nu=0.1), output_every=20
+            solver=SolverConfig(dt=1e-3, t_end=0.2), output_every=20
         )
         zero = twin_run(cfg, 0.0)
         assert max(zero.du_l2) == 0.0 and max(zero.dp_norm_E) == 0.0
@@ -286,7 +274,7 @@ def test_criterion_10_determinism_and_format(tmp_path, rng, criterion):
     with criterion(10, "byte-identical reruns and bit-exact checkpoints"):
         cfg = dataclasses.replace(
             ScenarioConfig(),
-            solver=SolverConfig(dt=1e-3, t_end=0.2, nu=0.1),
+            solver=SolverConfig(dt=1e-3, t_end=0.2),
             output_every=20,
         )
         for name in ("a", "b"):

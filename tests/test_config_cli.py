@@ -66,7 +66,7 @@ def small_config(tmp_path, **extra):
 # one row per configuration rule: (id, section, key, a value the rule
 # rejects, a fragment of its message); the *_type rows check the field's
 # type, which the parser reads from the text and the API from the value,
-# and the last three compare sections.  A row with section None is an
+# and the last two compare sections.  A row with section None is an
 # API-only rule: the key has no config-file form.
 RULE_ROWS = [
     ("dim", "grid", "dim", 5, "dim must be 2 or 3"),
@@ -77,7 +77,6 @@ RULE_ROWS = [
     ("spectrum_peak", "initial", "spectrum_peak", 0, "spectrum_peak must be >= 1"),
     ("dt", "solver", "dt", math.nan, "dt must be positive"),
     ("t_end", "solver", "t_end", math.inf, "t_end must be nonnegative"),
-    ("nu", "solver", "nu", -0.1, "nu must be nonnegative"),
     ("cfl_safety", "solver", "cfl_safety", 1.5, "cfl_safety must lie in"),
     ("rho", "thermo", "rho", 0.0, "rho must be positive"),
     ("R", "thermo", "R", -1.0, "R must be positive"),
@@ -90,7 +89,6 @@ RULE_ROWS = [
     ("seed_type", "initial", "seed", 1.5, "seed must be given as an int, got"),
     ("output_every_type", "output", "output_every", 2.5, "output_every must be given"),
     ("dt_type", "solver", "dt", True, "dt must be a number, got"),
-    ("nu_vs_mu_over_rho", "solver", "nu", 0.3, "mu/rho"),
     ("kind_vs_dim", "initial", "kind", "taylor_green_3d", "requires dim = 3"),
     ("Q_vs_grid", None, "Q", RealField.zeros(GridSpec(2, 32)), "sampled on the"),
 ]
@@ -149,6 +147,8 @@ class TestParseConfig:
             ("[grid]\ndim = 3\n", (2,), "requires dim = 2"),
             # P0 is the only reference state; T0 is derived, not a key
             ("[thermo]\nP0 = 5.0\nT0 = 300\n", (3,), "unknown key 'T0'"),
+            # the viscosity is mu/rho; nu is derived, not a key
+            ("[solver]\ndt = 0.01\nnu = 0.1\n", (3,), "unknown key 'nu'"),
         ],
         ids=[row[0] for row in PARSED_ROWS]
         + [
@@ -157,6 +157,7 @@ class TestParseConfig:
             "kind_vs_dim_after_n",
             "kind_vs_dim_without_kind",
             "T0_unknown",
+            "nu",
         ],
     )
     def test_every_rule_reported_with_its_line(self, doc, lines, fragment):
@@ -208,7 +209,8 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config(doc)
         lines = [int(i.split(":")[0].removeprefix("line ")) for i in exc.value.issues]
-        assert lines == [4, 6, 7, 8]
+        # line 2: nu is not a key
+        assert lines == [2, 4, 6, 7, 8]
 
     def test_unknown_section_and_key(self):
         with pytest.raises(ConfigError) as exc:
@@ -228,13 +230,14 @@ class TestParseConfig:
         assert any("must be a number" in i for i in exc.value.issues)
 
     def test_nu_must_match_mu_over_rho(self):
+        # nu is mu/rho by definition: a nu line is refused, and says so
         with pytest.raises(ConfigError) as exc:
             parse_config("[solver]\nnu = 0.3\n[thermo]\nmu = 0.1\nrho = 1.0\n")
         assert any("mu/rho" in i for i in exc.value.issues)
 
     def test_nu_defaults_to_mu_over_rho(self):
         cfg = parse_config("[thermo]\nmu = 0.5\nrho = 2.0\n")
-        assert cfg.solver.nu == pytest.approx(0.25)
+        assert cfg.thermo.nu == pytest.approx(0.25)
 
     def test_taylor_green_dim_mismatch(self):
         with pytest.raises(ConfigError) as exc:
@@ -254,7 +257,7 @@ class TestParseConfig:
             ScenarioConfig(
                 grid=GridSpec(3, 16),
                 ic=InitialCondition("random_divfree", amplitude=0.5, seed=9),
-                solver=SolverConfig(dt=0.01, t_end=0.1, nu=0.2),
+                solver=SolverConfig(dt=0.01, t_end=0.1),
                 thermo=dataclasses.replace(ScenarioConfig().thermo, mu=0.2),
                 mode="finite_difference",
             ),

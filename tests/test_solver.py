@@ -45,6 +45,11 @@ from penflow.spectral import fft, half_wavenumbers, ifft, project_hat
 
 from conftest import patch_everywhere
 
+# the viscosity a state steps with is its params' mu/rho, which must be
+# positive; at this one nu*|k|^2*u_hat lies far below the round-off of the
+# advection it is added to, so the steps are inviscid
+INVISCID = ThermoParams(mu=1e-300)
+
 
 class TestMakeInitial:
     def test_taylor_green_energy(self):
@@ -133,7 +138,7 @@ class TestStep:
     def test_taylor_green_decay(self):
         g = GridSpec(2, 64)
         state = make_initial(InitialCondition("taylor_green_2d"), g)
-        cfg = SolverConfig(dt=1e-3, nu=0.1)
+        cfg = SolverConfig(dt=1e-3)
         for _ in range(100):
             state = step(state, cfg)
         exact = np.pi**2 * np.exp(-4 * 0.1 * state.t)
@@ -141,8 +146,9 @@ class TestStep:
 
     def test_inviscid_energy_conservation(self):
         g = GridSpec(2, 64)
-        state = make_initial(InitialCondition("random_divfree", seed=3), g)
-        cfg = SolverConfig(dt=1e-3, nu=0.0)
+        ic = InitialCondition("random_divfree", seed=3)
+        state = make_initial(ic, g, INVISCID)
+        cfg = SolverConfig(dt=1e-3)
         ke0 = kinetic_energy(state.u)
         for _ in range(10):
             state = step(state, cfg)
@@ -150,8 +156,10 @@ class TestStep:
 
     def test_incompressibility_preserved(self):
         g = GridSpec(2, 32)
-        state = make_initial(InitialCondition("random_divfree", seed=5), g)
-        cfg = SolverConfig(dt=1e-3, nu=0.01)
+        state = make_initial(
+            InitialCondition("random_divfree", seed=5), g, ThermoParams(mu=0.01)
+        )
+        cfg = SolverConfig(dt=1e-3)
         for _ in range(20):
             state = step(state, cfg)
         div = backward(divergence(forward(state.u))).scalar_values()
@@ -160,18 +168,21 @@ class TestStep:
     def test_viscous_energy_balance(self):
         g = GridSpec(2, 64)
         state = make_initial(InitialCondition("taylor_green_2d"), g)
-        cfg = SolverConfig(dt=1e-3, nu=0.1)
+        cfg = SolverConfig(dt=1e-3)
         nxt = step(state, cfg)
         rate = (kinetic_energy(nxt.u) - kinetic_energy(state.u)) / (nxt.t - state.t)
-        drain = -cfg.nu * 0.5 * (gradient_energy(state.u) + gradient_energy(nxt.u))
+        nu = state.params.nu
+        drain = -nu * 0.5 * (gradient_energy(state.u) + gradient_energy(nxt.u))
         assert rate == pytest.approx(drain, rel=1e-4)
 
     def test_fourth_order_in_time(self):
         g = GridSpec(2, 16)
         errs = []
         for dt in (0.04, 0.02, 0.01, 0.005):
-            state = make_initial(InitialCondition("taylor_green_2d"), g)
-            cfg = SolverConfig(dt=dt, nu=0.5, cfl_safety=1.0)
+            state = make_initial(
+                InitialCondition("taylor_green_2d"), g, ThermoParams(mu=0.5)
+            )
+            cfg = SolverConfig(dt=dt, cfl_safety=1.0)
             for _ in range(round(1.0 / dt)):
                 state = step(state, cfg, dt=dt)
             exact = np.pi**2 * np.exp(-2.0)
@@ -207,7 +218,7 @@ class TestStep:
         state = make_initial(
             InitialCondition("taylor_green_2d", amplitude=50.0), g
         )
-        cfg = SolverConfig(dt=0.1, nu=0.1, cfl_safety=0.5)
+        cfg = SolverConfig(dt=0.1, cfl_safety=0.5)
         assert effective_dt(state, cfg) < cfg.dt
         assert effective_dt(state, cfg) == pytest.approx(0.5 * g.h / 50.0, rel=1e-10)
 
@@ -241,6 +252,38 @@ class TestStep:
         step(state, SolverConfig())
         assert count["_fftn"] == count["_ifftn"] == 0
         assert count["fft"] + count["ifft"] == budget
+
+    def test_allocation_budget(self, monkeypatch):
+        # field-sized arrays (at least one real component's bytes) that
+        # numpy's constructors make in one 3D n=32 model-pressure step and
+        # one step from a sampled state.  The work arrays are made once per
+        # call, not once per RK4 stage:
+        #   model step: the gradient spectrum and the physical gradient
+        #     (advect's), the source's spectrum, the RK4 stage input, and
+        #     the 4 stages' results = 8;
+        #   step: stage 1's projection scratch, the stage velocity and its
+        #     inverse scratch (stages 2-4), the RK4 stage input, the 3
+        #     self-advections, the new velocity, and the FlowState check's
+        #     inverse (scratch and result) = 10.
+        # Elementwise temporaries (operators, np.abs) are not counted.
+        g = GridSpec(3, 32)
+        state = make_initial(InitialCondition("taylor_green_3d"), g)
+        state.P, state.phi
+        made = []
+        for name in ("empty", "empty_like", "zeros", "zeros_like"):
+
+            def counted(*args, _fn=getattr(np, name), **kwargs):
+                out = _fn(*args, **kwargs)
+                if out.nbytes >= 8 * g.n**g.dim:
+                    made.append(out.shape)
+                return out
+
+            monkeypatch.setattr(np, name, counted)
+        evolve_pressure_model(state, state.P, SolverConfig())
+        assert len(made) == 8
+        made.clear()
+        step(state, SolverConfig())
+        assert len(made) == 10
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_sampled_state_advection_is_the_first_stage(self, transform_counter, dim):
@@ -286,7 +329,7 @@ class TestStep:
         cfg, dt = SolverConfig(), 1e-2
 
         def f(uh):
-            return _momentum_rhs(uh, cfg.nu, g)
+            return _momentum_rhs(uh, state.params.nu, g)
 
         y = fft(state.u.data, g)
         k1 = f(y)
@@ -315,8 +358,10 @@ class TestStep:
 
     def test_divergence_error_on_unstable_run(self):
         g = GridSpec(2, 32)
-        state = make_initial(InitialCondition("taylor_green_2d", amplitude=10.0), g)
-        cfg = SolverConfig(dt=1.0, nu=0.0, cfl_safety=1.0)
+        state = make_initial(
+            InitialCondition("taylor_green_2d", amplitude=10.0), g, INVISCID
+        )
+        cfg = SolverConfig(dt=1.0, cfl_safety=1.0)
         with pytest.raises((DivergenceError, FloatingPointError)):
             with np.errstate(over="raise", invalid="raise"):
                 for _ in range(200):
@@ -402,7 +447,7 @@ class TestEvolvePressureModel:
     def test_step_doubling_is_fifth_order(self):
         g = GridSpec(2, 64)
         state = make_initial(InitialCondition("taylor_green_2d"), g)
-        cfg = SolverConfig(nu=0.1)
+        cfg = SolverConfig()
 
         def richardson_gap(dt):
             full = evolve_pressure_model(state, state.P, cfg, dt=dt)
@@ -507,7 +552,7 @@ class TestRun:
         cfg = dataclasses.replace(
             ScenarioConfig(),
             grid=GridSpec(2, 32),
-            solver=SolverConfig(dt=1e-3, t_end=0.2, nu=0.1),
+            solver=SolverConfig(dt=1e-3, t_end=0.2),
             output_every=50,
         )
         series = run(cfg)
@@ -520,7 +565,7 @@ class TestRun:
             ScenarioConfig(),
             grid=GridSpec(2, 32),
             ic=InitialCondition("random_divfree", seed=11),
-            solver=SolverConfig(dt=1e-3, t_end=0.05, nu=0.05),
+            solver=SolverConfig(dt=1e-3, t_end=0.05),
             thermo=ThermoParams(mu=0.05),
         )
         s1 = run(cfg)
@@ -606,9 +651,9 @@ class TestDiagnose:
         )
         inputs = []
 
-        def recorded(a, grid, _fft=penflow.spectral.fft):
+        def recorded(a, grid, _fft=penflow.spectral.fft, **kwargs):
             inputs.append(np.array(a))
-            return _fft(a, grid)
+            return _fft(a, grid, **kwargs)
 
         patch_everywhere(monkeypatch, penflow.spectral.fft, recorded)
         samples = simulate(cfg)

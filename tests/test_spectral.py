@@ -387,9 +387,9 @@ class TestKernelLayout:
         a_hat = fft(a[:1], g)
         calls = []
 
-        def counted(x, grid, _ifft=spectral.ifft):
+        def counted(x, grid, _ifft=spectral.ifft, **kwargs):
             calls.append(x)
-            return _ifft(x, grid)
+            return _ifft(x, grid, **kwargs)
 
         monkeypatch.setattr(spectral, "ifft", counted)
         f = RealField.from_half_spectrum(g, a_hat)
@@ -816,6 +816,67 @@ class TestOnSlabs:
         assert sum(xs[1] for xs, _, _ in seen) == g.n
         # every element written exactly once
         assert np.all(a == 1) and np.all(b == 1)
+
+
+class TestWorkArrays:
+    """Kernels that write into caller arrays give the bytes they give
+    without them, on the one-slab and on the split path."""
+
+    CASES = [(2, 64, 1), (2, 64, 2), (3, 32, 3), (3, 64, 1), (3, 64, 3)]
+
+    @pytest.mark.parametrize("dim, n, components", CASES)
+    def test_out_and_scratch_give_the_same_bits(
+        self, split_calls, dim, n, components, rng
+    ):
+        g = GridSpec(dim, n)
+        a = rng.standard_normal((components,) + g.shape)
+        a_hat = fft(a, g)
+        out_hat = np.empty_like(a_hat)
+        assert fft(a, g, out=out_hat) is out_hat
+        assert out_hat.tobytes() == a_hat.tobytes()
+        want = ifft(a_hat, g)
+        kept = a_hat.copy()
+        out, scratch = np.empty_like(want), np.empty_like(a_hat)
+        both = {"out": out, "scratch": scratch}
+        for kwargs in ({"out": out}, {"scratch": scratch}, both):
+            got = ifft(a_hat, g, **kwargs)
+            assert got is kwargs.get("out", got)
+            assert got.tobytes() == want.tobytes()
+        assert a_hat.tobytes() == kept.tobytes()
+        # a spectrum that is its own scratch is transformed in place
+        own = a_hat.copy()
+        assert ifft(own, g, scratch=own).tobytes() == want.tobytes()
+        # two passes in each of 2 forward and 5 inverse transforms
+        assert len(split_calls) == (2 * 7 if n**dim * components >= 2**17 else 0)
+
+    @pytest.mark.parametrize("dim, n", [(2, 64), (3, 64)])
+    def test_ifft_is_irfftn_bit_for_bit(self, split_calls, dim, n, rng):
+        # an arbitrary half spectrum, not one fft made: the first pass runs
+        # on slabs of axis 2 (every line of a 3D n=64 field split)
+        g = GridSpec(dim, n)
+        shape = (3,) + g.shape[:-1] + (n // 2 + 1,)
+        b_hat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = np.fft.irfftn(b_hat, s=g.shape, axes=tuple(range(1, dim + 1)))
+        assert ifft(b_hat, g).tobytes() == want.tobytes()
+        assert len(split_calls) == (2 if dim == 3 else 0)
+
+    @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+    def test_kernels_with_work_arrays_give_the_same_bits(self, dim, n, rng):
+        g = GridSpec(dim, n)
+        u = smooth_vector(g, rng).data
+        f_hat = fft(smooth_scalar(g, rng).data, g)
+        advect = spectral.advector(u, g)
+        want = advect_hat(u, f_hat, g)
+        for _ in range(2):  # the second call reuses the first one's arrays
+            assert advect(f_hat).tobytes() == want.tobytes()
+        scratch = np.empty((dim,) + f_hat.shape[1:], dtype=np.complex128)
+        for trace_free in (False, True):
+            want = self_advect_hat(u, g, trace_free)
+            got = self_advect_hat(u, g, trace_free, scratch=scratch)
+            assert got.tobytes() == want.tobytes()
+        u_hat = fft(u, g)
+        want = project_hat(u_hat.copy(), g)
+        assert project_hat(u_hat, g, scratch=scratch).tobytes() == want.tobytes()
 
 
 class TestSobolev:
