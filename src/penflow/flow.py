@@ -32,6 +32,7 @@ from .spectral import (
     fft,
     half_wavenumbers,
     ifft,
+    l2_norm_sq,
     on_slabs,
     project_hat,
     self_advect_hat,
@@ -101,9 +102,11 @@ class FlowState:
     is the dissipation Phi; each is computed on its first read and kept.
     P's solve starts from u's self-advection, the first RK4 stage of a step
     from this state: the state keeps that array until a step takes it
-    (take_self_advection), so it is computed once.  umax is max |u| over
-    the samples, which the divergence check scales by and the CFL cap
-    reads.  A u with a NaN or Inf sample raises DivergenceError at time t.
+    (take_self_advection), so it is computed once.  A state whose P is
+    never read steps through the same code and computes it there.  umax is
+    max |u| over the samples, which the divergence check scales by and the
+    CFL cap reads.  A u with a NaN or Inf sample raises DivergenceError at
+    time t.
     """
 
     __slots__ = ("t", "u", "umax", "params", "_P", "_phi", "_advection")
@@ -148,10 +151,9 @@ class FlowState:
 
         The one P's solve left is handed over once and forgotten, so
         nothing can read it after the caller writes into it; without one,
-        it is computed.  It is the full form, trace included, either way:
-        P's solve needs the trace, which no projection removes there, and
-        a state whose P was read must step to the same bytes as one whose
-        P was not.
+        it is computed.  Either way it is the one trace-free form, so a
+        state whose P was read steps to the same bytes as one whose P was
+        not.
         """
         advection, self._advection = self._advection, None
         if advection is None:
@@ -174,13 +176,25 @@ def pressure_poisson(
     u.grad u is taken in divergence form, exact for divergence-free u inside
     the 2/3 band (every state the solver makes).  advection is
     self_advect_hat(u.data) when the caller already holds it; it is only
-    read.
+    read.  That form leaves out the gradient i*kd*mask*fft(u_d^2), whose
+    divergence -|kd|^2*mask*fft(u_d^2) is added back here: no mode in the
+    mask has an axis at Nyquist, so kd = k there, and over |k|^2 it is
+    -mask*fft(u_d^2), except at the mean mode, which the gauge sets to 0.
     """
     grid = u.grid
+    w = half_wavenumbers(grid)
     if advection is None:
         advection = self_advect_hat(u.data, grid)
-    div_adv = div_hat(advection, grid)
-    p_hat = params.rho * half_wavenumbers(grid).inv_ksq * div_adv
+    # p_hat = rho*(inv_ksq*div_hat(advection) - mask*fft(u_d^2)), in place:
+    # as one expression its temporaries set a 3D n=64 run's peak RSS
+    ud = u.data[-1:]
+    p_hat = div_hat(advection, grid)
+    p_hat *= w.inv_ksq
+    trace = fft(ud * ud, grid)
+    trace *= w.mask
+    p_hat -= trace
+    p_hat *= params.rho
+    p_hat[(0,) * (grid.dim + 1)] = 0.0
     return RealField(grid, ifft(p_hat, grid), p_hat)
 
 
@@ -251,7 +265,7 @@ def gradient_energy(u: RealField) -> float:
 
 def kinetic_energy(u: RealField) -> float:
     """integral |u|^2/2 dx."""
-    return 0.5 * float(np.sum(u.data * u.data)) * u.grid.cell_volume
+    return 0.5 * l2_norm_sq(u)
 
 
 def leray_project(v: RealField) -> RealField:

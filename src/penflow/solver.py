@@ -3,25 +3,23 @@
 Advances the incompressible momentum equation with Leray projection at
 every substage and, through the same RK4 routine, the model pressure driven
 by the energy equation dP/dt + u.grad P = (R/c_v)*(Phi + Q).  One function,
-flow.pressure_source, holds that source; it is also D_tP, Q included, in
-model_rhs diagnostics and at the first sample of a finite_difference run,
-where the sample transforms it once and hands it, spectrum and all, to the
-next model-pressure step.
+flow.pressure_source, holds that source; each model-pressure step
+transforms it, and it is also D_tP, Q included, in model_rhs diagnostics
+and at the first sample of a finite_difference run.
 The Navier-Stokes pressure is FlowState.P, solved only where a sample (or,
-in finite_difference mode, the step before one) reads it; the
-self-advection of a sampled state, which that solve starts from, is the
-next step's first RK4 stage, computed once.  Velocity self-advection is in
-divergence form (spectral.self_advect_hat).  RK4 stages 2-4 build it from
-the trace-free products u u - u_d^2 I, d the last component: the
-projection removes the gradient i*kd*fft(u_d^2) that the trace adds, so
-the projected stage is the same to round-off for one product transform
-fewer.  Stage 1 takes the full form, the one a sampled state's P solve
-needs and leaves, and an unsampled state computes that same form, so the
-two step to the same bytes.  A model-pressure step plus a step make 60
-single-component transforms in 3D and 35 in 2D, 54 and 32 from a sampled
-state.  The model pressure is not band-limited, so its advection stays
-convective and its RK4 runs on the Fourier coefficients.  Its physical
-samples are computed only when read (a checkpoint), not at every step.
+in finite_difference mode, the step before one) reads it.  Velocity
+self-advection has one form, spectral.self_advect_hat's trace-free
+products u u - u_d^2 I (d the last component), in every RK4 stage and in
+P's solve: the projection removes the gradient i*kd*fft(u_d^2) that the
+trace adds, and pressure_poisson adds its divergence back.  The
+self-advection of a sampled state, which P's solve starts from, is the
+next step's first RK4 stage, computed once; a state whose P is never read
+computes it there, and the two step to the same bytes.  A model-pressure
+step plus a step make 59 single-component transforms in 3D and 34 in 2D,
+54 and 32 from a sampled state.  The model pressure is not band-limited,
+so its advection stays convective and its RK4 runs on the Fourier
+coefficients.  Its physical samples are computed only when read (a
+checkpoint), not at every step.
 """
 
 from __future__ import annotations
@@ -251,22 +249,19 @@ def _momentum_rhs(
 ) -> np.ndarray:
     """-project(u.grad u) - nu*|k|^2*u_hat, in a new array.
 
-    advection is self_advect_hat(ifft(u_hat)), full or trace-free, in an
-    array the caller gives up; the projection, the viscous term and the
-    sign are folded into it, and it is the result.  Without it the
-    trace-free form is computed: the projection removes the gradient
-    i*kd*fft(u_d^2) by which it differs from the full one, so the result
-    is the same to round-off for one product transform fewer.  A step
-    passes the full form at its first stage, the one a sampled state's P
-    solve leaves (see step).  u and scratch are work arrays, overwritten
-    and allocated when not given: u, the physical velocity of that
-    computation; scratch, a complex array of u_hat's shape, which that
-    computation, the projection and the viscous term share (two of its
-    components suffice when advection is given).
+    advection is self_advect_hat(ifft(u_hat)) in an array the caller gives
+    up; the projection, the viscous term and the sign are folded into it,
+    and it is the result.  It is computed when not given.  Its trace-free
+    products leave out a gradient that the projection removes anyway.  u
+    and scratch are work arrays, overwritten and allocated when not given:
+    u, the physical velocity of that computation; scratch, a complex array
+    of u_hat's shape, which that computation, the projection and the
+    viscous term share (two of its components suffice when advection is
+    given).
     """
     if advection is None:
         u = ifft(u_hat, grid, out=u, scratch=scratch)
-        advection = self_advect_hat(u, grid, trace_free=True, scratch=scratch)
+        advection = self_advect_hat(u, grid, scratch=scratch)
     if scratch is None:
         scratch = np.empty((2,) + u_hat.shape[1:], dtype=np.complex128)
     rhs = project_hat(advection, grid, scratch=scratch)
@@ -334,9 +329,8 @@ def step(state: FlowState, cfg: SolverConfig, dt: float | None = None) -> FlowSt
     """One RK4 step of the projected momentum equation; solves no pressure.
 
     The RK4 starts from the state's kept spectrum, its first stage from the
-    state's full self-advection (the one its P solve left, or one made from
-    the physical u the state holds), its other stages from trace-free
-    products (_momentum_rhs), and the new state takes the projected
+    state's self-advection (the one its P solve left, or one made from the
+    physical u the state holds), and the new state takes the projected
     spectrum with it, so each velocity is transformed once.  The viscosity
     is the state's params.nu, mu/rho.
     """
@@ -369,19 +363,13 @@ def step(state: FlowState, cfg: SolverConfig, dt: float | None = None) -> FlowSt
 
 
 def evolve_pressure_model(
-    state: FlowState,
-    P_model: RealField,
-    cfg: SolverConfig,
-    dt: float | None = None,
-    source: RealField | None = None,
+    state: FlowState, P_model: RealField, cfg: SolverConfig, dt: float | None = None
 ) -> RealField:
     """One RK4 step of dP/dt = -dealias(u.grad P) + (R/c_v)*(Phi + Q).
 
     u is frozen at the current solver state for the whole step; the source
-    is pressure_source of the state's cached Phi.  Pass it as ``source``
-    when it is already at hand (a model_rhs sample's D_tP): its
-    half_spectrum() is used, so one that carries its spectrum is not
-    transformed again.  The stages run on the Fourier coefficients of P:
+    is pressure_source of the state's cached Phi, transformed once per
+    step.  The stages run on the Fourier coefficients of P:
     they start from P_model.half_spectrum(), and the result is made from
     its own: finiteness is checked on the spectrum (a sample is non-finite
     exactly when a coefficient is, overflow aside), and the samples are
@@ -391,9 +379,7 @@ def evolve_pressure_model(
     if not P_model.is_scalar:
         raise ArityError("P_model must be a scalar field")
     dt = effective_dt(state, cfg) if dt is None else dt
-    if source is None:
-        source = pressure_source(state.phi, state.params)
-    s_hat = source.half_spectrum()
+    s_hat = pressure_source(state.phi, state.params).half_spectrum()
     # the four stages share advect's work arrays, made once per step
     advect = advector(state.u.data, grid)
 
@@ -423,33 +409,24 @@ class RunSample:
     sample: NormSample
 
 
-def _dtp_is_source(cfg: ScenarioConfig, prev: FlowState | None) -> bool:
-    """Whether a sample's D_tP is pressure_source of its state.
-
-    So it is in model_rhs mode, and at the first sample of a
-    finite_difference run, which has no snapshot yet.
-    """
-    return cfg.mode == MODEL_RHS or prev is None
-
-
 def _diagnose(
     cfg: ScenarioConfig,
     state: FlowState,
     prev: FlowState | None,
     dt_step: float,
-) -> tuple[NormSample, RealField]:
-    """Diagnostics on the Navier-Stokes-consistent pressure state.P.
+) -> tuple[RealField, NormSample]:
+    """D_tP and the diagnostics on the Navier-Stokes-consistent pressure.
 
-    D_tP in model_rhs mode and the gradient energy both come from the
-    state's cached Phi, as material_derivative and gradient_energy define
-    them: pressure_source (R/c_v)*(Phi + Q) and integral Phi dx/(2*mu).
-    That D_tP carries its half spectrum, which its H^-1 norm reads and the
-    next model-pressure step may reuse.  Only finite_difference mode reads
-    prev.P, the pressure of the state one step earlier.
+    Without prev (model_rhs mode, and the first sample of a
+    finite_difference run, which has no snapshot yet) D_tP is the source
+    pressure_source (R/c_v)*(Phi + Q) of the state's cached Phi, as
+    material_derivative defines it; the gradient energy, integral Phi
+    dx/(2*mu), comes from the same Phi.  With prev (finite_difference
+    mode), D_tP is material_derivative's, which reads prev.P, the pressure
+    of the state one step earlier.
     """
     params = state.params
-    is_source = _dtp_is_source(cfg, prev)
-    if is_source:
+    if prev is None:
         dtp = pressure_source(state.phi, params)
     else:
         dtp = material_derivative(
@@ -457,10 +434,6 @@ def _diagnose(
         )
     total, dtp_term, lap_term = norm_E_squared(state.P, dtp)
     ge = integrate(state.phi) / (2.0 * params.mu)
-    if is_source:
-        # made after P's solve and the norms above: made before them, the
-        # kept spectrum raised a 3D n=64 run's peak RSS by 4 MB (heap layout)
-        dtp = RealField(state.grid, dtp.data, fft(dtp.data, state.grid))
     try:
         sample = NormSample(
             t=state.t,
@@ -476,7 +449,7 @@ def _diagnose(
         )
     except RegimeError as exc:
         raise RegimeError(str(exc), time=state.t) from exc
-    return sample, dtp
+    return dtp, sample
 
 
 def simulate(cfg: ScenarioConfig) -> Iterator[RunSample]:
@@ -487,13 +460,7 @@ def simulate(cfg: ScenarioConfig) -> Iterator[RunSample]:
     """
     state = make_initial(cfg.ic, cfg.grid, cfg.thermo)
     p_model = state.P
-
-    sample, dtp = _diagnose(cfg, state, None, cfg.solver.dt)
-    yield RunSample(0, state, p_model, dtp, sample)
-    # a D_tP that is the source goes on to the next model-pressure step;
-    # nothing else of a sample stays alive through the steps after it
-    source = dtp
-    del dtp
+    yield RunSample(0, state, p_model, *_diagnose(cfg, state, None, cfg.solver.dt))
 
     t_end = cfg.solver.t_end
     step_idx = 0
@@ -502,17 +469,13 @@ def simulate(cfg: ScenarioConfig) -> Iterator[RunSample]:
         # only finite_difference reads the previous state; holding it in
         # model_rhs mode would keep its arrays alive through the sample
         prev = None if cfg.mode == MODEL_RHS else state
-        p_model = evolve_pressure_model(
-            state, p_model, cfg.solver, dt=dt, source=source
-        )
-        source = None
+        p_model = evolve_pressure_model(state, p_model, cfg.solver, dt=dt)
         state = step(state, cfg.solver, dt=dt)
         step_idx += 1
         if step_idx % cfg.output_every == 0 or state.t >= t_end - 1e-12:
-            sample, dtp = _diagnose(cfg, state, prev, dt)
-            yield RunSample(step_idx, state, p_model, dtp, sample)
-            source = dtp if _dtp_is_source(cfg, prev) else None
-            del dtp
+            yield RunSample(
+                step_idx, state, p_model, *_diagnose(cfg, state, prev, dt)
+            )
 
 
 def run(

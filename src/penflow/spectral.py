@@ -26,49 +26,39 @@ weight each mode by the number of modes it stands for (multiplicity).
 
 fft and ifft call numpy's one-axis passes directly, in rfftn's and irfftn's
 pass order, so every result is theirs bit for bit without their per-call
-argument handling: on a 2-vCPU host the forward transform of one 2D n=64
-component took 13 us less than rfftn's 64-71 us, and of one 3D n=32
-component 42% less; the inverse is as fast as irfftn.  A transform below
-2**17 real samples (components times n**dim: every 2D n=64 and 3D n=32
-field) is one slab in the calling thread and never starts a thread; a
-larger one (every 3D n=64 field) runs each pass on slabs of an axis it does
-not transform, across the CPUs the process may run on, at most 4 threads
-with the calling one.  There is no setting for either.  The independent
-transforms of a stage (the products of self_advect_hat, the derivatives
-behind Phi) stay one call each: batched, they were no faster on the 2D
-baseline and held every derivative of a 3D n=64 field at once (peak RSS
-from 135 to 180 MB).
+argument handling.  A transform below 2**17 real samples (components times
+n**dim: every 2D n=64 and 3D n=32 field) is one slab in the calling thread
+and never starts a thread; a larger one (every 3D n=64 field) runs each
+pass on slabs of an axis it does not transform, across the CPUs the
+process may run on, at most 4 threads with the calling one.  There is no
+setting for either.  The independent transforms of a stage (the products
+of self_advect_hat, the derivatives behind Phi) stay one call each:
+batched, they were no faster in 2D and held every derivative of a 3D field
+at once.
 
 The elementwise work of the 3D n=64 step splits the same way, through one
-dispatcher, on_slabs(grid, fn, *arrays): the products u_i u_j (or
-u_i^2 - u_d^2) and the ikd_mask terms of self_advect_hat, project_hat,
-grad_hat, the products, sum and mask of advect_hat, the viscous term and
-sign of the momentum right-hand side, the three stage updates of the RK4,
-and the derivative multiply and square-and-add behind Phi.  Each body is
-written once, as a plain function of whole arrays.  On a grid of fewer
-than _SPLIT_MIN_SAMPLES points (2D n=64, 3D n=32) on_slabs calls it once
-with the caller's own arrays; on a larger one it runs it on slabs of the
-first spatial axis of every array.  The caller allocates every output and
-scratch array, so no worker allocates.  Two designs measured worse on a
-prototype: a per-kernel closure that slices inside fn(s) on every grid
-cost the 2D baseline 8% (about 25 index operations per kernel at ~150 ns
-each), and temporaries allocated by the workers raised the 3D n=64 peak
-RSS by 1.9% (per-thread malloc arenas).
+dispatcher, on_slabs(grid, fn, *arrays): the products and the ikd_mask
+terms of self_advect_hat, project_hat, grad_hat, the products, sum and
+mask of advect_hat, the viscous term and sign of the momentum right-hand
+side, the three stage updates of the RK4, and the derivative multiply and
+square-and-add behind Phi.  Each body is written once, as a plain function
+of whole arrays.  On a grid of fewer than _SPLIT_MIN_SAMPLES points (2D
+n=64, 3D n=32) on_slabs calls it once with the caller's own arrays; on a
+larger one it runs it on slabs of the first spatial axis of every array.
+The caller allocates every output and scratch array, so no worker
+allocates: per-thread malloc arenas raise the peak RSS.
 
 A slab reaches a worker through one shared queue.SimpleQueue, with its own
 completion lock and error list; the workers are plain daemon threads
-started on first use.  On a 2-vCPU host a round trip of no-op slabs took
-53-57 us through ThreadPoolExecutor.submit and concurrent.futures.wait and
-14.2-14.6 us through the queue and a lock, and a 3D n=64 run makes about
-900 such handoffs.  A worker drops its references to a job (fn, the slice,
-the lock, the error list) before it releases the lock: fn's closure holds
-the transform's arrays, and a worker that kept its last job until the next
-one arrived raised a 3D n=64 run's peak RSS from 108 to 120 MB.
+started on first use.  A worker drops its references to a job (fn, the
+slice, the lock, the error list) before it releases the lock: fn's closure
+holds the transform's arrays, which would otherwise outlive the call until
+the next job arrived.
 
-The momentum right-hand side transforms one product fewer than the full
-self-advection: self_advect_hat(trace_free=True) takes u u - u_d^2 I,
-whose divergence differs from the full one by a gradient that project_hat
-removes.
+Velocity self-advection has one form, self_advect_hat's trace-free
+products u u - u_d^2 I, one transform fewer than the full u u: its
+divergence differs from the full one by a gradient that project_hat
+removes, and flow.pressure_poisson adds that gradient's divergence back.
 
 Work arrays are made once per call of a step, not once per RK4 stage:
 fft and ifft write into a caller's out (ifft's passes into its scratch),
@@ -76,16 +66,11 @@ self_advect_hat and project_hat take a scratch, and advector(u, grid)
 keeps advect_hat's gradient arrays for the stages of a model-pressure
 step.  A stage's scratch also holds the self-advection's products,
 spectra and terms, so no stage holds more live bytes at its peak than
-with arrays of its own.  A 3D n=64 array lives in mmap'ed pages or, once
-glibc's mmap threshold has risen past it, at the heap top, which glibc
-trims after each free; either way a new one faults its pages in again, at
-about 3.1 us per 4 KB page on a 2-vCPU host.  Made per stage, the arrays
-cost a 3D n=64 run 40-45k minor faults after its first sample; made per
-call, about 17k.  Two designs measured worse on a prototype: keeping the
-arrays from one step to the next (peak RSS 159.6 MB against 130.9 MB),
-and also dropping a sampled state's P and Phi after its sample (135.2 MB,
-heap layout).  A process-wide mallopt was left out: it slowed the 2D
-runs, and it is a side effect on the whole process.
+with arrays of its own.  A 3D n=64 array lives in mmap'ed pages or at the
+heap top, which glibc trims after each free, so a new one faults its pages
+in again.  Keeping the arrays from one step to the next raised the peak
+RSS instead, and a process-wide mallopt is a side effect on the whole
+process.  CHANGES.md has the measurements behind each of these choices.
 """
 
 from __future__ import annotations
@@ -349,9 +334,9 @@ def _spatial_axes(grid: GridSpec) -> tuple[int, ...]:
 # saves: on 2 vCPUs, one 3D n=32 component ran 0.7x as fast
 # split and a 2D n=64 pair 0.3x, while 2 components of 2D n=256 (2**17
 # samples) ran 1.3x and one 3D n=64 component 1.9-2.3x.  Slabs are handed
-# over through a queue.SimpleQueue and a lock per slab (a 14 us round trip
-# against 55 us for an executor's futures), and a worker drops each job
-# before its caller can return, so no transform's arrays outlive it there.
+# over through a queue.SimpleQueue and a lock per slab, and a worker drops
+# each job before its caller can return, so no transform's arrays outlive
+# it there.
 # ---------------------------------------------------------------------------
 
 _SPLIT_MIN_SAMPLES = 2**17
@@ -669,7 +654,7 @@ def _add_divergence_terms(out, ikd_mask, uu_hat, term, i, j) -> None:
         out[j] += np.multiply(ikd_mask[i], uu_hat, out=term)
 
 
-def _trace_free_square(ui, ud, uu, ud_sq) -> None:
+def _diagonal_product(ui, ud, uu, ud_sq) -> None:
     # uu = u_i^2 - u_d^2, u_d^2 written into the scratch ud_sq
     np.multiply(ud, ud, out=ud_sq)
     np.multiply(ui, ui, out=uu)
@@ -677,23 +662,19 @@ def _trace_free_square(ui, ud, uu, ud_sq) -> None:
 
 
 def self_advect_hat(
-    u: np.ndarray,
-    grid: GridSpec,
-    trace_free: bool = False,
-    *,
-    scratch: np.ndarray | None = None,
+    u: np.ndarray, grid: GridSpec, *, scratch: np.ndarray | None = None
 ) -> np.ndarray:
-    """Dealiased fft(u.grad u) in divergence form, sum_j i*kd_j*fft(u_j u_c).
+    """Dealiased fft(div(u u - u_d^2 I)), d the last component.
 
-    One fft per unique product u_i u_j.  For divergence-free u inside the
-    2/3 band this equals advect_hat of each component to round-off: the
-    product modes alias only outside the mask, and u.grad u = div(u u).
-
-    trace_free takes u u - u_d^2 I instead, d the last component: the
-    products u_i u_j (i < j) and u_i^2 - u_d^2 (i < d), one transform fewer.
-    The two results differ by i*kd*mask*fft(u_d^2), a gradient under kd,
-    which project_hat removes exactly, so for any u their projections agree
-    to round-off.
+    The trace-free products u_i u_j (i < j) and u_i^2 - u_d^2 (i < d), one
+    fft each: dim(dim+1)/2 - 1 transforms.  The result differs from the
+    full divergence form sum_j i*kd_j*fft(u_j u_c) by i*kd*mask*fft(u_d^2),
+    a gradient under kd: project_hat removes it exactly, so the projected
+    advection is the full one's to round-off for any u, and
+    flow.pressure_poisson adds its divergence back.  For divergence-free u
+    inside the 2/3 band the full form equals advect_hat of each component
+    to round-off: the product modes alias only outside the mask, and
+    u.grad u = div(u u).
 
     Every product, its spectrum and its terms are written into two
     half-spectrum components of scratch (complex, at least two components
@@ -710,14 +691,12 @@ def self_advect_hat(
     uu = real_view(scratch[:1], grid.n)
     ud_sq = real_view(uu_hat, grid.n)
     d = grid.dim - 1
-    for i in range(grid.dim):
+    for i in range(d):
         for j in range(i, grid.dim):
-            if not trace_free or i != j:
+            if i != j:
                 on_slabs(grid, np.multiply, u[i], u[j], uu[0])
-            elif i < d:
-                on_slabs(grid, _trace_free_square, u[i], u[d], uu[0], ud_sq)
             else:
-                continue  # u_d^2 - u_d^2
+                on_slabs(grid, _diagonal_product, u[i], u[d], uu[0], ud_sq)
             fft(uu, grid, out=uu_hat[np.newaxis])
             on_slabs(grid, _add_divergence_terms, out, ikd_mask, uu_hat, term, i, j)
     return out

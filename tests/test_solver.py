@@ -39,11 +39,8 @@ from penflow import (
     simulate,
     step,
 )
-from penflow.flow import pressure_source
 from penflow.solver import _diagnose, _momentum_rhs, effective_dt
 from penflow.spectral import fft, half_wavenumbers, ifft, project_hat
-
-from conftest import patch_everywhere
 
 # the viscosity a state steps with is its params' mu/rho, which must be
 # positive; at this one nu*|k|^2*u_hat lies far below the round-off of the
@@ -232,26 +229,33 @@ class TestStep:
             assert a.base is None
 
     @pytest.mark.parametrize(
-        "dim, kind, budget",
-        [(2, "taylor_green_2d", 32), (3, "taylor_green_3d", 54)],
+        "dim, kind, sampled, unsampled",
+        [(2, "taylor_green_2d", 32, 34), (3, "taylor_green_3d", 54, 59)],
         ids=["2d", "3d"],
     )
-    def test_transform_budget(self, transform_counter, dim, kind, budget):
+    def test_transform_budget(
+        self, transform_counter, dim, kind, sampled, unsampled
+    ):
         # single-component transforms in one model-pressure step plus one
-        # step with its FlowState check; P, here only the model-pressure
-        # input, is solved before counting.  Each velocity is transformed
+        # step with its FlowState check.  Each velocity is transformed
         # once: the state carries its spectrum into step and Phi, and the
-        # new state takes the one step ends with.  Stage 1 takes the
-        # advection P's solve left; stages 2-4 transform the trace-free
-        # products, dim(dim+1)/2 - 1 each.
+        # new state takes the one step ends with.  Every stage transforms
+        # the trace-free products, dim(dim+1)/2 - 1 of them, but stage 1 of
+        # a sampled state takes the advection its P solve left: P, here
+        # only the model-pressure input, is solved before counting.  A
+        # state whose P is never read steps from a P_model that carries
+        # its spectrum.
         g = GridSpec(dim, 16)
-        state = make_initial(InitialCondition(kind), g)
-        state.P
-        count = transform_counter(g)
-        evolve_pressure_model(state, state.P, SolverConfig())
-        step(state, SolverConfig())
-        assert count["_fftn"] == count["_ifftn"] == 0
-        assert count["fft"] + count["ifft"] == budget
+        for read_p, budget in ((True, sampled), (False, unsampled)):
+            state = make_initial(InitialCondition(kind), g)
+            other = state if read_p else make_initial(InitialCondition(kind), g)
+            p_model = other.P
+            count = transform_counter(g)
+            evolve_pressure_model(state, p_model, SolverConfig())
+            step(state, SolverConfig())
+            assert count["_fftn"] == count["_ifftn"] == 0
+            assert count["fft"] + count["ifft"] == budget
+        assert unsampled - sampled == dim * (dim + 1) // 2 - 1
 
     def test_allocation_budget(self, monkeypatch):
         # field-sized arrays (at least one real component's bytes) that
@@ -288,7 +292,7 @@ class TestStep:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_sampled_state_advection_is_the_first_stage(self, transform_counter, dim):
         # P's solve and the step's first RK4 stage share u's self-advection:
-        # reading P and then stepping saves its dim(dim+1)/2 product
+        # reading P and then stepping saves its dim(dim+1)/2 - 1 product
         # transforms against a P solve and a step on their own
         g = GridSpec(dim, 16)
         ic = InitialCondition("random_divfree", seed=4)
@@ -302,7 +306,7 @@ class TestStep:
                 step(state, SolverConfig())
             counts.append(count["fft"])
         p_only, step_only, both = counts
-        assert both == p_only + step_only - dim * (dim + 1) // 2
+        assert both == p_only + step_only - (dim * (dim + 1) // 2 - 1)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_repeat_steps_are_byte_identical(self, dim):
@@ -612,6 +616,36 @@ class TestRun:
         assert series.regime_exit_at == 0.0
         assert series.bound is None
 
+    @pytest.mark.parametrize("mode", [MODEL_RHS, FINITE_DIFFERENCE])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_sampling_rate_does_not_change_the_trajectory(self, dim, mode):
+        # a sample reads its state's P (in finite_difference also the P of
+        # the state before it), and the states it reads step to the bytes
+        # of states nobody read; the model pressure does not depend on
+        # which states were sampled either
+        cfg = ScenarioConfig(
+            grid=GridSpec(dim, 16),
+            ic=InitialCondition("random_divfree", seed=6),
+            solver=SolverConfig(dt=1e-3, t_end=0.012),
+            mode=mode,
+        )
+
+        def trajectory(every):
+            return {
+                rs.index: (
+                    rs.state.u.data.tobytes(),
+                    rs.state.u.half_spectrum().tobytes(),
+                    rs.p_model.data.tobytes(),
+                )
+                for rs in simulate(dataclasses.replace(cfg, output_every=every))
+            }
+
+        dense, sparse = trajectory(1), trajectory(4)
+        assert sorted(dense) == list(range(13))
+        assert sorted(sparse) == [0, 4, 8, 12]
+        for index, want in sparse.items():
+            assert dense[index] == want
+
     def test_timestamps_increasing(self):
         cfg = dataclasses.replace(
             ScenarioConfig(),
@@ -638,30 +672,6 @@ class TestDiagnose:
         count = transform_counter(cfg.grid)
         _diagnose(cfg, state, None, cfg.solver.dt)
         assert 0 < sum(count.values()) <= 2
-
-    def test_sample_and_next_model_step_transform_the_source_once(self, monkeypatch):
-        # a model_rhs sample's D_tP is the (R/c_v)(Phi + Q) source that the
-        # next model-pressure step needs, spectrum and all
-        cfg = dataclasses.replace(
-            ScenarioConfig(),
-            grid=GridSpec(2, 16),
-            ic=InitialCondition("random_divfree", seed=2),
-            solver=SolverConfig(dt=1e-3, t_end=2e-3),
-            output_every=2,
-        )
-        inputs = []
-
-        def recorded(a, grid, _fft=penflow.spectral.fft, **kwargs):
-            inputs.append(np.array(a))
-            return _fft(a, grid, **kwargs)
-
-        patch_everywhere(monkeypatch, penflow.spectral.fft, recorded)
-        samples = simulate(cfg)
-        first = next(samples)
-        next(samples)  # the model-pressure and momentum steps up to t = 2 dt
-        source = pressure_source(first.state.phi, cfg.thermo).data
-        assert np.array_equal(first.dtp.data, source)
-        assert sum(np.array_equal(a, source) for a in inputs) == 1
 
 
 class TestPressureSolves:

@@ -25,6 +25,7 @@ from penflow import (
     RealField,
     SpectralField,
     SymmetryError,
+    ThermoParams,
     backward,
     dealias,
     divergence,
@@ -35,6 +36,7 @@ from penflow import (
     laplacian,
     make_initial,
     poisson_solve,
+    pressure_poisson,
     sobolev_norm,
     spectral,
 )
@@ -47,6 +49,7 @@ from penflow.spectral import (
     div_hat,
     fft,
     grad_hat,
+    half_wavenumbers,
     hermitian_asymmetry,
     ifft,
     project_hat,
@@ -313,14 +316,16 @@ class TestSelfAdvection:
     @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
     def test_divergence_form_matches_convective_form(self, dim, n):
         # u.grad u = div(u u) for divergence-free u, and products of
-        # 2/3-band modes alias only outside the mask
+        # 2/3-band modes alias only outside the mask; the trace-free form
+        # leaves out a gradient, so the two agree once projected
         g = GridSpec(dim, n)
         u = make_initial(InitialCondition("random_divfree", seed=dim), g).u.data
         u_hat = fft(u, g)
-        convective = np.concatenate(
-            [advect_hat(u, u_hat[c : c + 1], g) for c in range(dim)]
+        convective = project_hat(
+            np.concatenate([advect_hat(u, u_hat[c : c + 1], g) for c in range(dim)]),
+            g,
         )
-        gap = np.max(np.abs(self_advect_hat(u, g) - convective))
+        gap = np.max(np.abs(project_hat(self_advect_hat(u, g), g) - convective))
         assert gap <= 1e-12 * np.max(np.abs(convective))
 
     @pytest.mark.parametrize("field", ["random_divfree", "smooth_vector"])
@@ -333,14 +338,24 @@ class TestSelfAdvection:
             u = make_initial(InitialCondition(field, seed=dim), g).u.data
         else:
             u = smooth_vector(g, rng).data
-        u_hat = fft(u, g)
-        full = _momentum_rhs(u_hat, 0.1, g, advection=self_advect_hat(u, g))
-        trace_free = _momentum_rhs(u_hat, 0.1, g)
-        scale = np.max(np.abs(full))
-        assert np.max(np.abs(trace_free - full)) <= 1e-12 * scale
+        # the full divergence form, sum_j i*kd_j*mask*fft(u_j u_c)
+        ikd_mask = half_wavenumbers(g).ikd_mask
+        full = np.stack(
+            [
+                sum(
+                    ikd_mask[j] * fft(u[j : j + 1] * u[c : c + 1], g)[0]
+                    for j in range(dim)
+                )
+                for c in range(dim)
+            ]
+        )
+        trace_free = self_advect_hat(u, g)
+        want = project_hat(full.copy(), g)
+        scale = np.max(np.abs(want))
+        gap = project_hat(trace_free.copy(), g) - want
+        assert np.max(np.abs(gap)) <= 1e-12 * scale
         # the trace-free advection alone is not the full one
-        gap = self_advect_hat(u, g, trace_free=True) - self_advect_hat(u, g)
-        assert np.max(np.abs(gap)) > 1e-3 * scale
+        assert np.max(np.abs(trace_free - full)) > 1e-3 * scale
 
 
 class TestKernelLayout:
@@ -404,37 +419,77 @@ class TestKernelLayout:
         with pytest.raises(ArityError):
             RealField.from_half_spectrum(g, fft(a[:1], g)[..., :-1])
 
-    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
-    def test_operators_match_full_layout(self, dim, n, rng):
-        g, a = self._random(dim, n, rng)
+    @staticmethod
+    def _full_layout(g):
+        """k, the 2/3 mask, kd and 1/|kd|^2 in the fftn layout."""
+        n = g.n
         k1 = np.fft.fftfreq(n, d=1.0 / n)
-        k = np.stack(np.meshgrid(*([k1] * dim), indexing="ij"))
+        k = np.stack(np.meshgrid(*([k1] * g.dim), indexing="ij"))
         mask = np.all(np.abs(k) <= n / 3.0, axis=0)
         kd = np.where(k == -(n // 2), 0.0, k)
         kdsq = np.sum(kd * kd, axis=0)
         inv_kdsq = np.where(kdsq > 0, 1.0 / np.where(kdsq > 0, kdsq, 1.0), 0.0)
+        return k, mask, kd, inv_kdsq
 
-        def c(f):
-            return forward(RealField(g, f)).coeffs
+    @staticmethod
+    def _c(g, f):
+        return forward(RealField(g, f)).coeffs
 
-        def back(coeffs):
-            # backward's Hermitian gate also checks the formulas below
-            return backward(SpectralField(g, coeffs)).data
+    @staticmethod
+    def _back(g, coeffs):
+        # backward's Hermitian gate also checks the formulas it is given
+        return backward(SpectralField(g, coeffs)).data
 
-        A = c(a)
-        advection = [
-            sum(1j * kd[j] * mask * c(a[j] * a[i])[0] for j in range(dim))
-            for i in range(dim)
-        ]
+    @classmethod
+    def _full_advection(cls, g, a, kd, mask):
+        """sum_j i*kd_j*mask*c(a_j a_i), the full divergence form."""
+        return np.stack(
+            [
+                sum(
+                    1j * kd[j] * mask * cls._c(g, a[j] * a[i])[0]
+                    for j in range(g.dim)
+                )
+                for i in range(g.dim)
+            ]
+        )
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_operators_match_full_layout(self, dim, n, rng):
+        g, a = self._random(dim, n, rng)
+        _, mask, kd, inv_kdsq = self._full_layout(g)
+        A = self._c(g, a)
+        # the trace-free form: the full one minus i*kd*mask*c(a_d^2)
+        advection = self._full_advection(g, a, kd, mask) - (
+            1j * kd * mask * self._c(g, a[-1] * a[-1])[0]
+        )
         a_hat = fft(a, g)
         pairs = [
             (grad_hat(a_hat[0], g), 1j * kd * A[0]),
             (div_hat(a_hat, g), np.sum(1j * kd * A, axis=0, keepdims=True)),
             (project_hat(a_hat, g), A - kd * (np.sum(kd * A, axis=0) * inv_kdsq)),
-            (self_advect_hat(a, g), np.stack(advection)),
+            (self_advect_hat(a, g), advection),
         ]
         for got, want in pairs:
-            assert self._close(ifft(got, g), back(want))
+            assert self._close(ifft(got, g), self._back(g, want))
+
+    @pytest.mark.parametrize("field", ["random_divfree", "white_noise"])
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_pressure_poisson_matches_full_layout(self, dim, n, field, rng):
+        # P = rho/|k|^2 div(full advection), the trace kept, for a
+        # solenoidal u and for one that is not
+        g = GridSpec(dim, n)
+        if field == "random_divfree":
+            u = make_initial(InitialCondition(field, seed=dim), g).u.data
+        else:
+            u = rng.standard_normal((dim,) + g.shape)
+        params = ThermoParams(rho=1.3)
+        k, mask, kd, _ = self._full_layout(g)
+        ksq = np.sum(k * k, axis=0)
+        inv_ksq = np.where(ksq > 0, 1.0 / np.where(ksq > 0, ksq, 1.0), 0.0)
+        div = np.sum(1j * kd * self._full_advection(g, u, kd, mask), axis=0)
+        want = self._back(g, (params.rho * inv_ksq * div)[np.newaxis])
+        got = pressure_poisson(RealField(g, u), params).data
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def _numpy_pair(a, a_hat, g):
@@ -729,16 +784,10 @@ print("concurrent.futures" in sys.modules, *sorted(names))
 # that are computed once; each returns the array the kernel writes
 _ROUTED_KERNELS = {
     "self_advect_hat": lambda g, x: self_advect_hat(x["u"], g),
-    "self_advect_hat_trace_free": lambda g, x: self_advect_hat(
-        x["u"], g, trace_free=True
-    ),
     "project_hat": lambda g, x: project_hat(x["v_hat"].copy(), g),
     "grad_hat": lambda g, x: grad_hat(x["p_hat"][0], g),
     "advect_hat": lambda g, x: advect_hat(x["u"], x["p_hat"], g),
-    "_momentum_rhs": lambda g, x: _momentum_rhs(
-        x["u_hat"], 0.1, g, advection=self_advect_hat(x["u"], g)
-    ),
-    "_momentum_rhs_trace_free": lambda g, x: _momentum_rhs(x["u_hat"], 0.1, g),
+    "_momentum_rhs": lambda g, x: _momentum_rhs(x["u_hat"], 0.1, g),
     "_rk4": lambda g, x: _rk4(lambda y: y * (1.0 - 0.5j), x["u_hat"], 0.3, g),
     "_gradient_squares": lambda g, x: _gradient_squares(x["field"]),
 }
@@ -870,10 +919,8 @@ class TestWorkArrays:
         for _ in range(2):  # the second call reuses the first one's arrays
             assert advect(f_hat).tobytes() == want.tobytes()
         scratch = np.empty((dim,) + f_hat.shape[1:], dtype=np.complex128)
-        for trace_free in (False, True):
-            want = self_advect_hat(u, g, trace_free)
-            got = self_advect_hat(u, g, trace_free, scratch=scratch)
-            assert got.tobytes() == want.tobytes()
+        want = self_advect_hat(u, g)
+        assert self_advect_hat(u, g, scratch=scratch).tobytes() == want.tobytes()
         u_hat = fft(u, g)
         want = project_hat(u_hat.copy(), g)
         assert project_hat(u_hat, g, scratch=scratch).tobytes() == want.tobytes()
