@@ -202,8 +202,14 @@ def twin_run(cfg: ScenarioConfig, perturbation: float) -> TwinReport:
     try:
         for a, b in zip(simulate(cfg), simulate(twin)):
             grid = cfg.grid
-            d_p = RealField(grid, a.state.P.data - b.state.P.data)
-            d_dtp = RealField(grid, a.dtp.data - b.dtp.data)
+            # the pressure differences are taken on the half spectra, which
+            # norm_E_squared sums
+            d_p = RealField.from_half_spectrum(
+                grid, a.state.P.half_spectrum() - b.state.P.half_spectrum()
+            )
+            d_dtp = RealField.from_half_spectrum(
+                grid, a.dtp.half_spectrum() - b.dtp.half_spectrum()
+            )
             d_u = RealField(grid, a.state.u.data - b.state.u.data)
             times.append(a.sample.t)
             dp.append(float(np.sqrt(norm_E_squared(d_p, d_dtp)[0])))

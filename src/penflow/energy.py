@@ -24,7 +24,7 @@ from .spectral import (
     advect_hat,
     half_wavenumbers,
     ifft,
-    l2_norm_sq,
+    parseval_sum,
     sobolev_norm,
 )
 
@@ -104,8 +104,11 @@ class NormSeries:
 
 
 def _check_scalar_pair(a: RealField, b: RealField) -> None:
-    a.scalar_values()
-    b.scalar_values()
+    # is_scalar, not scalar_values(): a field made from its spectrum alone
+    # keeps its samples uncomputed
+    for f in (a, b):
+        if not f.is_scalar:
+            raise ArityError(f"expected scalar field, got {f.components} components")
     if a.grid != b.grid:
         raise ArityError("fields must share a grid")
 
@@ -120,9 +123,11 @@ def material_derivative(
 ) -> RealField:
     """D_t P = dP/dt + u.grad P.
 
-    finite_difference: backward difference between snapshots plus the
-    dealiased convective term.  model_rhs: substitutes the energy
-    equation, pressure_source (R/c_v) * (Phi(u) + Q).
+    finite_difference: the dealiased convective term plus the backward
+    difference between snapshots, formed on their half spectra; the field
+    is made from that spectrum alone, so its samples are computed only when
+    something reads them.  model_rhs: substitutes the energy equation,
+    pressure_source (R/c_v) * (Phi(u) + Q).
     """
     if mode not in MATERIAL_DERIVATIVE_MODES:
         raise ConfigError(f"unknown material-derivative mode {mode!r}")
@@ -133,17 +138,23 @@ def material_derivative(
     if dt <= 0:
         raise ConfigError("finite_difference mode needs dt > 0")
     _check_scalar_pair(P_prev, P_curr)
-    conv = convective_term(P_curr, u)
-    rate = (P_curr.scalar_values() - P_prev.scalar_values()) / dt
-    return RealField(P_curr.grid, rate + conv.scalar_values())
+    dtp_hat = np.subtract(P_curr.half_spectrum(), P_prev.half_spectrum())
+    dtp_hat /= dt
+    dtp_hat += convective_term(P_curr, u).half_spectrum()
+    return RealField.from_half_spectrum(P_curr.grid, dtp_hat)
 
 
 def convective_term(P: RealField, u: RealField) -> RealField:
-    """dealias(u.grad P), derivatives taken spectrally."""
+    """dealias(u.grad P), derivatives taken spectrally.
+
+    Made from its spectrum alone: its samples wait for a read.
+    """
     if u.grid != P.grid:
         raise ArityError("u and P must share a grid")
     grid = P.grid
-    return RealField(grid, ifft(advect_hat(u.data, P.half_spectrum(), grid), grid))
+    return RealField.from_half_spectrum(
+        grid, advect_hat(u.data, P.half_spectrum(), grid)
+    )
 
 
 def _laplacian(P: RealField) -> RealField:
@@ -154,11 +165,16 @@ def _laplacian(P: RealField) -> RealField:
 
 
 def norm_E_squared(P: RealField, DtP: RealField) -> tuple[float, float, float]:
-    """(total, integral (DtP)^2 dx, integral (lap P)^2 dx)."""
+    """(total, integral (DtP)^2 dx, integral (lap P)^2 dx).
+
+    Both integrals are Parseval sums over the half spectra, the second
+    weighted by |k|^4; neither field's samples are read.
+    """
     _check_scalar_pair(P, DtP)
-    lap = _laplacian(P)
-    dtp_term = l2_norm_sq(DtP)
-    lap_term = l2_norm_sq(lap)
+    grid = P.grid
+    ksq = half_wavenumbers(grid).ksq
+    dtp_term = parseval_sum(DtP.half_spectrum(), grid)
+    lap_term = parseval_sum(P.half_spectrum(), grid, ksq * ksq)
     return dtp_term + lap_term, dtp_term, lap_term
 
 

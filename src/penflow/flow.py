@@ -26,6 +26,7 @@ from .errors import (
     check_types,
 )
 from .spectral import (
+    TWO_PI,
     GridSpec,
     RealField,
     div_hat,
@@ -287,13 +288,15 @@ def regime_check(P: RealField, params: ThermoParams, T0: float) -> RegimeReport:
     rho_R = params.rho * params.R
     T = temperature_from_pressure(P, params, rho_R * T0)
     delta = float(np.max(np.abs(T.scalar_values() - T0))) / T0
-    # T = (P0 + P)/(rho*R) has P's spectrum, scaled, plus T0 in the mean mode
-    T_hat = P.half_spectrum() / rho_R
-    T_hat[(0,) * (grid.dim + 1)] += T0 * grid.n**grid.dim
+    # T = (P0 + P)/(rho*R) has P's spectrum over rho*R plus T0*n**dim in
+    # the mean mode, whose weight is 1: T's sum is P's over (rho*R)^2 plus
+    # (2*pi)^dim*((T0 + p0)^2 - p0^2), p0 the mean of P/(rho*R)
+    p0 = P.half_spectrum()[(0,) * (grid.dim + 1)].real / (rho_R * grid.n**grid.dim)
+    h2_sq = (sobolev_norm(P, 2) / rho_R) ** 2 + TWO_PI**grid.dim * T0 * (T0 + 2 * p0)
     return RegimeReport(
         delta_T_rel=delta,
         in_regime=delta < REGIME_LIMIT,
-        T_h2_norm=sobolev_norm(RealField(grid, T.data, T_hat), 2),
+        T_h2_norm=math.sqrt(h2_sq),
     )
 
 

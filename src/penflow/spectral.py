@@ -22,7 +22,11 @@ therefore use kd, the wavevector with the self-paired Nyquist mode (-n/2
 in the full layout, +n/2 on the half layout's last axis) zeroed on every
 axis; the Leray projection divides by |kd|^2, so its output is
 divergence-free under the same kd.  Sums of |c_k|^2 over the half spectrum
-weight each mode by the number of modes it stands for (multiplicity).
+weight each mode by the number of modes it stands for (multiplicity):
+parseval_sum is the one such sum, and every quadratic norm of a sample
+(the H^s norms, integral (D_tP)^2 and integral (lap P)^2) is one, exact
+by discrete Parseval, so no diagnostic transforms a spectrum back to
+square its samples.
 
 fft and ifft call numpy's one-axis passes directly, in rfftn's and irfftn's
 pass order, so every result is theirs bit for bit without their per-call
@@ -792,20 +796,41 @@ def l2_norm_sq(f: RealField) -> float:
     return float(np.sum(f.data * f.data)) * f.grid.cell_volume
 
 
+def parseval_sum(
+    hat: np.ndarray, grid: GridSpec, weight: np.ndarray | None = None
+) -> float:
+    """(2*pi)^dim sum_k weight_k |c_k|^2 over a half spectrum, c = hat/n^dim.
+
+    Each retained mode is counted with its multiplicity, so for the half
+    spectrum of real samples f and no weight this is integral f^2 dx by
+    discrete Parseval, exactly in exact arithmetic; weight (the kernels'
+    layout, e.g. |k|^4 for lap f) weights each mode.  Every component of
+    hat is summed.
+    """
+    power = np.square(hat.real)
+    power += np.square(hat.imag)
+    if weight is not None:
+        power *= weight
+    # the multiplicity contracts the last axis, as one matrix-vector product
+    total = (power @ half_wavenumbers(grid).multiplicity).sum()
+    return float(total) * (TWO_PI / grid.n**2) ** grid.dim
+
+
 def sobolev_norm(f: RealField, order: float) -> float:
     """H^order norm via sqrt(sum_k (1+|k|^2)^order |c_k|^2 (2*pi)^dim).
 
-    Supported orders: -1, 0, 1, 2 (scalar fields only).  The sum runs over
-    f.half_spectrum(), each retained mode counted with its multiplicity.
+    Supported orders: -1, 0, 1, 2 (scalar fields only).  The sum is
+    parseval_sum over f.half_spectrum().  Finiteness is checked on that
+    spectrum (a sample is non-finite exactly when a coefficient is,
+    overflow aside), so a field made from its spectrum alone keeps its
+    samples uncomputed.
     """
     if order not in (-1, 0, 1, 2):
         raise ConfigError(f"unsupported Sobolev order {order}")
     if not f.is_scalar:
         raise ArityError("sobolev_norm expects a scalar field")
-    _check_finite(f)
-    grid = f.grid
-    w = half_wavenumbers(grid)
-    c = f.half_spectrum()[0] / grid.n**grid.dim
-    weight = w.multiplicity * (1.0 + w.ksq) ** order
-    total = np.sum(weight * np.abs(c) ** 2) * TWO_PI**grid.dim
-    return float(np.sqrt(total))
+    hat = f.half_spectrum()
+    if not np.all(np.isfinite(hat)):
+        raise CorruptionError("non-finite values in field spectrum")
+    weight = (1.0 + half_wavenumbers(f.grid).ksq) ** order
+    return float(np.sqrt(parseval_sum(hat, f.grid, weight)))

@@ -424,6 +424,43 @@ class TestGalerkinInvariants:
         assert self._cosine(2, 32, lambda g: half_wavenumbers(g).ksq) <= 1e-12
 
 
+class TestMomentumRhs:
+    """_momentum_rhs against a reference written out in the test.
+
+    The reference is the convective form -P[mask*fftn((u.grad)u)] -
+    nu*|k|^2*u_hat on numpy's full fftn layout, with kd derivatives and the
+    kd projection, so it shares no code with the kernels' trace-free
+    divergence form.  A Taylor-Green oracle cannot see the sign or the
+    scale of the advection, which the projection removes there."""
+
+    @pytest.mark.parametrize("dim, n", [(2, 32), (2, 64), (3, 16)])
+    def test_matches_the_convective_form(self, dim, n):
+        g = GridSpec(dim, n)
+        state = make_initial(InitialCondition("random_divfree", seed=7), g)
+        nu = state.params.nu
+        u = state.u.data
+        axes = tuple(range(1, dim + 1))
+        k1 = np.fft.fftfreq(n, d=1.0 / n)
+        k = np.stack(np.meshgrid(*([k1] * dim), indexing="ij"))
+        kd = np.where(np.abs(k) == n // 2, 0.0, k)
+        kdsq = np.sum(kd * kd, axis=0)
+        mask = np.all(np.abs(k) <= n / 3.0, axis=0)
+        u_full = np.fft.fftn(u, axes=axes)
+        # (u.grad) u_i = sum_j u_j d_j u_i, each derivative i*kd_j*u_hat_i
+        conv = np.zeros_like(u)
+        for i in range(dim):
+            for j in range(dim):
+                conv[i] += u[j] * np.fft.ifftn(1j * kd[j] * u_full[i]).real
+        n_hat = mask * np.fft.fftn(conv, axes=axes)
+        kd_n = np.sum(kd * n_hat, axis=0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            grad_part = np.where(kdsq > 0, kd * kd_n / kdsq, 0.0)
+        want = -(n_hat - grad_part) - nu * np.sum(k * k, axis=0) * u_full
+        got = _momentum_rhs(state.u.half_spectrum(), nu, g)
+        want = want[..., : n // 2 + 1]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestEvolvePressureModel:
     def test_static_without_sources(self):
         g = GridSpec(2, 32)
@@ -659,9 +696,10 @@ class TestRun:
 
 class TestDiagnose:
     def test_transform_budget(self, transform_counter):
-        # once P and Phi are known, a model_rhs sample transforms only lap P
-        # back and D_tP forward: P keeps the spectrum of its Poisson solve,
-        # and T = (P0 + P)/(rho R) shares it
+        # once P and Phi are known, a model_rhs sample transforms D_tP
+        # forward, once: every norm is a sum over a half spectrum, P keeps
+        # the spectrum of its Poisson solve, and T = (P0 + P)/(rho R)
+        # shares it
         cfg = dataclasses.replace(
             ScenarioConfig(),
             grid=GridSpec(3, 16),
@@ -671,7 +709,28 @@ class TestDiagnose:
         state.P, state.phi
         count = transform_counter(cfg.grid)
         _diagnose(cfg, state, None, cfg.solver.dt)
-        assert 0 < sum(count.values()) <= 2
+        assert count == {"fft": 1, "ifft": 0, "_fftn": 0, "_ifftn": 0}
+
+    @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+    def test_finite_difference_transform_budget(self, transform_counter, dim, n):
+        # beyond both states' P and Phi, a finite_difference sample makes
+        # only u.grad P: dim inverse transforms of grad P and one forward
+        # transform of the product.  D_tP is formed on the spectra, and its
+        # samples are computed only when read
+        cfg = dataclasses.replace(
+            ScenarioConfig(),
+            grid=GridSpec(dim, n),
+            ic=InitialCondition("random_divfree", seed=4),
+            mode=FINITE_DIFFERENCE,
+        )
+        prev = make_initial(cfg.ic, cfg.grid, cfg.thermo)
+        state = step(prev, cfg.solver)
+        prev.P, state.P, state.phi
+        count = transform_counter(cfg.grid)
+        dtp, _ = _diagnose(cfg, state, prev, cfg.solver.dt)
+        assert count == {"fft": 1, "ifft": dim, "_fftn": 0, "_ifftn": 0}
+        dtp.data
+        assert count["ifft"] == dim + 1
 
 
 class TestPressureSolves:

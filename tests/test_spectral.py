@@ -946,6 +946,43 @@ class TestSobolev:
         with pytest.raises(ConfigError):
             sobolev_norm(RealField.zeros(g), 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_sample_raises(self, bad, rng):
+        g = GridSpec(2, 16)
+        data = rng.standard_normal(g.shape)
+        data[3, 5] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(CorruptionError):
+            sobolev_norm(RealField(g, data), 2)
+
+    def test_nonfinite_coefficient_raises_before_any_sample(
+        self, transform_counter, rng
+    ):
+        # finiteness is checked on the spectrum that is summed, so a field
+        # made from its spectrum alone keeps its samples uncomputed
+        g = GridSpec(2, 16)
+        hat = fft(rng.standard_normal((1,) + g.shape), g)
+        hat[0, 2, 3] = np.nan
+        f = RealField.from_half_spectrum(g, hat)
+        count = transform_counter(g)
+        with pytest.raises(CorruptionError):
+            sobolev_norm(f, -1)
+        assert count["ifft"] == 0
+
+
+@pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+def test_parseval_sum_is_the_quadrature(dim, n, rng):
+    # integral f^2 and integral (lap f)^2 of white noise, whose Nyquist
+    # modes are not zero, from the half spectrum
+    g = GridSpec(dim, n)
+    f = RealField(g, rng.standard_normal((1,) + g.shape))
+    f_hat = f.half_spectrum()
+    ksq = half_wavenumbers(g).ksq
+    lap = RealField(g, ifft(-ksq * f_hat, g))
+    assert spectral.parseval_sum(f_hat, g) == pytest.approx(l2_norm_sq(f), rel=1e-13)
+    assert spectral.parseval_sum(f_hat, g, ksq * ksq) == pytest.approx(
+        l2_norm_sq(lap), rel=1e-13
+    )
+
 
 def test_integrate_constant():
     g = GridSpec(2, 16)
