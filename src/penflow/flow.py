@@ -29,6 +29,7 @@ from .spectral import (
     TWO_PI,
     GridSpec,
     RealField,
+    batches,
     div_hat,
     fft,
     half_wavenumbers,
@@ -36,6 +37,7 @@ from .spectral import (
     l2_norm_sq,
     on_slabs,
     project_hat,
+    real_view,
     self_advect_hat,
     sobolev_norm,
 )
@@ -211,44 +213,56 @@ def temperature_from_pressure(
     return RealField(P.grid, total / (params.rho * params.R))
 
 
-def _derivatives(u: RealField) -> Iterator[tuple[int, int, np.ndarray]]:
-    """(i, j, du_i/dx_j) from u's half spectrum, one derivative at a time.
+def _derivatives(u: RealField) -> Iterator[tuple[list[tuple[int, int]], np.ndarray]]:
+    """(the (i, j) of each, du_i/dx_j) from u's half spectrum, by batches.
 
-    Every derivative is written into one array of shape (1, n, ..., n),
-    which the next one overwrites, so a caller reduces or copies each
-    before it asks for the next and never holds the gradient tensor.
+    The derivatives, i outer and j inner, go in spectral.batches: all four
+    of a 2D n=64 field in one inverse transform, three at a time at 3D
+    n=32, one at a time at 3D n=64.  Every batch is written into one array
+    of shape (k, n, ..., n), which the next one overwrites, so a caller
+    reduces or copies each batch before it asks for the next.
     """
     grid = u.grid
     u_hat = u.half_spectrum()
     ikd = half_wavenumbers(grid).ikd
-    d_hat = np.empty((1,) + ikd.shape[1:], dtype=np.complex128)
-    scratch = np.empty_like(d_hat)
-    d = np.empty((1,) + grid.shape)
-    for i in range(u.components):
-        for j in range(grid.dim):
-            on_slabs(grid, np.multiply, ikd[j], u_hat[i], d_hat[0])
-            yield i, j, ifft(d_hat, grid, out=d, scratch=scratch)
+    pairs = [(i, j) for i in range(u.components) for j in range(grid.dim)]
+    groups = batches(pairs, grid)
+    width = len(groups[0])
+    # the spectra and the inverse's scratch in one block: as separate
+    # arrays, a 2D n=64 batch's were allocated at the heap top and trimmed
+    # from it at every call, about 60 page faults per step.  The samples go
+    # into the spectra's memory, which ifft's first pass has read.
+    work = np.empty((2 * width,) + ikd.shape[1:], dtype=np.complex128)
+    d_hat, scratch = work[:width], work[width:]
+    for batch in groups:
+        k = len(batch)
+        for b, (i, j) in enumerate(batch):
+            on_slabs(grid, np.multiply, ikd[j], u_hat[i], d_hat[b])
+        d = real_view(d_hat[:k], (k,) + grid.shape)
+        yield batch, ifft(d_hat[:k], grid, out=d, scratch=scratch[:k])
 
 
 def velocity_gradients(u: RealField) -> np.ndarray:
     """Spectral derivatives du_i/dx_j, shape (components, dim, n, ..., n)."""
     out = np.empty((u.components, u.grid.dim) + u.grid.shape)
-    for i, j, d in _derivatives(u):
-        out[i, j] = d[0]
+    for batch, d in _derivatives(u):
+        for (i, j), dij in zip(batch, d):
+            out[i, j] = dij
     return out
 
 
-def _add_square(total, d) -> None:
-    # total += d*d, d overwritten
+def _add_squares(total, d) -> None:
+    # total += d_b*d_b for each derivative d_b in order, d overwritten
     d *= d
-    total += d
+    for square in d:
+        total += square
 
 
 def _gradient_squares(u: RealField) -> np.ndarray:
     """sum_ij (du_i/dx_j)^2, shape (1, n, ..., n), summed as they come."""
     total = np.zeros((1,) + u.grid.shape)
-    for _, _, d in _derivatives(u):
-        on_slabs(u.grid, _add_square, total, d)
+    for _, d in _derivatives(u):
+        on_slabs(u.grid, _add_squares, total, d)
     return total
 
 
@@ -280,19 +294,33 @@ def leray_project(v: RealField) -> RealField:
     return RealField(grid, ifft(v_hat, grid), v_hat)
 
 
-def regime_check(P: RealField, params: ThermoParams, T0: float) -> RegimeReport:
-    """Report max relative temperature deviation and the H^2 norm of T."""
+def regime_check(
+    P: RealField, params: ThermoParams, T0: float, *, h2_norm: float | None = None
+) -> RegimeReport:
+    """Report max relative temperature deviation and the H^2 norm of T.
+
+    h2_norm is sobolev_norm(P, 2) when the caller already holds it.  The
+    deviation is temperature_from_pressure's max |T - T0|/T0, taken from
+    P's extremes alone: T - T0 = (P0 + P)/(rho*R) - T0 rounds each step
+    monotonically in P, so its largest magnitude lies at max P or min P,
+    and the total pressure's minimum is P0 + min P, bit for bit.
+    """
     if T0 <= 0:
         raise ConfigError("reference temperature T0 must be positive")
     grid = P.grid
     rho_R = params.rho * params.R
-    T = temperature_from_pressure(P, params, rho_R * T0)
-    delta = float(np.max(np.abs(T.scalar_values() - T0))) / T0
+    p = P.scalar_values()
+    total = rho_R * T0 + np.array([p.min(), p.max()])
+    if total[0] <= 0:
+        raise RegimeError("total pressure nonpositive somewhere on the grid")
+    delta = float(np.max(np.abs(total / rho_R - T0))) / T0
+    if h2_norm is None:
+        h2_norm = sobolev_norm(P, 2)
     # T = (P0 + P)/(rho*R) has P's spectrum over rho*R plus T0*n**dim in
     # the mean mode, whose weight is 1: T's sum is P's over (rho*R)^2 plus
     # (2*pi)^dim*((T0 + p0)^2 - p0^2), p0 the mean of P/(rho*R)
     p0 = P.half_spectrum()[(0,) * (grid.dim + 1)].real / (rho_R * grid.n**grid.dim)
-    h2_sq = (sobolev_norm(P, 2) / rho_R) ** 2 + TWO_PI**grid.dim * T0 * (T0 + 2 * p0)
+    h2_sq = (h2_norm / rho_R) ** 2 + TWO_PI**grid.dim * T0 * (T0 + 2 * p0)
     return RegimeReport(
         delta_T_rel=delta,
         in_regime=delta < REGIME_LIMIT,

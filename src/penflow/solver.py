@@ -16,10 +16,12 @@ self-advection of a sampled state, which P's solve starts from, is the
 next step's first RK4 stage, computed once; a state whose P is never read
 computes it there, and the two step to the same bytes.  A model-pressure
 step plus a step make 59 single-component transforms in 3D and 34 in 2D,
-54 and 32 from a sampled state.  The model pressure is not band-limited,
-so its advection stays convective and its RK4 runs on the Fourier
-coefficients.  Its physical samples are computed only when read (a
-checkpoint), not at every step.
+54 and 32 from a sampled state; at n=64 an unsampled state's take 25 fft
+and 18 ifft calls in 3D and, with the small independent ones batched
+(spectral.batches), 9 and 10 in 2D.  The model pressure is not
+band-limited, so its advection stays convective and its RK4 runs on the
+Fourier coefficients.  Its physical samples are computed only when read
+(a checkpoint), not at every step.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ from .spectral import (
     project_hat,
     real_view,
     self_advect_hat,
+    self_advect_width,
     sobolev_norm,
 )
 
@@ -255,18 +258,19 @@ def _momentum_rhs(
     products leave out a gradient that the projection removes anyway.  u
     and scratch are work arrays, overwritten and allocated when not given:
     u, the physical velocity of that computation; scratch, a complex array
-    of u_hat's shape, which that computation, the projection and the
-    viscous term share (two of its components suffice when advection is
-    given).
+    of u_hat's component shape, which that computation, the projection and
+    the viscous term share: as many components as u_hat and at least
+    self_advect_width(grid), or two when advection is given.
     """
     if advection is None:
-        u = ifft(u_hat, grid, out=u, scratch=scratch)
+        tmp = None if scratch is None else scratch[: len(u_hat)]
+        u = ifft(u_hat, grid, out=u, scratch=tmp)
         advection = self_advect_hat(u, grid, scratch=scratch)
     if scratch is None:
         scratch = np.empty((2,) + u_hat.shape[1:], dtype=np.complex128)
     rhs = project_hat(advection, grid, scratch=scratch)
     ksq = half_wavenumbers(grid).ksq
-    nu_ksq = real_view(scratch[1], ksq.shape[-1])
+    nu_ksq = real_view(scratch[1], ksq.shape)
     on_slabs(grid, _viscous_and_sign, rhs, u_hat, ksq, nu, nu_ksq, scratch[0])
     return rhs
 
@@ -343,7 +347,8 @@ def step(state: FlowState, cfg: SolverConfig, dt: float | None = None) -> FlowSt
     # step: made per stage, these multi-MB arrays of a 3D n=64 step were
     # trimmed from the heap and faulted back in at every stage
     u_stage = np.empty(state.u.data.shape)
-    scratch = np.empty_like(u0_hat)
+    width = max(grid.dim, self_advect_width(grid))
+    scratch = np.empty((width,) + u0_hat.shape[1:], dtype=np.complex128)
     u_hat = _rk4(
         lambda uh: _momentum_rhs(uh, nu, grid, u=u_stage, scratch=scratch),
         u0_hat,
@@ -354,7 +359,7 @@ def step(state: FlowState, cfg: SolverConfig, dt: float | None = None) -> FlowSt
     del u_stage  # not alive through the new velocity's inverse
     project_hat(u_hat, grid, scratch=scratch)
     t_new = state.t + dt
-    u_new = RealField(grid, ifft(u_hat, grid, scratch=scratch), u_hat)
+    u_new = RealField(grid, ifft(u_hat, grid, scratch=scratch[: grid.dim]), u_hat)
     # FlowState raises DivergenceError on a NaN or Inf max |u| itself
     new_state = FlowState(t_new, u_new, state.params)
     if not new_state.umax <= 1e100:
@@ -433,7 +438,7 @@ def _diagnose(
     h2_norm_P = sobolev_norm(state.P, 2)
     ke = kinetic_energy(state.u)
     try:
-        regime = regime_check(state.P, params, cfg.T0)
+        regime = regime_check(state.P, params, cfg.T0, h2_norm=h2_norm_P)
     except RegimeError as exc:
         raise RegimeError(str(exc), time=state.t) from exc
     # D_tP comes last: with the source's spectrum made before P's sums and

@@ -36,9 +36,14 @@ and never starts a thread; a larger one (every 3D n=64 field) runs each
 pass on slabs of an axis it does not transform, across the CPUs the
 process may run on, at most 4 threads with the calling one.  There is no
 setting for either.  The independent transforms of a stage (the products
-of self_advect_hat, the derivatives behind Phi) stay one call each:
-batched, they were no faster in 2D and held every derivative of a 3D field
-at once.
+of self_advect_hat, the derivatives behind Phi) go in batches(): as many
+components per call as stay below 2**17 samples, and at least one.  That
+is 31 at 2D n=64 (both products in one fft, all four derivatives in one
+ifft), 3 at 3D n=32 and 1 at 3D n=64, so a batch never splits and a split
+transform carries one component: all nine derivatives of a 3D n=64 field
+in one call raised that run's peak RSS from 135 to 180 MB.  numpy's
+arithmetic per line does not depend on how many lines a call carries, so
+a batch's results are each component's own transform, bit for bit.
 
 The elementwise work of the 3D n=64 step splits the same way, through one
 dispatcher, on_slabs(grid, fn, *arrays): the products and the ikd_mask
@@ -70,15 +75,22 @@ self_advect_hat and project_hat take a scratch, and advector(u, grid)
 keeps advect_hat's gradient arrays for the stages of a model-pressure
 step.  A stage's scratch also holds the self-advection's products,
 spectra and terms, so no stage holds more live bytes at its peak than
-with arrays of its own.  A 3D n=64 array lives in mmap'ed pages or at the
-heap top, which glibc trims after each free, so a new one faults its pages
-in again.  Keeping the arrays from one step to the next raised the peak
-RSS instead, and a process-wide mallopt is a side effect on the whole
-process.  CHANGES.md has the measurements behind each of these choices.
+with arrays of its own; it has max(dim, self_advect_width(grid))
+components, 4 at 2D n=64 and 6 at 3D n=32 for their batched products,
+and dim at 3D n=64.  A real array kept in a complex one's memory
+(real_view) is packed contiguously at its start, not strided along its
+lines: the products and their squares run faster on it.  A 3D n=64 array
+lives in mmap'ed pages or at the heap top, which glibc trims after each
+free, so a new one faults its pages in again; so does a 2D n=64 batch's
+work split over several arrays, so Phi's batch is one block.  Keeping the
+arrays from one step to the next raised the peak RSS instead, and a
+process-wide mallopt is a side effect on the whole process.  CHANGES.md
+has the measurements behind each of these choices.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -368,6 +380,17 @@ def _split_threads(a: np.ndarray, grid: GridSpec) -> int:
     return _thread_count()
 
 
+def batches(items: list, grid: GridSpec) -> list[list]:
+    """items, one per component, cut into the batches one transform carries.
+
+    A batch holds the most components b with b * n**dim below
+    _SPLIT_MIN_SAMPLES, and at least one: so a batched transform is one
+    slab in the calling thread, and one that splits carries one component.
+    """
+    b = max(1, (_SPLIT_MIN_SAMPLES - 1) // grid.n**grid.dim)
+    return [items[lo : lo + b] for lo in range(0, len(items), b)]
+
+
 def _serve(jobs) -> None:
     """A worker's loop: run each handed slab, record its error, release it."""
     while True:
@@ -522,7 +545,8 @@ def ifft(
     out, when given, is the real array the result is written into and
     returned as; scratch, a complex array of a_hat's shape that the passes
     overwrite.  Either is allocated when not given.  a_hat is only read,
-    unless it is its own scratch: the passes then run in place.
+    unless it is its own scratch: the passes then run in place.  Only the
+    first pass reads a_hat, so out may lie in a_hat's memory.
     """
     axes = _spatial_axes(grid)
     threads = _split_threads(a_hat, grid)
@@ -608,10 +632,17 @@ def _dot(grad, u, uf) -> None:
         uf += grad[j]
 
 
-def real_view(c: np.ndarray, length: int) -> np.ndarray:
-    """The first `length` reals of each last-axis line of a complex array,
-    as a real array in c's memory (length <= 2 * c.shape[-1])."""
-    return c.view(np.float64)[..., :length]
+def real_view(c: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A C-contiguous real array of `shape` in the first bytes of the
+    C-contiguous complex array c, which holds 2 * c.size reals.
+
+    Contiguous, elementwise kernels and transforms on it run faster than
+    on the strided first reals of each line of c.
+    """
+    size = math.prod(shape)
+    if size > 2 * c.size:
+        raise ArityError(f"{shape} does not fit in {c.shape} complex")
+    return c.reshape(-1, copy=False).view(np.float64)[:size].reshape(shape)
 
 
 def advector(u: np.ndarray, grid: GridSpec) -> Callable[[np.ndarray], np.ndarray]:
@@ -624,7 +655,7 @@ def advector(u: np.ndarray, grid: GridSpec) -> Callable[[np.ndarray], np.ndarray
     """
     g_hat = np.empty((grid.dim,) + half_wavenumbers(grid).ksq.shape, np.complex128)
     grad = np.empty((grid.dim,) + grid.shape)
-    uf = real_view(g_hat[:1], grid.n)
+    uf = real_view(g_hat[0], (1,) + grid.shape)
     uf_hat = g_hat[1:2]
     mask = half_wavenumbers(grid).mask
 
@@ -665,44 +696,63 @@ def _diagonal_product(ui, ud, uu, ud_sq) -> None:
     uu -= ud_sq
 
 
+@lru_cache(maxsize=None)
+def _product_batches(grid: GridSpec) -> list[list[tuple[int, int]]]:
+    # the (i, j) of the products u_i u_j (i < j) and u_i^2 - u_d^2 (i = j < d)
+    d = grid.dim - 1
+    return batches([(i, j) for i in range(d) for j in range(i, grid.dim)], grid)
+
+
+def self_advect_width(grid: GridSpec) -> int:
+    """Complex components of self_advect_hat's scratch: twice its largest
+    batch of products, which it holds with their spectra."""
+    return 2 * len(_product_batches(grid)[0])
+
+
 def self_advect_hat(
     u: np.ndarray, grid: GridSpec, *, scratch: np.ndarray | None = None
 ) -> np.ndarray:
     """Dealiased fft(div(u u - u_d^2 I)), d the last component.
 
-    The trace-free products u_i u_j (i < j) and u_i^2 - u_d^2 (i < d), one
-    fft each: dim(dim+1)/2 - 1 transforms.  The result differs from the
-    full divergence form sum_j i*kd_j*fft(u_j u_c) by i*kd*mask*fft(u_d^2),
-    a gradient under kd: project_hat removes it exactly, so the projected
-    advection is the full one's to round-off for any u, and
-    flow.pressure_poisson adds its divergence back.  For divergence-free u
-    inside the 2/3 band the full form equals advect_hat of each component
-    to round-off: the product modes alias only outside the mask, and
-    u.grad u = div(u u).
+    The trace-free products u_i u_j (i < j) and u_i^2 - u_d^2 (i < d),
+    dim(dim+1)/2 - 1 of them, one fft per batch of batches(): both 2D n=64
+    products in one, 3 + 2 at 3D n=32, one each at 3D n=64.  The result
+    differs from the full divergence form sum_j i*kd_j*fft(u_j u_c) by
+    i*kd*mask*fft(u_d^2), a gradient under kd: project_hat removes it
+    exactly, so the projected advection is the full one's to round-off for
+    any u, and flow.pressure_poisson adds its divergence back.  For
+    divergence-free u inside the 2/3 band the full form equals advect_hat
+    of each component to round-off: the product modes alias only outside
+    the mask, and u.grad u = div(u u).
 
-    Every product, its spectrum and its terms are written into two
-    half-spectrum components of scratch (complex, at least two components
-    of the result's shape, overwritten), allocated when not given.
+    Every product, its spectrum and its terms are written into scratch
+    (complex, at least self_advect_width(grid) components of the result's
+    component shape, overwritten), allocated when not given.
     """
     ikd_mask = half_wavenumbers(grid).ikd_mask
     out = np.zeros(ikd_mask.shape, dtype=np.complex128)
+    width = self_advect_width(grid)
     if scratch is None:
-        scratch = np.empty((2,) + ikd_mask.shape[1:], dtype=np.complex128)
-    # each product goes into term's memory and u_d^2 into uu_hat's, both
-    # free until the product is transformed; the spectrum then goes into
-    # uu_hat and the product's terms into term
-    term, uu_hat = scratch[0], scratch[1]
-    uu = real_view(scratch[:1], grid.n)
-    ud_sq = real_view(uu_hat, grid.n)
+        scratch = np.empty((width,) + ikd_mask.shape[1:], dtype=np.complex128)
+    # a batch's products go into the memory of the first half of scratch
+    # and u_d^2 into the second's, both free until the products are
+    # transformed; the spectra then go into the second half and each
+    # product's terms into term
+    uu = real_view(scratch[: width // 2], (width // 2,) + grid.shape)
+    uu_hat = scratch[width // 2 : width]
+    ud_sq = real_view(uu_hat[0], grid.shape)
+    term = scratch[0]
     d = grid.dim - 1
-    for i in range(d):
-        for j in range(i, grid.dim):
+    for batch in _product_batches(grid):
+        k = len(batch)
+        for b, (i, j) in enumerate(batch):
             if i != j:
-                on_slabs(grid, np.multiply, u[i], u[j], uu[0])
+                on_slabs(grid, np.multiply, u[i], u[j], uu[b])
             else:
-                on_slabs(grid, _diagonal_product, u[i], u[d], uu[0], ud_sq)
-            fft(uu, grid, out=uu_hat[np.newaxis])
-            on_slabs(grid, _add_divergence_terms, out, ikd_mask, uu_hat, term, i, j)
+                on_slabs(grid, _diagonal_product, u[i], u[d], uu[b], ud_sq)
+        fft(uu[:k], grid, out=uu_hat[:k])
+        for b, (i, j) in enumerate(batch):
+            on_slabs(grid, _add_divergence_terms, out, ikd_mask, uu_hat[b], term, i, j)
     return out
 
 

@@ -82,3 +82,26 @@ def transform_counter(monkeypatch):
         return count
 
     return install
+
+
+@pytest.fixture
+def call_counter(monkeypatch):
+    """Counts calls of spectral.fft and ifft, by name, wherever a penflow
+    module binds them: one per call, however many components it carries.
+
+    Beside transform_counter's component counts, this pins the batching
+    of small independent transforms into one call.
+    """
+
+    def install():
+        count = {"fft": 0, "ifft": 0}
+        for name in count:
+
+            def counted(*args, _fn=getattr(spectral, name), _name=name, **kwargs):
+                count[_name] += 1
+                return _fn(*args, **kwargs)
+
+            patch_everywhere(monkeypatch, getattr(spectral, name), counted)
+        return count
+
+    return install

@@ -25,6 +25,7 @@ from penflow import (
     leray_project,
     pressure_poisson,
     regime_check,
+    sobolev_norm,
     temperature_from_pressure,
 )
 from penflow.spectral import ksq
@@ -234,6 +235,46 @@ class TestRegimeCheck:
         expected_sq = (2 * np.pi) ** 2 * (T0**2 + 2 * (2**2) * 0.25)
         assert report.T_h2_norm == pytest.approx(np.sqrt(expected_sq), rel=1e-10)
 
+    def test_extremes_give_the_temperature_array_bits(self, rng):
+        # delta_T_rel is taken from max P and min P alone: it must be the
+        # max |T - T0|/T0 of the T array bit for bit, and a total pressure
+        # that reaches zero anywhere must raise as the array check does
+        g = GridSpec(2, 16)
+        params = ThermoParams(rho=1.3)
+        T0 = 300.0
+        rho_R = params.rho * params.R
+        P0 = rho_R * T0
+        lows = [-P0, np.nextafter(-P0, 0.0), np.nextafter(-P0, -np.inf), -0.5 * P0]
+        scales = np.geomspace(1e-6, 1.6e5, 25)
+        fields = [scale * rng.standard_normal(g.shape) for scale in scales]
+        for low in lows:
+            f = rng.standard_normal(g.shape)
+            fields.append(f - f.min() + low)  # min P is exactly low
+        raised = 0
+        for f in fields:
+            P = RealField(g, f)
+            total = P0 + f
+            if np.min(total) <= 0:
+                raised += 1
+                with pytest.raises(RegimeError):
+                    temperature_from_pressure(P, params, P0)
+                with pytest.raises(RegimeError):
+                    regime_check(P, params, T0)
+                continue
+            T = total / rho_R
+            report = regime_check(P, params, T0)
+            assert report.delta_T_rel == float(np.max(np.abs(T - T0))) / T0
+            assert report.in_regime == (report.delta_T_rel < 0.02)
+        assert 0 < raised < len(fields)
+        assert np.min(P0 + fields[-3]) > 0  # one ulp above the boundary
+
+    def test_given_h2_norm_is_the_one_computed(self, rng):
+        g = GridSpec(2, 32)
+        params = ThermoParams()
+        P = pressure_poisson(leray_project(smooth_vector(g, rng)), params)
+        given = regime_check(P, params, 300.0, h2_norm=sobolev_norm(P, 2))
+        assert given == regime_check(P, params, 300.0)
+
     def test_kept_spectrum_gives_the_transformed_norm(self, rng):
         # T's spectrum is derived from the one P keeps from its Poisson
         # solve; it must match T transformed from scratch
@@ -278,9 +319,11 @@ class TestFlowState:
         assert state.phi.data.tobytes() == dissipation_phi(u, params).data.tobytes()
 
     def test_phi_holds_no_gradient_tensor(self):
-        # Phi is accumulated one derivative at a time from the kept spectrum;
-        # the (dim, dim, n...) gradient tensor and its square would be 6x u
-        g = GridSpec(3, 32)
+        # Phi is accumulated one derivative at a time from the kept spectrum
+        # where a transform splits (3D n=64); the (dim, dim, n...) gradient
+        # tensor and its square would be 6x u.  Below the split size a batch
+        # holds up to spectral.batches' count of derivatives at once.
+        g = GridSpec(3, 64)
         u = leray_project(smooth_vector(g, np.random.default_rng(2)))
         state = FlowState(0.0, u, ThermoParams())
         tracemalloc.start()

@@ -257,6 +257,26 @@ class TestStep:
             assert count["fft"] + count["ifft"] == budget
         assert unsampled - sampled == dim * (dim + 1) // 2 - 1
 
+    @pytest.mark.parametrize(
+        "dim, kind, ffts, iffts",
+        [(2, "taylor_green_2d", 9, 10), (3, "taylor_green_3d", 25, 18)],
+        ids=["2d-64", "3d-64"],
+    )
+    def test_call_budget(self, call_counter, dim, kind, ffts, iffts):
+        # fft and ifft calls in one model-pressure step plus one step from
+        # a state whose P is never read.  At 2D n=64 a stage's two
+        # trace-free products go in one fft and Phi's four derivatives in
+        # one ifft (13 + 13 calls, one transform each); at 3D n=64 every
+        # transform splits and carries one component, so the 5 products
+        # of a stage and the 9 derivatives are a call each
+        g = GridSpec(dim, 64)
+        state = make_initial(InitialCondition(kind), g)
+        p_model = make_initial(InitialCondition(kind), g).P
+        count = call_counter()
+        evolve_pressure_model(state, p_model, SolverConfig())
+        step(state, SolverConfig())
+        assert count == {"fft": ffts, "ifft": iffts}
+
     def test_allocation_budget(self, monkeypatch):
         # field-sized arrays (at least one real component's bytes) that
         # numpy's constructors make in one 3D n=32 model-pressure step and
@@ -395,6 +415,56 @@ class TestStep:
         assert state.umax == float(np.max(np.abs(state.u.data)))
         cfg = SolverConfig(dt=1.0)
         assert effective_dt(state, cfg) == cfg.cfl_safety * g.h / state.umax
+
+
+class TestTaylorGreenSymmetries:
+    """3D Taylor-Green keeps its mirror and rotation symmetries under the
+    Navier-Stokes equations (Brachet et al. 1983, J. Fluid Mech. 130:411):
+    u odd and v, w even in x; w odd and u, v even in z; and the pi/2
+    rotation about the axis x = y = pi/2 maps (u, v, w) at (pi - y, x, z)
+    to (-v, u, w).  A wrong index among the 3D products breaks them."""
+
+    def test_symmetries_after_fifty_steps(self):
+        g = GridSpec(3, 32)
+        state = make_initial(InitialCondition("taylor_green_3d"), g)
+        p_model = state.P
+        cfg = SolverConfig(dt=0.01)
+        for _ in range(50):
+            p_model = evolve_pressure_model(state, p_model, cfg)
+            state = step(state, cfg)
+        assert state.t == pytest.approx(0.5)
+        n = g.n
+        neg = -np.arange(n) % n  # x_i -> -x_i
+        turn = (n // 2 - np.arange(n)) % n  # y_j -> pi - y_j
+
+        def mirror_x(f):
+            return f[neg]
+
+        def mirror_z(f):
+            return f[:, :, neg]
+
+        def rotate(f):
+            # f(pi - y, x, z) at (x, y, z)
+            return f[turn].transpose(1, 0, 2)
+
+        u, v, w = state.u.data
+        scale = np.max(np.abs(state.u.data))
+        for got, want in [
+            (mirror_x(u), -u),
+            (mirror_x(v), v),
+            (mirror_x(w), w),
+            (mirror_z(w), -w),
+            (mirror_z(u), u),
+            (mirror_z(v), v),
+            (rotate(u), -v),
+            (rotate(v), u),
+            (rotate(w), w),
+        ]:
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        # the pressures are even under both mirrors and keep the rotation
+        for p in (state.P.data[0], p_model.data[0]):
+            for got in (mirror_x(p), mirror_z(p), rotate(p)):
+                assert np.max(np.abs(got - p)) <= 1e-12 * np.max(np.abs(p))
 
 
 class TestGalerkinInvariants:
@@ -628,11 +698,11 @@ class TestRun:
         check = penflow.solver.regime_check
         calls = []
 
-        def leaves_at_third(P, params, T0):
+        def leaves_at_third(P, params, T0, **kwargs):
             calls.append(None)
             if len(calls) == 3:
                 raise RegimeError("total pressure nonpositive")
-            return check(P, params, T0)
+            return check(P, params, T0, **kwargs)
 
         monkeypatch.setattr(penflow.solver, "regime_check", leaves_at_third)
         series = run(cfg)

@@ -28,6 +28,7 @@ from penflow import (
     ThermoParams,
     backward,
     dealias,
+    dissipation_phi,
     divergence,
     forward,
     gradient,
@@ -793,6 +794,80 @@ _ROUTED_KERNELS = {
 }
 
 
+def _self_advect_one_by_one(u, g):
+    """self_advect_hat's sum, each trace-free product in an fft of its own."""
+    ikd_mask = half_wavenumbers(g).ikd_mask
+    out = np.zeros(ikd_mask.shape, dtype=np.complex128)
+    d = g.dim - 1
+    for i in range(d):
+        for j in range(i, g.dim):
+            uu = u[i] * u[j] if i != j else u[i] * u[i] - u[d] * u[d]
+            uu_hat = fft(uu[np.newaxis], g)[0]
+            out[i] += ikd_mask[j] * uu_hat
+            if j != i:
+                out[j] += ikd_mask[i] * uu_hat
+    return out
+
+
+def _phi_one_by_one(u_hat, g, mu):
+    """2*mu*sum_ij (du_i/dx_j)^2, each derivative in an ifft of its own."""
+    ikd = half_wavenumbers(g).ikd
+    total = np.zeros((1,) + g.shape)
+    for i in range(g.dim):
+        for j in range(g.dim):
+            d = ifft((ikd[j] * u_hat[i])[np.newaxis], g)
+            total += d * d
+    return total * (2.0 * mu)
+
+
+class TestBatches:
+    """Independent small transforms go in one call, in the batches of
+    spectral.batches; numpy's per-line arithmetic does not depend on how
+    many lines a call carries, so every result is the one-by-one one."""
+
+    @pytest.mark.parametrize(
+        "dim, n, most", [(2, 64, 31), (3, 32, 3), (3, 64, 1), (2, 512, 1)]
+    )
+    def test_rule(self, dim, n, most):
+        # the most components below the split size, and at least one
+        g = GridSpec(dim, n)
+        for count in (1, 5, 40):
+            got = spectral.batches(list(range(count)), g)
+            assert [p for batch in got for p in batch] == list(range(count))
+            assert [len(batch) for batch in got[:-1]] == [most] * (len(got) - 1)
+            assert 1 <= len(got[-1]) <= most
+        if most > 1:
+            assert most * n**dim < spectral._SPLIT_MIN_SAMPLES
+            assert (most + 1) * n**dim >= spectral._SPLIT_MIN_SAMPLES
+            a = np.empty((most,) + g.shape)
+            assert spectral._split_threads(a, g) == 1
+
+    @pytest.mark.parametrize(
+        "dim, n, k",
+        [(2, 64, k) for k in range(1, 6)] + [(3, 32, k) for k in (1, 2, 3)],
+    )
+    def test_stack_is_each_component(self, dim, n, k, rng):
+        g = GridSpec(dim, n)
+        a = rng.standard_normal((k,) + g.shape)
+        shape = (k,) + g.shape[:-1] + (n // 2 + 1,)
+        b_hat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        a_hat, b = fft(a, g), ifft(b_hat, g)
+        for c in range(k):
+            assert a_hat[c].tobytes() == fft(a[c : c + 1], g)[0].tobytes()
+            assert b[c].tobytes() == ifft(b_hat[c : c + 1], g)[0].tobytes()
+
+    @pytest.mark.parametrize("dim, n", [(2, 64), (3, 32), (3, 64)])
+    def test_kernels_match_one_by_one(self, dim, n, rng):
+        g = GridSpec(dim, n)
+        u = smooth_vector(g, rng).data
+        want = _self_advect_one_by_one(u, g)
+        assert self_advect_hat(u, g).tobytes() == want.tobytes()
+        u_hat = np.stack([fft(u[c : c + 1], g)[0] for c in range(dim)])
+        params = ThermoParams(mu=0.3)
+        phi = dissipation_phi(RealField(g, u, u_hat), params).data
+        assert phi.tobytes() == _phi_one_by_one(u_hat, g, params.mu).tobytes()
+
+
 class TestOnSlabs:
     """on_slabs runs an elementwise kernel body on slabs across threads on
     a grid of at least _SPLIT_MIN_SAMPLES points; every result is the
@@ -918,7 +993,8 @@ class TestWorkArrays:
         want = advect_hat(u, f_hat, g)
         for _ in range(2):  # the second call reuses the first one's arrays
             assert advect(f_hat).tobytes() == want.tobytes()
-        scratch = np.empty((dim,) + f_hat.shape[1:], dtype=np.complex128)
+        width = max(dim, spectral.self_advect_width(g))
+        scratch = np.empty((width,) + f_hat.shape[1:], dtype=np.complex128)
         want = self_advect_hat(u, g)
         assert self_advect_hat(u, g, scratch=scratch).tobytes() == want.tobytes()
         u_hat = fft(u, g)
