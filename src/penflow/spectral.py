@@ -640,9 +640,12 @@ def real_view(c: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     on the strided first reals of each line of c.
     """
     size = math.prod(shape)
+    if not c.flags.c_contiguous:
+        raise ArityError(f"a real view needs C-contiguous memory, not {c.strides}")
     if size > 2 * c.size:
         raise ArityError(f"{shape} does not fit in {c.shape} complex")
-    return c.reshape(-1, copy=False).view(np.float64)[:size].reshape(shape)
+    # reshape(-1) of a C-contiguous array is a view, never a copy
+    return c.reshape(-1).view(np.float64)[:size].reshape(shape)
 
 
 def advector(u: np.ndarray, grid: GridSpec) -> Callable[[np.ndarray], np.ndarray]:

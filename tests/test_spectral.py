@@ -867,6 +867,18 @@ class TestBatches:
         phi = dissipation_phi(RealField(g, u, u_hat), params).data
         assert phi.tobytes() == _phi_one_by_one(u_hat, g, params.mu).tobytes()
 
+    def test_real_view_shares_the_complex_memory(self):
+        c = np.zeros((3, 4, 5), dtype=np.complex128)
+        r = spectral.real_view(c[1:], (2, 4, 5))
+        assert r.flags.c_contiguous and np.shares_memory(r, c)
+        r[...] = 1.0
+        assert c[1].view(np.float64).sum() == 40.0  # packed from c[1]'s start
+        assert c[0].sum() == 0.0 and c[2].sum() == 0.0
+        with pytest.raises(ArityError):
+            spectral.real_view(c[:, 1:], (2,))  # not C-contiguous
+        with pytest.raises(ArityError):
+            spectral.real_view(c[2], (41,))  # more reals than c holds
+
 
 class TestOnSlabs:
     """on_slabs runs an elementwise kernel body on slabs across threads on
