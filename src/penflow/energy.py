@@ -7,6 +7,12 @@ The squared pressure-energy norm
 its inner product, the Sobolev building blocks for the Banach-space norm,
 the dissipation-bound fit, the blow-up accumulator, and the variational
 residual against static Fourier test modes.
+
+The norm, the inner product and the residual are one Parseval form: the
+bilinear sum (integral DtP1*DtP2 dx, integral lapP1*lapP2 dx) over half
+spectra (_e_terms).  ||P||_E^2 is its diagonal, <.,.>_E the sum of its
+two terms, and the residual that sum against each test pair (phi,
+u.grad phi); none of them reads a sample of P or DtP.
 """
 
 from __future__ import annotations
@@ -18,12 +24,19 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArityError, ConfigError, DataError
-from .flow import RegimeReport, ThermoParams, dissipation_phi, pressure_source
+from .flow import (
+    RegimeReport,
+    ThermoParams,
+    check_velocity,
+    dissipation_phi,
+    pressure_source,
+)
 from .spectral import (
+    GridSpec,
     RealField,
-    advect_hat,
+    advector,
+    fft,
     half_wavenumbers,
-    ifft,
     parseval_sum,
     sobolev_norm,
 )
@@ -131,6 +144,7 @@ def material_derivative(
     """
     if mode not in MATERIAL_DERIVATIVE_MODES:
         raise ConfigError(f"unknown material-derivative mode {mode!r}")
+    check_velocity(u, P_curr.grid)
     if mode == MODEL_RHS:
         return pressure_source(dissipation_phi(u, params), params)
     if P_prev is None:
@@ -149,47 +163,40 @@ def convective_term(P: RealField, u: RealField) -> RealField:
 
     Made from its spectrum alone: its samples wait for a read.
     """
-    if u.grid != P.grid:
-        raise ArityError("u and P must share a grid")
     grid = P.grid
-    return RealField.from_half_spectrum(
-        grid, advect_hat(u.data, P.half_spectrum(), grid)
-    )
+    check_velocity(u, grid)
+    return RealField.from_half_spectrum(grid, advector(u.data, grid)(P.half_spectrum()))
 
 
-def _laplacian(P: RealField) -> RealField:
-    """Physical-space lap P, derivatives taken spectrally."""
-    grid = P.grid
-    lap_hat = -half_wavenumbers(grid).ksq * P.half_spectrum()
-    return RealField(grid, ifft(lap_hat, grid))
+def _e_terms(
+    grid: GridSpec, p1: np.ndarray, dtp1: np.ndarray, p2: np.ndarray, dtp2: np.ndarray
+) -> tuple[float, float]:
+    """(integral DtP1*DtP2 dx, integral lapP1*lapP2 dx) from the half spectra
+    of P1, DtP1, P2 and DtP2: Parseval sums, the second weighted by |k|^4."""
+    ksq = half_wavenumbers(grid).ksq
+    return parseval_sum(dtp1, dtp2, grid), parseval_sum(p1, p2, grid, ksq * ksq)
 
 
 def norm_E_squared(P: RealField, DtP: RealField) -> tuple[float, float, float]:
-    """(total, integral (DtP)^2 dx, integral (lap P)^2 dx).
-
-    Both integrals are Parseval sums over the half spectra, the second
-    weighted by |k|^4; neither field's samples are read.
-    """
+    """(total, integral (DtP)^2 dx, integral (lap P)^2 dx), the diagonal of
+    the E-form; neither field's samples are read."""
     _check_scalar_pair(P, DtP)
-    grid = P.grid
-    ksq = half_wavenumbers(grid).ksq
-    dtp_term = parseval_sum(DtP.half_spectrum(), grid)
-    lap_term = parseval_sum(P.half_spectrum(), grid, ksq * ksq)
+    p_hat, dtp_hat = P.half_spectrum(), DtP.half_spectrum()
+    dtp_term, lap_term = _e_terms(P.grid, p_hat, dtp_hat, p_hat, dtp_hat)
     return dtp_term + lap_term, dtp_term, lap_term
 
 
 def inner_product_E(
     P1: RealField, DtP1: RealField, P2: RealField, DtP2: RealField
 ) -> float:
-    """integral (DtP1*DtP2 + lapP1*lapP2) dx; symmetric and bilinear."""
-    _check_scalar_pair(P1, DtP1)
-    _check_scalar_pair(P2, DtP2)
-    if P1.grid != P2.grid:
-        raise ArityError("fields must share a grid")
-    lap1 = _laplacian(P1).scalar_values()
-    lap2 = _laplacian(P2).scalar_values()
-    value = np.sum(DtP1.scalar_values() * DtP2.scalar_values()) + np.sum(lap1 * lap2)
-    return float(value) * P1.grid.cell_volume
+    """integral (DtP1*DtP2 + lapP1*lapP2) dx; symmetric and bilinear.
+
+    The sum of the E-form's two terms; no field's samples are read.
+    """
+    for a, b in ((P1, DtP1), (P2, DtP2), (P1, P2)):
+        _check_scalar_pair(a, b)
+    spectra = [f.half_spectrum() for f in (P1, DtP1, P2, DtP2)]
+    return sum(_e_terms(P1.grid, *spectra))
 
 
 def norm_B(samples: Sequence[tuple[RealField, RealField]], dt: float) -> float:
@@ -246,15 +253,17 @@ def variational_residual(
 ) -> list[float]:
     """Residual of the weak form against static test modes phi = cos(k.x).
 
-    The test function is advected with the flow: D_t phi = u.grad phi.
-    Each mode must lie inside the dealiased band |k_j| <= n/3.
+    The test function is advected with the flow, D_t phi = u.grad phi, and
+    each residual is inner_product_E(P, DtP, phi, D_t phi), P's and DtP's
+    spectra taken once for all modes and their samples not read.  Each mode
+    must lie inside the dealiased band |k_j| <= n/3.
     """
     _check_scalar_pair(P, DtP)
     grid = P.grid
+    check_velocity(u, grid)
+    p_hat, dtp_hat = P.half_spectrum(), DtP.half_spectrum()
     band = grid.n / 3.0
     coords = grid.coordinates()
-    lap_p = _laplacian(P).scalar_values()
-    dtp = DtP.scalar_values()
     out = []
     for kvec in test_modes:
         kvec = tuple(int(k) for k in kvec)
@@ -262,11 +271,9 @@ def variational_residual(
             raise ConfigError(f"test mode {kvec} has wrong dimension")
         if any(abs(k) > band for k in kvec):
             raise ConfigError(f"test mode {kvec} outside the resolved band")
-        phase = sum(k * x for k, x in zip(kvec, coords))
-        phi = np.cos(phase)
+        phase = sum(k * x for k, x in zip(kvec, coords))[np.newaxis]
         sin_phase = np.sin(phase)
         dt_phi = sum(-k * u.data[j] * sin_phase for j, k in enumerate(kvec))
-        lap_phi = -float(sum(k * k for k in kvec)) * phi
-        value = np.sum(dtp * dt_phi + lap_p * lap_phi) * grid.cell_volume
-        out.append(float(value))
+        phi_hat, dt_phi_hat = fft(np.cos(phase), grid), fft(dt_phi, grid)
+        out.append(sum(_e_terms(grid, p_hat, dtp_hat, phi_hat, dt_phi_hat)))
     return out

@@ -1,8 +1,9 @@
 """Physical state and thermodynamic closures.
 
-Velocity snapshots with the pressure slaved to them by a Poisson solve
-(whose self-advection a sampled state keeps for the next step's first RK4
-stage), the ideal-gas closure P = rho*R*T, the energy-equation closure
+The one rule on a velocity (check_velocity: one component per dimension,
+on the grid of the fields it acts on), velocity snapshots with the
+pressure slaved to them by a Poisson solve (whose self-advection a
+sampled state keeps for the next step's first RK4 stage), the ideal-gas closure P = rho*R*T, the energy-equation closure
 D_tP = (R/c_v)*(Phi + Q) (pressure_source, the one place it is written),
 the dissipation Phi = 2*mu*sum_ij (du_i/dx_j)^2, the Leray projection onto
 divergence-free fields, and the quasi-incompressible regime check (relative
@@ -92,12 +93,20 @@ class RegimeReport:
     T_h2_norm: float
 
 
+def check_velocity(u: RealField, grid: GridSpec) -> None:
+    """The rule on a velocity: one component per dimension, on the grid of
+    the fields it acts on; ArityError otherwise."""
+    if u.grid != grid or u.components != grid.dim:
+        raise ArityError(f"u must have {grid.dim} components on the grid {grid}")
+
+
 class FlowState:
     """Divergence-free velocity snapshot at one time.
 
-    u must be divergence-free (max |div u| < 1e-8).  The state keeps u's
-    half spectrum as state.u.half_spectrum(): the divergence check is
-    computed from it, step starts from it and Phi's gradients come from it.
+    u must pass check_velocity and be divergence-free (max |div u| <
+    1e-8).  The state keeps u's half spectrum as state.u.half_spectrum():
+    the divergence check is computed from it, step starts from it and
+    Phi's gradients come from it.
     A u built with its spectrum (as step builds the next state) is not
     transformed again.  The spectrum and u's samples are read-only.  The
     pressure P is a function of u (pressure_poisson, zero-mean gauge; the
@@ -116,8 +125,7 @@ class FlowState:
 
     def __init__(self, t: float, u: RealField, params: ThermoParams):
         grid = u.grid
-        if u.components != grid.dim:
-            raise ArityError("u must have one component per dimension")
+        check_velocity(u, grid)
         umax = float(np.max(np.abs(u.data)))
         if not math.isfinite(umax):
             raise DivergenceError(t)
@@ -332,6 +340,7 @@ __all__ = [
     "ThermoParams",
     "pressure_source",
     "RegimeReport",
+    "check_velocity",
     "FlowState",
     "pressure_poisson",
     "temperature_from_pressure",

@@ -169,10 +169,6 @@ class ScenarioConfig:
         """Reference temperature of P0 by the ideal gas law, P0/(rho*R)."""
         return self.P0 / (self.thermo.rho * self.thermo.R)
 
-    @property
-    def seed(self) -> int:
-        return self.ic.seed
-
 
 # ---------------------------------------------------------------------------
 # initial conditions
@@ -306,27 +302,26 @@ def _last_stage(acc, k, y, h) -> None:
 def _rk4(
     f: Callable[[np.ndarray], np.ndarray],
     y: np.ndarray,
+    f_y: np.ndarray,
     dt: float,
     grid: GridSpec,
-    f_y: np.ndarray | None = None,
 ) -> np.ndarray:
     """One classical RK4 step of dy/dt = f(y); y is only read.
 
-    f must return a new array.  f_y is f(y) when the caller already holds
-    it.  Each stage input is built in one reused array, and the stages are
-    summed k1 + 2k2 + 2k3 + k4, in that order, into one running array that
-    becomes the result, so only one stage is alive besides those two.  The
-    updates run through spectral.on_slabs.
+    f must return a new array, and f_y is f(y), the first stage, which
+    the caller gives up.  Each stage input is built in one reused array,
+    and the stages are summed k1 + 2k2 + 2k3 + k4, in that order, into f_y,
+    which becomes the result, so only one stage is alive besides those two.
+    The updates run through spectral.on_slabs.
     """
-    acc = f(y) if f_y is None else f_y
-    stage = np.empty_like(acc)
-    on_slabs(grid, _first_stage, acc, y, 0.5 * dt, stage)
+    stage = np.empty_like(f_y)
+    on_slabs(grid, _first_stage, f_y, y, 0.5 * dt, stage)
     for c in (0.5 * dt, dt):
         k = f(stage)
-        on_slabs(grid, _next_stage, k, acc, y, c, stage)
+        on_slabs(grid, _next_stage, k, f_y, y, c, stage)
         del k  # not alive through the next stage
-    on_slabs(grid, _last_stage, acc, f(stage), y, dt / 6.0)
-    return acc
+    on_slabs(grid, _last_stage, f_y, f(stage), y, dt / 6.0)
+    return f_y
 
 
 def step(state: FlowState, cfg: SolverConfig, dt: float | None = None) -> FlowState:
@@ -352,9 +347,9 @@ def step(state: FlowState, cfg: SolverConfig, dt: float | None = None) -> FlowSt
     u_hat = _rk4(
         lambda uh: _momentum_rhs(uh, nu, grid, u=u_stage, scratch=scratch),
         u0_hat,
+        k1,
         dt,
         grid,
-        f_y=k1,
     )
     del u_stage  # not alive through the new velocity's inverse
     project_hat(u_hat, grid, scratch=scratch)
@@ -392,7 +387,8 @@ def evolve_pressure_model(
         k = advect(ph)
         return np.subtract(s_hat, k, out=k)
 
-    p_hat = _rk4(rhs, P_model.half_spectrum(), dt, grid)
+    p0_hat = P_model.half_spectrum()
+    p_hat = _rk4(rhs, p0_hat, rhs(p0_hat), dt, grid)
     if not np.all(np.isfinite(p_hat)):
         raise DivergenceError(state.t + dt)
     return RealField.from_half_spectrum(grid, p_hat)
@@ -480,13 +476,18 @@ def simulate(cfg: ScenarioConfig) -> Iterator[RunSample]:
     step_idx = 0
     while state.t < t_end - 1e-12:
         dt = min(effective_dt(state, cfg.solver), t_end - state.t)
-        # only finite_difference reads the previous state; holding it in
-        # model_rhs mode would keep its arrays alive through the sample
-        prev = None if cfg.mode == MODEL_RHS else state
+        step_idx += 1
+        # the step computes t + dt, this same float
+        sampled = step_idx % cfg.output_every == 0 or state.t + dt >= t_end - 1e-12
+        # only a finite_difference sample reads the previous state, its P
+        # solved before the step so that the step takes that solve's
+        # self-advection; held otherwise, its arrays would stay alive
+        prev = state if sampled and cfg.mode != MODEL_RHS else None
+        if prev is not None:
+            prev.P
         p_model = evolve_pressure_model(state, p_model, cfg.solver, dt=dt)
         state = step(state, cfg.solver, dt=dt)
-        step_idx += 1
-        if step_idx % cfg.output_every == 0 or state.t >= t_end - 1e-12:
+        if sampled:
             yield RunSample(
                 step_idx, state, p_model, *_diagnose(cfg, state, prev, dt)
             )

@@ -21,12 +21,13 @@ kernel's multipliers must preserve Hermitian symmetry.  First derivatives
 therefore use kd, the wavevector with the self-paired Nyquist mode (-n/2
 in the full layout, +n/2 on the half layout's last axis) zeroed on every
 axis; the Leray projection divides by |kd|^2, so its output is
-divergence-free under the same kd.  Sums of |c_k|^2 over the half spectrum
-weight each mode by the number of modes it stands for (multiplicity):
-parseval_sum is the one such sum, and every quadratic norm of a sample
-(the H^s norms, integral (D_tP)^2 and integral (lap P)^2) is one, exact
-by discrete Parseval, so no diagnostic transforms a spectrum back to
-square its samples.
+divergence-free under the same kd.  Sums of Re(a_k conj(b_k)) over half
+spectra weight each mode by the number of modes it stands for
+(multiplicity): parseval_sum is the one such bilinear sum, integral f*g
+dx exactly by discrete Parseval.  Every quadratic form of a sample is
+one: the H^s norms, and energy's ||P||_E^2, <.,.>_E and weak-form
+residual, so no diagnostic transforms a spectrum back to multiply its
+samples.
 
 fft and ifft call numpy's one-axis passes directly, in rfftn's and irfftn's
 pass order, so every result is theirs bit for bit without their per-call
@@ -47,13 +48,14 @@ a batch's results are each component's own transform, bit for bit.
 
 The elementwise work of the 3D n=64 step splits the same way, through one
 dispatcher, on_slabs(grid, fn, *arrays): the products and the ikd_mask
-terms of self_advect_hat, project_hat, grad_hat, the products, sum and
-mask of advect_hat, the viscous term and sign of the momentum right-hand
-side, the three stage updates of the RK4, and the derivative multiply and
-square-and-add behind Phi.  Each body is written once, as a plain function
-of whole arrays.  On a grid of fewer than _SPLIT_MIN_SAMPLES points (2D
-n=64, 3D n=32) on_slabs calls it once with the caller's own arrays; on a
-larger one it runs it on slabs of the first spatial axis of every array.
+terms of self_advect_hat, project_hat, the gradient multiply, products,
+sum and mask of advector's scalar advection, the viscous term and sign of
+the momentum right-hand side, the three stage updates of the RK4, and the
+derivative multiply and square-and-add behind Phi.  Each body is written
+once, as a plain function of whole arrays.  On a grid of fewer than
+_SPLIT_MIN_SAMPLES points (2D n=64, 3D n=32) on_slabs calls it once with
+the caller's own arrays; on a larger one it runs it on slabs of the first
+spatial axis of every array.
 The caller allocates every output and scratch array, so no worker
 allocates: per-thread malloc arenas raise the peak RSS.
 
@@ -72,14 +74,14 @@ removes, and flow.pressure_poisson adds that gradient's divergence back.
 Work arrays are made once per call of a step, not once per RK4 stage:
 fft and ifft write into a caller's out (ifft's passes into its scratch),
 self_advect_hat and project_hat take a scratch, and advector(u, grid)
-keeps advect_hat's gradient arrays for the stages of a model-pressure
-step.  A stage's scratch also holds the self-advection's products,
-spectra and terms, so no stage holds more live bytes at its peak than
-with arrays of its own; it has max(dim, self_advect_width(grid))
-components, 4 at 2D n=64 and 6 at 3D n=32 for their batched products,
-and dim at 3D n=64.  A real array kept in a complex one's memory
-(real_view) is packed contiguously at its start, not strided along its
-lines: the products and their squares run faster on it.  A 3D n=64 array
+keeps its gradient arrays for the stages of a model-pressure step.  A
+stage's scratch also holds the self-advection's products, spectra and
+terms, so no stage holds more live bytes at its peak than with arrays of
+its own; it has max(dim, self_advect_width(grid)) components, 4 at 2D
+n=64 and 6 at 3D n=32 for their batched products, and dim at 3D n=64.  A
+real array kept in a complex one's memory (real_view) is packed
+contiguously at its start, not strided along its lines: the products and
+their squares run faster on it.  A 3D n=64 array
 lives in mmap'ed pages or at the heap top, which glibc trims after each
 free, so a new one faults its pages in again; so does a 2D n=64 batch's
 work split over several arrays, so Phi's batch is one block.  Keeping the
@@ -112,7 +114,6 @@ from .errors import (
 TWO_PI = 2.0 * np.pi
 
 # tolerances of the spectral layer
-ROUNDTRIP_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
 MEAN_MODE_TOL = 1e-10
 
@@ -572,20 +573,6 @@ def ifft(
     return out
 
 
-def grad_hat(
-    f_hat: np.ndarray, grid: GridSpec, *, out: np.ndarray | None = None
-) -> np.ndarray:
-    """i*kd*f of one component f_hat; shape (dim,) + f_hat.shape.
-
-    out, when given, is the complex array the result is written into.
-    """
-    ikd = half_wavenumbers(grid).ikd
-    if out is None:
-        out = np.empty(ikd.shape, dtype=np.complex128)
-    on_slabs(grid, np.multiply, ikd, f_hat, out)
-    return out
-
-
 def _contract(k: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
     """sum_j k_j*v_j, accumulated one component at a time."""
     out = k[0] * v_hat[0]
@@ -649,40 +636,32 @@ def real_view(c: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def advector(u: np.ndarray, grid: GridSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """f_hat -> advect_hat(u, f_hat, grid), its work arrays allocated once.
+    """f_hat -> dealiased fft(u.grad f) of a scalar f_hat (one component).
 
-    Every call reuses the gradient spectrum and the physical gradient made
-    here.  The gradient spectrum is its own inverse's scratch, and the
-    product u.grad f and its spectrum live in it once that inverse is done.
-    Each call returns a new array.  u is only read.
+    u is physical, one component per dimension, and only read.  Convective
+    form, for scalars that are not band-limited (the pressures): there the
+    divergence form of self_advect_hat would differ by aliasing error, not
+    round-off.  Every call reuses the gradient spectrum i*kd*f_hat and the
+    physical gradient made here.  The gradient spectrum is its own
+    inverse's scratch, and the product u.grad f and its spectrum live in it
+    once that inverse is done.  Each call returns a new array.
     """
-    g_hat = np.empty((grid.dim,) + half_wavenumbers(grid).ksq.shape, np.complex128)
+    w = half_wavenumbers(grid)
+    g_hat = np.empty(w.ikd.shape, np.complex128)
     grad = np.empty((grid.dim,) + grid.shape)
     uf = real_view(g_hat[0], (1,) + grid.shape)
     uf_hat = g_hat[1:2]
-    mask = half_wavenumbers(grid).mask
 
     def advect(f_hat: np.ndarray) -> np.ndarray:
-        grad_hat(f_hat[0], grid, out=g_hat)
+        on_slabs(grid, np.multiply, w.ikd, f_hat[0], g_hat)
         ifft(g_hat, grid, out=grad, scratch=g_hat)
         on_slabs(grid, _dot, grad, u, uf[0])
         fft(uf, grid, out=uf_hat)
         out = np.empty_like(uf_hat)
-        on_slabs(grid, np.multiply, uf_hat, mask, out)
+        on_slabs(grid, np.multiply, uf_hat, w.mask, out)
         return out
 
     return advect
-
-
-def advect_hat(u: np.ndarray, f_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Dealiased fft(u.grad f) of a scalar f_hat (one component); u is physical.
-
-    Convective form, for scalars that are not band-limited (the pressures):
-    there the divergence form of self_advect_hat would differ by aliasing
-    error, not round-off.  advector(u, grid) gives the same function with
-    its work arrays kept for repeated calls.
-    """
-    return advector(u, grid)(f_hat)
 
 
 def _add_divergence_terms(out, ikd_mask, uu_hat, term, i, j) -> None:
@@ -724,8 +703,8 @@ def self_advect_hat(
     i*kd*mask*fft(u_d^2), a gradient under kd: project_hat removes it
     exactly, so the projected advection is the full one's to round-off for
     any u, and flow.pressure_poisson adds its divergence back.  For
-    divergence-free u inside the 2/3 band the full form equals advect_hat
-    of each component to round-off: the product modes alias only outside
+    divergence-free u inside the 2/3 band the full form equals advector's
+    advection of each component to round-off: the product modes alias only outside
     the mask, and u.grad u = div(u u).
 
     Every product, its spectrum and its terms are written into scratch
@@ -850,18 +829,18 @@ def l2_norm_sq(f: RealField) -> float:
 
 
 def parseval_sum(
-    hat: np.ndarray, grid: GridSpec, weight: np.ndarray | None = None
+    a: np.ndarray, b: np.ndarray, grid: GridSpec, weight: np.ndarray | None = None
 ) -> float:
-    """(2*pi)^dim sum_k weight_k |c_k|^2 over a half spectrum, c = hat/n^dim.
+    """(2*pi)^dim sum_k weight_k Re(a_k conj(b_k)) / n^(2 dim) over half spectra.
 
     Each retained mode is counted with its multiplicity, so for the half
-    spectrum of real samples f and no weight this is integral f^2 dx by
-    discrete Parseval, exactly in exact arithmetic; weight (the kernels'
-    layout, e.g. |k|^4 for lap f) weights each mode.  Every component of
-    hat is summed.
+    spectra of real samples f and g and no weight this is integral f*g dx
+    by discrete Parseval, exactly in exact arithmetic; weight (the kernels'
+    layout, e.g. |k|^4 for lap f * lap g) weights each mode.  Every
+    component is summed.  A norm passes one spectrum as both a and b.
     """
-    power = np.square(hat.real)
-    power += np.square(hat.imag)
+    power = a.real * b.real
+    power += a.imag * b.imag
     if weight is not None:
         power *= weight
     # the multiplicity contracts the last axis, as one matrix-vector product
@@ -886,4 +865,4 @@ def sobolev_norm(f: RealField, order: float) -> float:
     if not np.all(np.isfinite(hat)):
         raise CorruptionError("non-finite values in field spectrum")
     weight = (1.0 + half_wavenumbers(f.grid).ksq) ** order
-    return float(np.sqrt(parseval_sum(hat, f.grid, weight)))
+    return float(np.sqrt(parseval_sum(hat, hat, f.grid, weight)))

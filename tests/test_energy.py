@@ -26,8 +26,8 @@ from penflow import (
     sobolev_norm,
     variational_residual,
 )
-from penflow.energy import FINITE_DIFFERENCE, MODEL_RHS
-from penflow.spectral import forward, ksq
+from penflow.energy import FINITE_DIFFERENCE, MODEL_RHS, convective_term
+from penflow.spectral import forward, half_wavenumbers, ifft, ksq
 
 from conftest import smooth_scalar, smooth_vector
 from test_flow import taylor_green
@@ -315,6 +315,77 @@ class TestVariationalResidual:
         z = RealField.zeros(g)
         with pytest.raises(ConfigError):
             variational_residual(z, z, RealField.zeros(g, 2), [(12, 0)])
+
+
+class TestOneForm:
+    """<.,.>_E and the weak-form residual are Parseval sums over the half
+    spectra, as ||.||_E^2 is: no sample of P or DtP is read."""
+
+    @staticmethod
+    def _spectral(g, rng):
+        return RealField.from_half_spectrum(g, smooth_scalar(g, rng).half_spectrum())
+
+    @staticmethod
+    def _physical(g, P1, D1, P2, D2):
+        # integral (D1*D2 + lapP1*lapP2) dx as the equispaced sum
+        lap = [ifft(-half_wavenumbers(g).ksq * P.half_spectrum(), g) for P in (P1, P2)]
+        value = np.sum(D1.data * D2.data) + np.sum(lap[0] * lap[1])
+        return float(value) * g.cell_volume
+
+    def test_inner_product_reads_no_sample(self, transform_counter, rng):
+        g = GridSpec(2, 32)
+        fields = [self._spectral(g, rng) for _ in range(4)]
+        count = transform_counter(g)
+        value = inner_product_E(*fields)
+        assert count["ifft"] == 0
+        assert value == pytest.approx(self._physical(g, *fields), rel=1e-12)
+
+    def test_residual_reads_no_sample(self, transform_counter, rng):
+        g = GridSpec(2, 32)
+        P, DtP = self._spectral(g, rng), self._spectral(g, rng)
+        u = smooth_vector(g, rng)
+        modes = [(1, 0), (2, -3), (0, 5)]
+        count = transform_counter(g)
+        got = variational_residual(P, DtP, u, modes)
+        assert count["ifft"] == 0
+        # each residual is <(P, DtP), (phi, u.grad phi)>_E, phi = cos(k.x)
+        x, y = g.coordinates()
+        for (kx, ky), value in zip(modes, got):
+            phase = kx * x + ky * y
+            phi = RealField(g, np.cos(phase))
+            dt_phi = RealField(g, -np.sin(phase) * (kx * u.data[0] + ky * u.data[1]))
+            want = self._physical(g, P, DtP, phi, dt_phi)
+            assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+# a velocity that breaks the one rule on it: one component per dimension,
+# on the grid of the field it acts on
+_MALFORMED_U = {
+    "one_component": lambda g: RealField(g, np.sin(g.coordinates()[1])),
+    "other_grid": lambda g: RealField.zeros(GridSpec(g.dim, 2 * g.n), g.dim),
+}
+
+_TAKES_U = {
+    "convective_term": lambda P, u: convective_term(P, u),
+    "material_derivative": lambda P, u: material_derivative(
+        P, P, u, 0.1, FINITE_DIFFERENCE, ThermoParams()
+    ),
+    "material_derivative_model_rhs": lambda P, u: material_derivative(
+        None, P, u, 0.0, MODEL_RHS, ThermoParams()
+    ),
+    "variational_residual": lambda P, u: variational_residual(P, P, u, [(1, 0)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_U))
+@pytest.mark.parametrize("caller", sorted(_TAKES_U))
+def test_malformed_velocity_raises(caller, case):
+    # a one-component u used to broadcast over both derivatives of P
+    g = GridSpec(2, 16)
+    x, y = g.coordinates()
+    P = RealField(g, np.cos(x) + np.sin(2 * y))
+    with pytest.raises(ArityError):
+        _TAKES_U[caller](P, _MALFORMED_U[case](g))
 
 
 class TestNormSeries:

@@ -295,6 +295,12 @@ class TestFlowState:
         with pytest.raises(ArityError):
             FlowState(0.0, u, ThermoParams())
 
+    def test_rejects_one_component_velocity(self):
+        g = GridSpec(2, 32)
+        _, y = g.coordinates()
+        with pytest.raises(ArityError):
+            FlowState(0.0, RealField(g, np.sin(y)), ThermoParams())
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_velocity(self, bad):
         # max(1.0, nan) is 1.0 and a NaN compares false, so the divergence

@@ -42,6 +42,8 @@ from penflow import (
 from penflow.solver import _diagnose, _momentum_rhs, effective_dt
 from penflow.spectral import fft, half_wavenumbers, ifft, project_hat
 
+from conftest import patch_everywhere
+
 # the viscosity a state steps with is its params' mu/rho, which must be
 # positive; at this one nu*|k|^2*u_hat lies far below the round-off of the
 # advection it is added to, so the steps are inviscid
@@ -725,7 +727,9 @@ class TestRun:
 
     @pytest.mark.parametrize("mode", [MODEL_RHS, FINITE_DIFFERENCE])
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_sampling_rate_does_not_change_the_trajectory(self, dim, mode):
+    def test_sampling_rate_does_not_change_the_trajectory(
+        self, monkeypatch, dim, mode
+    ):
         # a sample reads its state's P (in finite_difference also the P of
         # the state before it), and the states it reads step to the bytes
         # of states nobody read; the model pressure does not depend on
@@ -736,9 +740,18 @@ class TestRun:
             solver=SolverConfig(dt=1e-3, t_end=0.012),
             mode=mode,
         )
+        calls = []
+        original = penflow.spectral.self_advect_hat
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        patch_everywhere(monkeypatch, original, counted)
 
         def trajectory(every):
-            return {
+            calls.clear()
+            samples = {
                 rs.index: (
                     rs.state.u.data.tobytes(),
                     rs.state.u.half_spectrum().tobytes(),
@@ -746,12 +759,16 @@ class TestRun:
                 )
                 for rs in simulate(dataclasses.replace(cfg, output_every=every))
             }
+            return samples, len(calls)
 
-        dense, sparse = trajectory(1), trajectory(4)
+        (dense, dense_calls), (sparse, sparse_calls) = trajectory(1), trajectory(4)
         assert sorted(dense) == list(range(13))
         assert sorted(sparse) == [0, 4, 8, 12]
         for index, want in sparse.items():
             assert dense[index] == want
+        # every state's self-advection is computed once, sampled or not:
+        # one for each of the 13 states and three per step for stages 2-4
+        assert dense_calls == sparse_calls == 13 + 3 * 12
 
     def test_timestamps_increasing(self):
         cfg = dataclasses.replace(

@@ -45,11 +45,10 @@ from penflow.cli import run_scenario
 from penflow.flow import _gradient_squares
 from penflow.solver import ScenarioConfig, SolverConfig, _momentum_rhs, _rk4
 from penflow.spectral import (
-    advect_hat,
+    advector,
     dealias_mask,
     div_hat,
     fft,
-    grad_hat,
     half_wavenumbers,
     hermitian_asymmetry,
     ifft,
@@ -322,9 +321,9 @@ class TestSelfAdvection:
         g = GridSpec(dim, n)
         u = make_initial(InitialCondition("random_divfree", seed=dim), g).u.data
         u_hat = fft(u, g)
+        advect = advector(u, g)
         convective = project_hat(
-            np.concatenate([advect_hat(u, u_hat[c : c + 1], g) for c in range(dim)]),
-            g,
+            np.concatenate([advect(u_hat[c : c + 1]) for c in range(dim)]), g
         )
         gap = np.max(np.abs(project_hat(self_advect_hat(u, g), g) - convective))
         assert gap <= 1e-12 * np.max(np.abs(convective))
@@ -463,9 +462,13 @@ class TestKernelLayout:
         advection = self._full_advection(g, a, kd, mask) - (
             1j * kd * mask * self._c(g, a[-1] * a[-1])[0]
         )
+        # the convective advection of a scalar f = a_0 by u = a:
+        # mask*c(sum_j u_j d_j f), each d_j f from the full-layout spectrum
+        grad_f = [self._back(g, 1j * kd[j] * A[0])[0] for j in range(dim)]
+        u_grad_f = sum(a[j] * grad_f[j] for j in range(dim))
         a_hat = fft(a, g)
         pairs = [
-            (grad_hat(a_hat[0], g), 1j * kd * A[0]),
+            (advector(a, g)(a_hat[:1]), mask * self._c(g, u_grad_f)),
             (div_hat(a_hat, g), np.sum(1j * kd * A, axis=0, keepdims=True)),
             (project_hat(a_hat, g), A - kd * (np.sum(kd * A, axis=0) * inv_kdsq)),
             (self_advect_hat(a, g), advection),
@@ -781,15 +784,18 @@ print("concurrent.futures" in sys.modules, *sorted(names))
         assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
+def _decay(y):
+    return y * (1.0 - 0.5j)
+
+
 # every kernel routed through spectral.on_slabs, as a function of inputs
 # that are computed once; each returns the array the kernel writes
 _ROUTED_KERNELS = {
     "self_advect_hat": lambda g, x: self_advect_hat(x["u"], g),
     "project_hat": lambda g, x: project_hat(x["v_hat"].copy(), g),
-    "grad_hat": lambda g, x: grad_hat(x["p_hat"][0], g),
-    "advect_hat": lambda g, x: advect_hat(x["u"], x["p_hat"], g),
+    "advector": lambda g, x: advector(x["u"], g)(x["p_hat"]),
     "_momentum_rhs": lambda g, x: _momentum_rhs(x["u_hat"], 0.1, g),
-    "_rk4": lambda g, x: _rk4(lambda y: y * (1.0 - 0.5j), x["u_hat"], 0.3, g),
+    "_rk4": lambda g, x: _rk4(_decay, x["u_hat"], _decay(x["u_hat"]), 0.3, g),
     "_gradient_squares": lambda g, x: _gradient_squares(x["field"]),
 }
 
@@ -1001,8 +1007,8 @@ class TestWorkArrays:
         g = GridSpec(dim, n)
         u = smooth_vector(g, rng).data
         f_hat = fft(smooth_scalar(g, rng).data, g)
-        advect = spectral.advector(u, g)
-        want = advect_hat(u, f_hat, g)
+        advect = advector(u, g)
+        want = advector(u, g)(f_hat)  # a fresh advector's first call
         for _ in range(2):  # the second call reuses the first one's arrays
             assert advect(f_hat).tobytes() == want.tobytes()
         width = max(dim, spectral.self_advect_width(g))
@@ -1059,17 +1065,49 @@ class TestSobolev:
 
 @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
 def test_parseval_sum_is_the_quadrature(dim, n, rng):
-    # integral f^2 and integral (lap f)^2 of white noise, whose Nyquist
-    # modes are not zero, from the half spectrum
+    # integral f^2, integral (lap f)^2 and integral f*h of white noise,
+    # whose Nyquist modes are not zero, from the half spectra
     g = GridSpec(dim, n)
     f = RealField(g, rng.standard_normal((1,) + g.shape))
-    f_hat = f.half_spectrum()
+    h = RealField(g, rng.standard_normal((1,) + g.shape))
+    f_hat, h_hat = f.half_spectrum(), h.half_spectrum()
     ksq = half_wavenumbers(g).ksq
     lap = RealField(g, ifft(-ksq * f_hat, g))
-    assert spectral.parseval_sum(f_hat, g) == pytest.approx(l2_norm_sq(f), rel=1e-13)
-    assert spectral.parseval_sum(f_hat, g, ksq * ksq) == pytest.approx(
+    parseval_sum = spectral.parseval_sum
+    assert parseval_sum(f_hat, f_hat, g) == pytest.approx(l2_norm_sq(f), rel=1e-13)
+    assert parseval_sum(f_hat, f_hat, g, ksq * ksq) == pytest.approx(
         l2_norm_sq(lap), rel=1e-13
     )
+    fh = float(np.sum(f.data * h.data)) * g.cell_volume
+    assert parseval_sum(f_hat, h_hat, g) == pytest.approx(fh, rel=1e-13)
+    assert parseval_sum(f_hat, h_hat, g) == parseval_sum(h_hat, f_hat, g)
+
+
+def _squared_parseval(hat, g, weight=None):
+    """The sum of squares as np.square builds it, term by term."""
+    power = np.square(hat.real)
+    power += np.square(hat.imag)
+    if weight is not None:
+        power *= weight
+    total = (power @ half_wavenumbers(g).multiplicity).sum()
+    return float(total) * (2.0 * np.pi / g.n**2) ** g.dim
+
+
+@pytest.mark.parametrize("dim, n", [(2, 32), (2, 64), (3, 16)])
+def test_norms_are_the_sums_of_squares_bit_for_bit(dim, n, rng):
+    # a norm passes its spectrum as both arguments, and x*x is np.square(x)
+    # bit for bit, so the norms keep the bits of the squares' sums
+    g = GridSpec(dim, n)
+    P, DtP = smooth_scalar(g, rng), smooth_scalar(g, rng)
+    w = half_wavenumbers(g)
+    for order in (-1, 0, 1, 2):
+        weight = (1.0 + w.ksq) ** order
+        want = float(np.sqrt(_squared_parseval(P.half_spectrum(), g, weight)))
+        assert sobolev_norm(P, order) == want
+    dtp_term = _squared_parseval(DtP.half_spectrum(), g)
+    lap_term = _squared_parseval(P.half_spectrum(), g, w.ksq * w.ksq)
+    want = (dtp_term + lap_term, dtp_term, lap_term)
+    assert penflow.norm_E_squared(P, DtP) == want
 
 
 def test_integrate_constant():
