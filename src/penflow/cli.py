@@ -136,14 +136,14 @@ def write_summary(series: NormSeries, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def exit_code(series: NormSeries) -> int:
-    if series.diverged_at is not None:
+def exit_code(diverged: bool, regime_exit: bool, tripped: bool = False) -> int:
+    """The exit status of a run's outcome, the first that applies in this
+    order; a twin run has no accumulator to trip."""
+    if diverged:
         return EXIT_DIVERGED
-    if series.regime_exit_at is not None:
+    if regime_exit:
         return EXIT_REGIME
-    if series.tripped:
-        return EXIT_TRIPPED
-    return EXIT_CLEAN
+    return EXIT_TRIPPED if tripped else EXIT_CLEAN
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[NormSeries, int]:
@@ -164,7 +164,9 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[NormSeries, int]:
     series = run(cfg, on_sample=on_sample)
     write_series_csv(series, outdir / "series.csv")
     write_summary(series, outdir / "summary.txt")
-    return series, exit_code(series)
+    return series, exit_code(
+        series.diverged_at is not None, series.regime_exit_at is not None, series.tripped
+    )
 
 
 @dataclass
@@ -341,9 +343,7 @@ def main(argv=None) -> int:
         report = twin_run(cfg, args.perturb)
         write_twin_report(report, Path(cfg.output_dir))
         print(f"wrote {Path(cfg.output_dir) / 'twin_series.csv'}")
-        if report.diverged:
-            return EXIT_DIVERGED
-        return EXIT_CLEAN if report.regime_exit_at is None else EXIT_REGIME
+        return exit_code(report.diverged, report.regime_exit_at is not None)
     except ConfigError as exc:
         for issue in exc.issues:
             print(f"error: {issue}", file=sys.stderr)

@@ -13,6 +13,10 @@ bilinear sum (integral DtP1*DtP2 dx, integral lapP1*lapP2 dx) over half
 spectra (_e_terms).  ||P||_E^2 is its diagonal, <.,.>_E the sum of its
 two terms, and the residual that sum against each test pair (phi,
 u.grad phi); none of them reads a sample of P or DtP.
+
+Each function checks its field arguments by the one rule on fields,
+spectral.check_field: P, DtP and the test fields are scalars, and u has
+one component per dimension, all on P's grid.
 """
 
 from __future__ import annotations
@@ -23,11 +27,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ArityError, ConfigError, DataError
+from .errors import ConfigError, DataError
 from .flow import (
     RegimeReport,
     ThermoParams,
-    check_velocity,
     dissipation_phi,
     pressure_source,
 )
@@ -35,6 +38,7 @@ from .spectral import (
     GridSpec,
     RealField,
     advector,
+    check_field,
     fft,
     half_wavenumbers,
     parseval_sum,
@@ -116,16 +120,6 @@ class NormSeries:
         return len(self.samples)
 
 
-def _check_scalar_pair(a: RealField, b: RealField) -> None:
-    # is_scalar, not scalar_values(): a field made from its spectrum alone
-    # keeps its samples uncomputed
-    for f in (a, b):
-        if not f.is_scalar:
-            raise ArityError(f"expected scalar field, got {f.components} components")
-    if a.grid != b.grid:
-        raise ArityError("fields must share a grid")
-
-
 def material_derivative(
     P_prev: RealField | None,
     P_curr: RealField,
@@ -144,14 +138,14 @@ def material_derivative(
     """
     if mode not in MATERIAL_DERIVATIVE_MODES:
         raise ConfigError(f"unknown material-derivative mode {mode!r}")
-    check_velocity(u, P_curr.grid)
+    check_field(P_curr.grid, P_curr.grid.dim, u)
     if mode == MODEL_RHS:
         return pressure_source(dissipation_phi(u, params), params)
     if P_prev is None:
         raise DataError("finite_difference mode needs the previous snapshot")
     if dt <= 0:
         raise ConfigError("finite_difference mode needs dt > 0")
-    _check_scalar_pair(P_prev, P_curr)
+    check_field(P_curr.grid, 1, P_prev, P_curr)
     dtp_hat = np.subtract(P_curr.half_spectrum(), P_prev.half_spectrum())
     dtp_hat /= dt
     dtp_hat += convective_term(P_curr, u).half_spectrum()
@@ -164,7 +158,8 @@ def convective_term(P: RealField, u: RealField) -> RealField:
     Made from its spectrum alone: its samples wait for a read.
     """
     grid = P.grid
-    check_velocity(u, grid)
+    check_field(grid, 1, P)
+    check_field(grid, grid.dim, u)
     return RealField.from_half_spectrum(grid, advector(u.data, grid)(P.half_spectrum()))
 
 
@@ -180,7 +175,7 @@ def _e_terms(
 def norm_E_squared(P: RealField, DtP: RealField) -> tuple[float, float, float]:
     """(total, integral (DtP)^2 dx, integral (lap P)^2 dx), the diagonal of
     the E-form; neither field's samples are read."""
-    _check_scalar_pair(P, DtP)
+    check_field(P.grid, 1, P, DtP)
     p_hat, dtp_hat = P.half_spectrum(), DtP.half_spectrum()
     dtp_term, lap_term = _e_terms(P.grid, p_hat, dtp_hat, p_hat, dtp_hat)
     return dtp_term + lap_term, dtp_term, lap_term
@@ -193,8 +188,7 @@ def inner_product_E(
 
     The sum of the E-form's two terms; no field's samples are read.
     """
-    for a, b in ((P1, DtP1), (P2, DtP2), (P1, P2)):
-        _check_scalar_pair(a, b)
+    check_field(P1.grid, 1, P1, DtP1, P2, DtP2)
     spectra = [f.half_spectrum() for f in (P1, DtP1, P2, DtP2)]
     return sum(_e_terms(P1.grid, *spectra))
 
@@ -258,9 +252,9 @@ def variational_residual(
     spectra taken once for all modes and their samples not read.  Each mode
     must lie inside the dealiased band |k_j| <= n/3.
     """
-    _check_scalar_pair(P, DtP)
     grid = P.grid
-    check_velocity(u, grid)
+    check_field(grid, 1, P, DtP)
+    check_field(grid, grid.dim, u)
     p_hat, dtp_hat = P.half_spectrum(), DtP.half_spectrum()
     band = grid.n / 3.0
     coords = grid.coordinates()

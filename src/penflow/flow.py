@@ -1,13 +1,17 @@
 """Physical state and thermodynamic closures.
 
-The one rule on a velocity (check_velocity: one component per dimension,
-on the grid of the fields it acts on), velocity snapshots with the
-pressure slaved to them by a Poisson solve (whose self-advection a
-sampled state keeps for the next step's first RK4 stage), the ideal-gas closure P = rho*R*T, the energy-equation closure
+Velocity snapshots with the pressure slaved to them by a Poisson solve
+(whose self-advection a sampled state keeps for the next step's first RK4
+stage), the ideal-gas closure P = rho*R*T, the energy-equation closure
 D_tP = (R/c_v)*(Phi + Q) (pressure_source, the one place it is written),
 the dissipation Phi = 2*mu*sum_ij (du_i/dx_j)^2, the Leray projection onto
 divergence-free fields, and the quasi-incompressible regime check (relative
 temperature deviation below 2%).
+
+Every public function here that needs a field argument's component
+count or grid applies the one rule on fields, spectral.check_field: a
+velocity has one component per dimension, and Phi and Q one each, on the
+grid of the fields it acts with; ArityError otherwise.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .spectral import (
     GridSpec,
     RealField,
     batches,
+    check_field,
     div_hat,
     fft,
     half_wavenumbers,
@@ -69,8 +74,8 @@ class ThermoParams:
                 for k in ("rho", "R", "c_v", "mu")
             )
         )
-        if self.Q is not None and not self.Q.is_scalar:
-            raise ArityError("Q must be a scalar field")
+        if self.Q is not None:
+            check_field(self.Q.grid, 1, self.Q)
 
     @property
     def nu(self) -> float:
@@ -80,6 +85,8 @@ class ThermoParams:
 
 def pressure_source(phi: RealField, params: ThermoParams) -> RealField:
     """The energy equation's D_tP = (R/c_v)*(Phi + Q) for a dissipation Phi."""
+    sources = (phi,) if params.Q is None else (phi, params.Q)
+    check_field(phi.grid, 1, *sources)
     heat = phi.data if params.Q is None else phi.data + params.Q.data
     return RealField(phi.grid, params.R / params.c_v * heat)
 
@@ -93,25 +100,19 @@ class RegimeReport:
     T_h2_norm: float
 
 
-def check_velocity(u: RealField, grid: GridSpec) -> None:
-    """The rule on a velocity: one component per dimension, on the grid of
-    the fields it acts on; ArityError otherwise."""
-    if u.grid != grid or u.components != grid.dim:
-        raise ArityError(f"u must have {grid.dim} components on the grid {grid}")
-
-
 class FlowState:
     """Divergence-free velocity snapshot at one time.
 
-    u must pass check_velocity and be divergence-free (max |div u| <
-    1e-8).  The state keeps u's half spectrum as state.u.half_spectrum():
-    the divergence check is computed from it, step starts from it and
-    Phi's gradients come from it.
-    A u built with its spectrum (as step builds the next state) is not
-    transformed again.  The spectrum and u's samples are read-only.  The
-    pressure P is a function of u (pressure_poisson, zero-mean gauge; the
-    constant reference pressure lives in the scenario configuration) and so
-    is the dissipation Phi; each is computed on its first read and kept.
+    u must pass the one rule on fields, spectral.check_field (one
+    component per dimension), and be divergence-free (max |div u| < 1e-8).
+    The state keeps u's half spectrum as state.u.half_spectrum(): the
+    divergence check is computed from it, step starts from it and Phi's
+    gradients come from it.  A u built with its spectrum (as step builds
+    the next state) is not transformed again.  The spectrum and u's
+    samples are read-only.  The pressure P is a function of u
+    (pressure_poisson, zero-mean gauge; the constant reference pressure
+    lives in the scenario configuration) and so is the dissipation Phi;
+    each is computed on its first read and kept.
     P's solve starts from u's self-advection, the first RK4 stage of a step
     from this state: the state keeps that array until a step takes it
     (take_self_advection), so it is computed once.  A state whose P is
@@ -125,7 +126,7 @@ class FlowState:
 
     def __init__(self, t: float, u: RealField, params: ThermoParams):
         grid = u.grid
-        check_velocity(u, grid)
+        check_field(grid, grid.dim, u)
         umax = float(np.max(np.abs(u.data)))
         if not math.isfinite(umax):
             raise DivergenceError(t)
@@ -193,6 +194,7 @@ def pressure_poisson(
     -mask*fft(u_d^2), except at the mean mode, which the gauge sets to 0.
     """
     grid = u.grid
+    check_field(grid, grid.dim, u)
     w = half_wavenumbers(grid)
     if advection is None:
         advection = self_advect_hat(u.data, grid)
@@ -231,6 +233,7 @@ def _derivatives(u: RealField) -> Iterator[tuple[list[tuple[int, int]], np.ndarr
     reduces or copies each batch before it asks for the next.
     """
     grid = u.grid
+    check_field(grid, grid.dim, u)
     u_hat = u.half_spectrum()
     ikd = half_wavenumbers(grid).ikd
     pairs = [(i, j) for i in range(u.components) for j in range(grid.dim)]
@@ -298,6 +301,7 @@ def leray_project(v: RealField) -> RealField:
     result is divergence-free under divergence() and FlowState's check.
     """
     grid = v.grid
+    check_field(grid, grid.dim, v)
     v_hat = project_hat(fft(v.data, grid), grid)
     return RealField(grid, ifft(v_hat, grid), v_hat)
 
@@ -340,7 +344,6 @@ __all__ = [
     "ThermoParams",
     "pressure_source",
     "RegimeReport",
-    "check_velocity",
     "FlowState",
     "pressure_poisson",
     "temperature_from_pressure",

@@ -35,6 +35,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .energy import (
+    DEGENERATE_NORM,
     MATERIAL_DERIVATIVE_MODES,
     MODEL_RHS,
     BlowupState,
@@ -44,7 +45,6 @@ from .energy import (
     norm_E_squared,
 )
 from .errors import (
-    ArityError,
     ConfigError,
     DataError,
     DivergenceError,
@@ -65,6 +65,7 @@ from .spectral import (
     GridSpec,
     RealField,
     advector,
+    check_field,
     fft,
     half_wavenumbers,
     ifft,
@@ -367,7 +368,8 @@ def evolve_pressure_model(
 ) -> RealField:
     """One RK4 step of dP/dt = -dealias(u.grad P) + (R/c_v)*(Phi + Q).
 
-    u is frozen at the current solver state for the whole step; the source
+    P_model is a scalar on the state's grid (spectral.check_field).  u is
+    frozen at the current solver state for the whole step; the source
     is pressure_source of the state's cached Phi, transformed once per
     step.  The stages run on the Fourier coefficients of P:
     they start from P_model.half_spectrum(), and the result is made from
@@ -376,8 +378,7 @@ def evolve_pressure_model(
     computed only when something reads them.
     """
     grid = state.grid
-    if not P_model.is_scalar:
-        raise ArityError("P_model must be a scalar field")
+    check_field(grid, 1, P_model)
     dt = effective_dt(state, cfg) if dt is None else dt
     s_hat = pressure_source(state.phi, state.params).half_spectrum()
     # the four stages share advect's work arrays, made once per step
@@ -453,7 +454,7 @@ def _diagnose(
         dtP_term=dtp_term,
         lap_term=lap_term,
         grad_energy=ge,
-        ratio=ge / total if total > 1e-14 else None,
+        ratio=ge / total if total > DEGENERATE_NORM else None,
         kinetic_energy=ke,
         h2_norm_P=h2_norm_P,
         hminus1_norm_dtP=sobolev_norm(spectral_dtp, -1),
@@ -473,12 +474,15 @@ def simulate(cfg: ScenarioConfig) -> Iterator[RunSample]:
     yield RunSample(0, state, p_model, *_diagnose(cfg, state, None, cfg.solver.dt))
 
     t_end = cfg.solver.t_end
+    # t_end less a tolerance for the rounding of t: the run ends at the
+    # first state that reaches it
+    t_last = t_end - 1e-12
     step_idx = 0
-    while state.t < t_end - 1e-12:
+    while state.t < t_last:
         dt = min(effective_dt(state, cfg.solver), t_end - state.t)
         step_idx += 1
         # the step computes t + dt, this same float
-        sampled = step_idx % cfg.output_every == 0 or state.t + dt >= t_end - 1e-12
+        sampled = step_idx % cfg.output_every == 0 or state.t + dt >= t_last
         # only a finite_difference sample reads the previous state, its P
         # solved before the step so that the step takes that solve's
         # self-advection; held otherwise, its arrays would stay alive

@@ -314,8 +314,7 @@ class RealField(_Field):
         return cls(grid, np.zeros((components,) + grid.shape))
 
     def scalar_values(self) -> np.ndarray:
-        if not self.is_scalar:
-            raise ArityError(f"expected scalar field, got {self.components} components")
+        check_field(self.grid, 1, self)
         return self.data[0]
 
 
@@ -336,6 +335,21 @@ class SpectralField(_Field):
     @classmethod
     def zeros(cls, grid: GridSpec, components: int = 1) -> "SpectralField":
         return cls(grid, np.zeros((components,) + grid.shape, dtype=np.complex128))
+
+
+def check_field(grid: GridSpec, components: int, *fields: _Field) -> None:
+    """The rule on a field argument: each of fields has `components`
+    components (1 for a scalar, grid.dim for a velocity) on `grid`, the
+    grid of the fields it acts with; ArityError otherwise.
+
+    It reads only .grid and .components, so a field made from its spectrum
+    alone keeps its samples uncomputed.
+    """
+    for f in fields:
+        if f.grid != grid or f.components != components:
+            raise ArityError(
+                f"{f.components} components on {f.grid}, not {components} on {grid}"
+            )
 
 
 def _spatial_axes(grid: GridSpec) -> tuple[int, ...]:
@@ -783,8 +797,7 @@ def backward(F: SpectralField) -> RealField:
 
 def gradient(F: SpectralField) -> SpectralField:
     """Spectral gradient of a scalar: component j is i*kd_j*c_k."""
-    if not F.is_scalar:
-        raise ArityError("gradient expects a scalar field")
+    check_field(F.grid, 1, F)
     return SpectralField(F.grid, _full_wavenumbers(F.grid).ikd * F.coeffs[0])
 
 
@@ -795,18 +808,14 @@ def laplacian(F: SpectralField) -> SpectralField:
 
 def divergence(F: SpectralField) -> SpectralField:
     """sum_j i*kd_j*c_k^(j) of a dim-component vector field."""
-    if F.components != F.grid.dim:
-        raise ArityError(
-            f"divergence expects {F.grid.dim} components, got {F.components}"
-        )
+    check_field(F.grid, F.grid.dim, F)
     ikd = _full_wavenumbers(F.grid).ikd
     return SpectralField(F.grid, np.sum(ikd * F.coeffs, axis=0, keepdims=True))
 
 
 def poisson_solve(F: SpectralField) -> SpectralField:
     """Solve -|k|^2 f_k = rhs_k with the zero-mean gauge f_0 = 0."""
-    if not F.is_scalar:
-        raise ArityError("poisson_solve expects a scalar field")
+    check_field(F.grid, 1, F)
     c = F.coeffs[0]
     if abs(c[(0,) * F.grid.dim]) > MEAN_MODE_TOL:
         raise GaugeError("Poisson right-hand side must have zero mean")
@@ -859,8 +868,7 @@ def sobolev_norm(f: RealField, order: float) -> float:
     """
     if order not in (-1, 0, 1, 2):
         raise ConfigError(f"unsupported Sobolev order {order}")
-    if not f.is_scalar:
-        raise ArityError("sobolev_norm expects a scalar field")
+    check_field(f.grid, 1, f)
     hat = f.half_spectrum()
     if not np.all(np.isfinite(hat)):
         raise CorruptionError("non-finite values in field spectrum")

@@ -1,5 +1,7 @@
 """Pressure-energy norm, inner product, blow-up accumulator, bound fit."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -8,25 +10,32 @@ from penflow import (
     BlowupState,
     ConfigError,
     DataError,
+    FlowState,
     GridSpec,
     NormSample,
     NormSeries,
     RealField,
     RegimeReport,
+    SolverConfig,
     ThermoParams,
     blowup_update,
     bound_check,
     dissipation_phi,
+    evolve_pressure_model,
+    gradient_energy,
     inner_product_E,
     integrate,
     l2_norm_sq,
+    leray_project,
     material_derivative,
     norm_B,
     norm_E_squared,
+    pressure_poisson,
     sobolev_norm,
     variational_residual,
 )
 from penflow.energy import FINITE_DIFFERENCE, MODEL_RHS, convective_term
+from penflow.flow import pressure_source, velocity_gradients
 from penflow.spectral import forward, half_wavenumbers, ifft, ksq
 
 from conftest import smooth_scalar, smooth_vector
@@ -337,6 +346,8 @@ class TestOneForm:
         fields = [self._spectral(g, rng) for _ in range(4)]
         count = transform_counter(g)
         value = inner_product_E(*fields)
+        # the rule on fields reads their arity and grid, not their samples
+        norm_E_squared(*fields[:2])
         assert count["ifft"] == 0
         assert value == pytest.approx(self._physical(g, *fields), rel=1e-12)
 
@@ -358,11 +369,29 @@ class TestOneForm:
             assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
-# a velocity that breaks the one rule on it: one component per dimension,
-# on the grid of the field it acts on
+def _pressure(g):
+    x, y = g.coordinates()
+    return RealField(g, np.cos(x) + np.sin(2 * y))
+
+
+# a (P, u) pair on the grid g with one argument that breaks the one rule on
+# fields, spectral.check_field: one component for a pressure and one per
+# dimension for a velocity, each on the grid of the fields it acts with
 _MALFORMED_U = {
-    "one_component": lambda g: RealField(g, np.sin(g.coordinates()[1])),
-    "other_grid": lambda g: RealField.zeros(GridSpec(g.dim, 2 * g.n), g.dim),
+    "one_component": lambda g: (_pressure(g), RealField(g, np.sin(g.coordinates()[1]))),
+    "three_components": lambda g: (_pressure(g), RealField.zeros(g, 3)),
+    "other_grid": lambda g: (
+        _pressure(g),
+        RealField.zeros(GridSpec(g.dim, 2 * g.n), g.dim),
+    ),
+    "two_component_P": lambda g: (
+        RealField(g, np.concatenate([_pressure(g).data] * 2)),
+        RealField.zeros(g, g.dim),
+    ),
+    "P_other_grid": lambda g: (
+        _pressure(GridSpec(g.dim, 2 * g.n)),
+        RealField.zeros(g, g.dim),
+    ),
 }
 
 _TAKES_U = {
@@ -374,18 +403,57 @@ _TAKES_U = {
         None, P, u, 0.0, MODEL_RHS, ThermoParams()
     ),
     "variational_residual": lambda P, u: variational_residual(P, P, u, [(1, 0)]),
+    "evolve_pressure_model": lambda P, u: evolve_pressure_model(
+        FlowState(0.0, u, ThermoParams()), P, SolverConfig()
+    ),
+    # P as the dissipation, beside a Q on u's grid
+    "pressure_source": lambda P, u: pressure_source(
+        P, ThermoParams(Q=RealField.zeros(u.grid))
+    ),
+    # readers of u alone; P is not used
+    "dissipation_phi": lambda P, u: dissipation_phi(u, ThermoParams()),
+    "gradient_energy": lambda P, u: gradient_energy(u),
+    "velocity_gradients": lambda P, u: velocity_gradients(u),
+    "leray_project": lambda P, u: leray_project(u),
+    "pressure_poisson": lambda P, u: pressure_poisson(u, ThermoParams()),
 }
 
+# a velocity on another grid breaks the rule beside a P only: a reader of u
+# alone takes u's grid as its own
+_CASES = [
+    *product(
+        [
+            "convective_term",
+            "material_derivative",
+            "material_derivative_model_rhs",
+            "variational_residual",
+        ],
+        ["one_component", "other_grid"],
+    ),
+    *product(
+        [
+            "dissipation_phi",
+            "gradient_energy",
+            "velocity_gradients",
+            "leray_project",
+            "pressure_poisson",
+        ],
+        ["one_component", "three_components"],
+    ),
+    ("convective_term", "two_component_P"),
+    ("evolve_pressure_model", "P_other_grid"),
+    ("pressure_source", "two_component_P"),
+    ("pressure_source", "P_other_grid"),
+]
 
-@pytest.mark.parametrize("case", sorted(_MALFORMED_U))
-@pytest.mark.parametrize("caller", sorted(_TAKES_U))
+
+@pytest.mark.parametrize("caller, case", _CASES)
 def test_malformed_velocity_raises(caller, case):
-    # a one-component u used to broadcast over both derivatives of P
-    g = GridSpec(2, 16)
-    x, y = g.coordinates()
-    P = RealField(g, np.cos(x) + np.sin(2 * y))
+    # a one-component u used to broadcast over both derivatives of P, and a
+    # three-component one in 2D gave pressure_poisson u[2] as u_d
+    P, u = _MALFORMED_U[case](GridSpec(2, 16))
     with pytest.raises(ArityError):
-        _TAKES_U[caller](P, _MALFORMED_U[case](g))
+        _TAKES_U[caller](P, u)
 
 
 class TestNormSeries:
