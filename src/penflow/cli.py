@@ -24,13 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .energy import NormSample, NormSeries, norm_E_squared
-from .errors import (
-    ConfigError,
-    DataError,
-    DivergenceError,
-    RegimeError,
-    _field_types,
-)
+from .errors import ConfigError, DataError, _field_types
 from .config import format_config, parse_config
 from .solver import (
     RunSample,
@@ -38,6 +32,7 @@ from .solver import (
     run,
     save_checkpoint,
     simulate,
+    until_end,
 )
 from .spectral import RealField, l2_norm_sq
 
@@ -88,15 +83,17 @@ def write_series_csv(series: NormSeries, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _status(series: NormSeries) -> str:
-    if series.diverged_at is not None:
-        return f"numerical divergence at t = {series.diverged_at:.6g}"
-    if series.regime_exit_at is not None:
-        return (
-            f"regime exit at t = {series.regime_exit_at:.6g}: "
-            "total pressure nonpositive"
-        )
-    return "accumulator tripped" if series.tripped else "clean"
+def outcome(record) -> tuple[str, int]:
+    """The status text and exit status of how a run ended, the first ending
+    that applies in this order; record is a NormSeries or a TwinReport."""
+    if record.diverged_at is not None:
+        return f"numerical divergence at t = {record.diverged_at:.6g}", EXIT_DIVERGED
+    if record.regime_exit_at is not None:
+        t = record.regime_exit_at
+        return f"regime exit at t = {t:.6g}: total pressure nonpositive", EXIT_REGIME
+    if record.tripped:
+        return "accumulator tripped", EXIT_TRIPPED
+    return "clean", EXIT_CLEAN
 
 
 def write_summary(series: NormSeries, path: Path) -> None:
@@ -112,7 +109,7 @@ def write_summary(series: NormSeries, path: Path) -> None:
         "===================",
         f"samples recorded     : {len(series)}",
         f"final time           : {_fmt(last.t) if last else 'n/a'}",
-        f"status               : {_status(series)}",
+        f"status               : {outcome(series)[0]}",
         "",
         "dissipation bound fit (grad_energy <= C * ||P||_E^2)",
         f"  c_fit              : {_fmt(bound.c_fit) if bound else 'n/a'}",
@@ -136,16 +133,6 @@ def write_summary(series: NormSeries, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def exit_code(diverged: bool, regime_exit: bool, tripped: bool = False) -> int:
-    """The exit status of a run's outcome, the first that applies in this
-    order; a twin run has no accumulator to trip."""
-    if diverged:
-        return EXIT_DIVERGED
-    if regime_exit:
-        return EXIT_REGIME
-    return EXIT_TRIPPED if tripped else EXIT_CLEAN
-
-
 def run_scenario(cfg: ScenarioConfig) -> tuple[NormSeries, int]:
     """Execute one scenario, writing series.csv, summary.txt and checkpoints."""
     outdir = Path(cfg.output_dir)
@@ -164,9 +151,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[NormSeries, int]:
     series = run(cfg, on_sample=on_sample)
     write_series_csv(series, outdir / "series.csv")
     write_summary(series, outdir / "summary.txt")
-    return series, exit_code(
-        series.diverged_at is not None, series.regime_exit_at is not None, series.tripped
-    )
+    return series, outcome(series)[1]
 
 
 @dataclass
@@ -177,9 +162,11 @@ class TwinReport:
     times: list[float]
     dp_norm_E: list[float]
     du_l2: list[float]
-    divergence_rate: float | None
-    diverged: bool = False
+    divergence_rate: float | None = None
+    diverged_at: float | None = None
     regime_exit_at: float | None = None
+    # a twin run has no blow-up accumulator to trip
+    tripped = False
 
 
 def twin_run(cfg: ScenarioConfig, perturbation: float) -> TwinReport:
@@ -196,37 +183,27 @@ def twin_run(cfg: ScenarioConfig, perturbation: float) -> TwinReport:
     twin = replace(
         cfg, ic=replace(cfg.ic, amplitude=cfg.ic.amplitude * (1 + perturbation))
     )
-    times: list[float] = []
-    dp: list[float] = []
-    du: list[float] = []
-    diverged = False
-    regime_exit_at = None
-    try:
-        for a, b in zip(simulate(cfg), simulate(twin)):
-            grid = cfg.grid
-            # the pressure differences are taken on the half spectra, which
-            # norm_E_squared sums
-            d_p = RealField.from_half_spectrum(
-                grid, a.state.P.half_spectrum() - b.state.P.half_spectrum()
-            )
-            d_dtp = RealField.from_half_spectrum(
-                grid, a.dtp.half_spectrum() - b.dtp.half_spectrum()
-            )
-            d_u = RealField(grid, a.state.u.data - b.state.u.data)
-            times.append(a.sample.t)
-            dp.append(float(np.sqrt(norm_E_squared(d_p, d_dtp)[0])))
-            du.append(float(np.sqrt(l2_norm_sq(d_u))))
-    except DivergenceError:
-        diverged = True
-    except RegimeError as exc:
-        regime_exit_at = exc.time
-    rate = None
-    pts = [(t, d) for t, d in zip(times, du) if d > 0]
+    report = TwinReport(perturbation, [], [], [])
+    grid = cfg.grid
+    for a, b in until_end(report, zip(simulate(cfg), simulate(twin))):
+        # the pressure differences are taken on the half spectra, which
+        # norm_E_squared sums
+        d_p = RealField.from_half_spectrum(
+            grid, a.state.P.half_spectrum() - b.state.P.half_spectrum()
+        )
+        d_dtp = RealField.from_half_spectrum(
+            grid, a.dtp.half_spectrum() - b.dtp.half_spectrum()
+        )
+        d_u = RealField(grid, a.state.u.data - b.state.u.data)
+        report.times.append(a.sample.t)
+        report.dp_norm_E.append(float(np.sqrt(norm_E_squared(d_p, d_dtp)[0])))
+        report.du_l2.append(float(np.sqrt(l2_norm_sq(d_u))))
+    pts = [(t, d) for t, d in zip(report.times, report.du_l2) if d > 0]
     if len(pts) >= 2:
         ts = np.array([p[0] for p in pts])
         logs = np.log(np.array([p[1] for p in pts]))
-        rate = float(np.polyfit(ts, logs, 1)[0])
-    return TwinReport(perturbation, times, dp, du, rate, diverged, regime_exit_at)
+        report.divergence_rate = float(np.polyfit(ts, logs, 1)[0])
+    return report
 
 
 def write_twin_report(report: TwinReport, outdir: Path) -> None:
@@ -243,7 +220,7 @@ def write_twin_report(report: TwinReport, outdir: Path) -> None:
         f"max ||u1-u2||_L2      : {_fmt(max(report.du_l2, default=0.0))}",
         f"max ||P1-P2||_E       : {_fmt(max(report.dp_norm_E, default=0.0))}",
         f"log-difference slope  : {_fmt(report.divergence_rate)}",
-        f"diverged              : {_fmt(report.diverged)}",
+        f"diverged              : {_fmt(report.diverged_at is not None)}",
         f"regime exit at t      : {_fmt(report.regime_exit_at) or 'none'}",
     ]
     (outdir / "twin_summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
@@ -343,7 +320,7 @@ def main(argv=None) -> int:
         report = twin_run(cfg, args.perturb)
         write_twin_report(report, Path(cfg.output_dir))
         print(f"wrote {Path(cfg.output_dir) / 'twin_series.csv'}")
-        return exit_code(report.diverged, report.regime_exit_at is not None)
+        return outcome(report)[1]
     except ConfigError as exc:
         for issue in exc.issues:
             print(f"error: {issue}", file=sys.stderr)

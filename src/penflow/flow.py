@@ -291,6 +291,7 @@ def gradient_energy(u: RealField) -> float:
 
 def kinetic_energy(u: RealField) -> float:
     """integral |u|^2/2 dx."""
+    check_field(u.grid, u.grid.dim, u)
     return 0.5 * l2_norm_sq(u)
 
 

@@ -497,29 +497,40 @@ def simulate(cfg: ScenarioConfig) -> Iterator[RunSample]:
             )
 
 
+def until_end(record, samples: Iterator) -> Iterator:
+    """Yield from samples until a DivergenceError or a RegimeError ends
+    them, recording its time on record as diverged_at or regime_exit_at.
+
+    The one place where either error becomes an outcome of a run.
+    """
+    try:
+        yield from samples
+    except DivergenceError as exc:
+        record.diverged_at = exc.time
+    except RegimeError as exc:
+        record.regime_exit_at = exc.time
+
+
 def run(
     cfg: ScenarioConfig,
     on_sample: Callable[[RunSample], None] | None = None,
 ) -> NormSeries:
     """Integrate to t_end, divergence or a regime exit, collecting the series.
 
-    A divergence or a regime exit ends the run with its time recorded on
-    the series (diverged_at, regime_exit_at) and the samples before it kept.
+    A divergence or a regime exit ends the run through until_end, with its
+    time recorded on the series (diverged_at, regime_exit_at) and the
+    samples before it kept.
     """
     series = NormSeries(
         scenario=cfg, blowup=BlowupState(threshold=cfg.blowup_threshold)
     )
-    try:
-        for rs in simulate(cfg):
-            series.append(rs.sample)
-            if on_sample is not None:
-                on_sample(rs)
-            # the sample's state must not stay alive through the next steps
-            del rs
-    except DivergenceError as exc:
-        series.diverged_at = exc.time
-    except RegimeError as exc:
-        series.regime_exit_at = exc.time
+    # simulate is looked up at call time: perfbench/child.py replaces it
+    for rs in until_end(series, simulate(cfg)):
+        series.append(rs.sample)
+        if on_sample is not None:
+            on_sample(rs)
+        # the sample's state must not stay alive through the next steps
+        del rs
     series.finalize()
     return series
 

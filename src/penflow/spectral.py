@@ -241,10 +241,6 @@ class _Field:
     def components(self) -> int:
         return self._data.shape[0]
 
-    @property
-    def is_scalar(self) -> bool:
-        return self.components == 1
-
 
 class RealField(_Field):
     """Scalar or vector field sampled on the physical grid.

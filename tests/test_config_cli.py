@@ -11,10 +11,13 @@ import numpy as np
 import pytest
 
 from penflow import (
+    BlowupState,
     ConfigError,
     DataError,
+    DivergenceError,
     GridSpec,
     InitialCondition,
+    NormSeries,
     RealField,
     ScenarioConfig,
     SolverConfig,
@@ -24,11 +27,13 @@ from penflow import (
 from penflow.cli import (
     EXIT_CLEAN,
     EXIT_CONFIG,
+    EXIT_DIVERGED,
     EXIT_REGIME,
     EXIT_TRIPPED,
     SERIES_COLUMNS,
     export_plot_data,
     main,
+    outcome,
     read_series_csv,
     run_scenario,
     twin_run,
@@ -478,6 +483,40 @@ class TestMain:
         assert "regime exit at t      : 0.0" in summary
         assert "diverged              : false" in summary
 
+    def test_twin_divergence_is_an_outcome(self, tmp_path, monkeypatch):
+        # the 13th step, the first run's 8th (the two runs alternate five
+        # steps at a time), diverges: the twin stops with run's exit code,
+        # keeps the two matched samples before it and records its time
+        path = small_config(tmp_path)
+        out = tmp_path / "tw"
+        step = penflow.solver.step
+        times = []
+
+        def diverges_at_13th(*args, **kwargs):
+            state = step(*args, **kwargs)
+            times.append(state.t)
+            if len(times) == 13:
+                raise DivergenceError(state.t)
+            return state
+
+        reports = []
+        write = penflow.cli.write_twin_report
+
+        def keep(report, outdir):
+            reports.append(report)
+            write(report, outdir)
+
+        monkeypatch.setattr(penflow.solver, "step", diverges_at_13th)
+        monkeypatch.setattr(penflow.cli, "write_twin_report", keep)
+        code = main(["twin", str(path), "--perturb", "1e-6", "--output-dir", str(out)])
+        assert code == EXIT_DIVERGED
+        rows = (out / "twin_series.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [0.0, pytest.approx(0.01)]
+        summary = (out / "twin_summary.txt").read_text()
+        assert "diverged              : true" in summary
+        assert "regime exit at t      : none" in summary
+        assert reports[0].diverged_at == times[12] == pytest.approx(0.016)
+
     def test_run_is_deterministic(self, tmp_path):
         path = small_config(tmp_path)
         main(["run", str(path), "--output-dir", str(tmp_path / "r1")])
@@ -485,6 +524,25 @@ class TestMain:
         assert (tmp_path / "r1" / "series.csv").read_bytes() == (
             tmp_path / "r2" / "series.csv"
         ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "diverged_at, regime_exit_at, tripped, status, code",
+    [
+        (0.5, 0.25, True, "numerical divergence at t = 0.5", EXIT_DIVERGED),
+        (None, 0.25, True, "regime exit at t = 0.25: total pressure nonpositive",
+         EXIT_REGIME),
+        (None, None, True, "accumulator tripped", EXIT_TRIPPED),
+        (None, None, False, "clean", EXIT_CLEAN),
+    ],
+    ids=["all", "regime_and_trip", "trip", "none"],
+)
+def test_outcome_is_the_first_ending_that_applies(
+    diverged_at, regime_exit_at, tripped, status, code
+):
+    series = NormSeries(blowup=BlowupState(threshold=1.0, tripped=tripped))
+    series.diverged_at, series.regime_exit_at = diverged_at, regime_exit_at
+    assert outcome(series) == (status, code)
 
 
 def test_2d_baseline_starts_no_thread(tmp_path):

@@ -25,6 +25,7 @@ from penflow import (
     gradient_energy,
     inner_product_E,
     integrate,
+    kinetic_energy,
     l2_norm_sq,
     leray_project,
     material_derivative,
@@ -413,6 +414,7 @@ _TAKES_U = {
     # readers of u alone; P is not used
     "dissipation_phi": lambda P, u: dissipation_phi(u, ThermoParams()),
     "gradient_energy": lambda P, u: gradient_energy(u),
+    "kinetic_energy": lambda P, u: kinetic_energy(u),
     "velocity_gradients": lambda P, u: velocity_gradients(u),
     "leray_project": lambda P, u: leray_project(u),
     "pressure_poisson": lambda P, u: pressure_poisson(u, ThermoParams()),
@@ -434,6 +436,7 @@ _CASES = [
         [
             "dissipation_phi",
             "gradient_energy",
+            "kinetic_energy",
             "velocity_gradients",
             "leray_project",
             "pressure_poisson",

@@ -408,7 +408,7 @@ class TestKernelLayout:
 
         monkeypatch.setattr(spectral, "ifft", counted)
         f = RealField.from_half_spectrum(g, a_hat)
-        assert f.components == 1 and f.is_scalar
+        assert f.components == 1
         assert f.half_spectrum() is a_hat and not a_hat.flags.writeable
         assert calls == []
         values = f.scalar_values()
