@@ -15,7 +15,6 @@ regime exit (total pressure nonpositive).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass, is_dataclass, replace
 from operator import attrgetter
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .energy import NormSample, NormSeries, norm_E_squared
-from .errors import ConfigError, DataError, _field_types
+from .errors import ConfigError, DataError, _field_types, check_rules, nonnegative
 from .config import format_config, parse_config
 from .solver import (
     RunSample,
@@ -177,9 +176,9 @@ def twin_run(cfg: ScenarioConfig, perturbation: float) -> TwinReport:
     Reports ||P1 - P2||_E and ||u1 - u2||_L2 at every matched sample, plus
     the least-squares slope of log ||u1 - u2|| against t.  A divergence or
     a regime exit of either run ends both, with the samples before it kept.
+    perturbation must be nonnegative and finite (errors.nonnegative).
     """
-    if not 0 <= perturbation < math.inf:
-        raise ConfigError("perturbation must be nonnegative and finite")
+    check_rules(nonnegative("perturbation", perturbation))
     twin = replace(
         cfg, ic=replace(cfg.ic, amplitude=cfg.ic.amplitude * (1 + perturbation))
     )

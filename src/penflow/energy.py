@@ -16,7 +16,9 @@ u.grad phi); none of them reads a sample of P or DtP.
 
 Each function checks its field arguments by the one rule on fields,
 spectral.check_field: P, DtP and the test fields are scalars, and u has
-one component per dimension, all on P's grid.
+one component per dimension, all on P's grid.  Its scalar arguments (a
+time step, a mode) obey the configuration's rules, errors.positive and
+errors.one_of, with the same messages.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError, check_rules, one_of, positive
 from .flow import (
     RegimeReport,
     ThermoParams,
@@ -95,7 +97,6 @@ class NormSeries:
         self.samples: list[NormSample] = []
         self.blowup = blowup if blowup is not None else BlowupState(threshold=math.inf)
         self.blowup_history: list[BlowupState] = []
-        self.bound: BoundFit | None = None
         self.diverged_at: float | None = None
         self.regime_exit_at: float | None = None
 
@@ -108,9 +109,10 @@ class NormSeries:
         self.samples.append(sample)
         self.blowup_history.append(self.blowup)
 
-    def finalize(self) -> None:
-        """Fit the bound; a run stopped before its first sample has none."""
-        self.bound = bound_check(self) if self.samples else None
+    @property
+    def bound(self) -> BoundFit | None:
+        """bound_check of the samples so far; a series without one has none."""
+        return bound_check(self) if self.samples else None
 
     @property
     def tripped(self) -> bool:
@@ -134,17 +136,17 @@ def material_derivative(
     difference between snapshots, formed on their half spectra; the field
     is made from that spectrum alone, so its samples are computed only when
     something reads them.  model_rhs: substitutes the energy equation,
-    pressure_source (R/c_v) * (Phi(u) + Q).
+    pressure_source (R/c_v) * (Phi(u) + Q).  mode must be one of
+    MATERIAL_DERIVATIVE_MODES, and in finite_difference dt positive and
+    finite (errors.one_of, errors.positive), as in a configuration.
     """
-    if mode not in MATERIAL_DERIVATIVE_MODES:
-        raise ConfigError(f"unknown material-derivative mode {mode!r}")
+    check_rules(one_of("mode", mode, MATERIAL_DERIVATIVE_MODES))
     check_field(P_curr.grid, P_curr.grid.dim, u)
     if mode == MODEL_RHS:
         return pressure_source(dissipation_phi(u, params), params)
     if P_prev is None:
         raise DataError("finite_difference mode needs the previous snapshot")
-    if dt <= 0:
-        raise ConfigError("finite_difference mode needs dt > 0")
+    check_rules(positive("dt", dt))
     check_field(P_curr.grid, 1, P_prev, P_curr)
     dtp_hat = np.subtract(P_curr.half_spectrum(), P_prev.half_spectrum())
     dtp_hat /= dt
@@ -196,12 +198,12 @@ def inner_product_E(
 def norm_B(samples: Sequence[tuple[RealField, RealField]], dt: float) -> float:
     """Time-aggregated Banach norm: L2(0,T;H2) of P plus L2(0,T;H-1) of dtP.
 
-    Both time integrals use the trapezoidal rule on uniformly spaced samples.
+    Both time integrals use the trapezoidal rule on uniformly spaced
+    samples, dt apart: dt must be positive and finite (errors.positive).
     """
     if len(samples) < 2:
         raise DataError("norm_B needs at least two samples")
-    if dt <= 0:
-        raise ConfigError("norm_B needs dt > 0")
+    check_rules(positive("dt", dt))
     h2_sq = [sobolev_norm(p, 2) ** 2 for p, _ in samples]
     hm1_sq = [sobolev_norm(dtp, -1) ** 2 for _, dtp in samples]
     return float(
@@ -232,9 +234,12 @@ def bound_check(series: NormSeries) -> BoundFit:
 
 
 def blowup_update(state: BlowupState, sample: NormSample, dt: float) -> BlowupState:
-    """accumulator += ||P||_E^2 * dt; the trip latches and never unlatches."""
-    if dt <= 0:
-        raise ConfigError("blowup_update needs dt > 0")
+    """accumulator += ||P||_E^2 * dt; the trip latches and never unlatches.
+
+    dt must be positive and finite (errors.positive): a NaN accumulator
+    could never trip.
+    """
+    check_rules(positive("dt", dt))
     acc = state.accumulator + sample.norm_E_sq * dt
     return replace(state, accumulator=acc, tripped=state.tripped or acc > state.threshold)
 
@@ -250,21 +255,27 @@ def variational_residual(
     The test function is advected with the flow, D_t phi = u.grad phi, and
     each residual is inner_product_E(P, DtP, phi, D_t phi), P's and DtP's
     spectra taken once for all modes and their samples not read.  Each mode
-    must lie inside the dealiased band |k_j| <= n/3.
+    must have grid.dim integer entries inside the dealiased band |k_j| <=
+    n/3; one ConfigError names every mode that breaks one of these rules.
     """
     grid = P.grid
     check_field(grid, 1, P, DtP)
     check_field(grid, grid.dim, u)
+    check_rules(
+        *(
+            ("test_modes", passed, f"test mode {tuple(kvec)} {problem}")
+            for kvec in test_modes
+            for passed, problem in [
+                (all(float(k).is_integer() for k in kvec), "has a non-integer entry"),
+                (len(kvec) == grid.dim, "has wrong dimension"),
+                (all(abs(k) <= grid.n / 3 for k in kvec), "outside the resolved band"),
+            ]
+        )
+    )
     p_hat, dtp_hat = P.half_spectrum(), DtP.half_spectrum()
-    band = grid.n / 3.0
     coords = grid.coordinates()
     out = []
     for kvec in test_modes:
-        kvec = tuple(int(k) for k in kvec)
-        if len(kvec) != grid.dim:
-            raise ConfigError(f"test mode {kvec} has wrong dimension")
-        if any(abs(k) > band for k in kvec):
-            raise ConfigError(f"test mode {kvec} outside the resolved band")
         phase = sum(k * x for k, x in zip(kvec, coords))[np.newaxis]
         sin_phase = np.sin(phase)
         dt_phi = sum(-k * u.data[j] * sin_phase for j, k in enumerate(kvec))

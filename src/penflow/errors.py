@@ -1,7 +1,18 @@
 """Exception hierarchy shared across the package, and the rule checks that
-raise ConfigError."""
+raise ConfigError.
+
+A rule is a (field, passed, message) tuple, and check_rules raises one
+ConfigError naming every rule that failed.  positive, nonnegative and
+one_of build the scalar rules, each with one message wherever it is
+applied: the configuration dataclasses and every public function that
+takes such a scalar (a time step, a reference state, a mode, a Sobolev
+order) apply the same rule, so a value a configuration file rejects is
+rejected by the Python API too.  check_types adds the type rules of a
+dataclass's annotations.
+"""
 
 import dataclasses
+import math
 import numbers
 import typing
 from functools import lru_cache
@@ -45,13 +56,12 @@ class DataError(PenflowError):
 class ConfigError(PenflowError):
     """Invalid configuration.  Carries the full list of problems found.
 
-    fields runs parallel to issues: the setting each issue is about, or
-    None where no single setting applies.
+    issues is a list of messages; fields runs parallel to it: the setting
+    each issue is about, or None where no single setting applies.  Raised
+    only by check_rules and, with line numbers, by config.parse_config.
     """
 
-    def __init__(self, issues, fields=None):
-        if isinstance(issues, str):
-            issues = [issues]
+    def __init__(self, issues: list[str], fields=None):
         self.issues = list(issues)
         self.fields = list(fields) if fields is not None else [None] * len(self.issues)
         super().__init__("; ".join(self.issues))
@@ -62,6 +72,21 @@ def check_rules(*rules) -> None:
     failed = [(name, message) for name, passed, message in rules if not passed]
     if failed:
         raise ConfigError([m for _, m in failed], [f for f, _ in failed])
+
+
+def positive(name: str, value) -> tuple:
+    """The rule that value is positive and finite (NaN fails it)."""
+    return (name, 0 < value < math.inf, f"{name} must be positive and finite")
+
+
+def nonnegative(name: str, value) -> tuple:
+    """The rule that value is nonnegative and finite (NaN fails it)."""
+    return (name, 0 <= value < math.inf, f"{name} must be nonnegative and finite")
+
+
+def one_of(name: str, value, allowed: tuple) -> tuple:
+    """The rule that value is one of allowed."""
+    return (name, value in allowed, f"{name} must be one of {allowed}")
 
 
 # how a type rule names the type it asks for

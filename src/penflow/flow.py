@@ -2,7 +2,8 @@
 
 Velocity snapshots with the pressure slaved to them by a Poisson solve
 (whose self-advection a sampled state keeps for the next step's first RK4
-stage), the ideal-gas closure P = rho*R*T, the energy-equation closure
+stage), the ideal-gas closure P = rho*R*T (_temperature, the one place
+it is written), the energy-equation closure
 D_tP = (R/c_v)*(Phi + Q) (pressure_source, the one place it is written),
 the dissipation Phi = 2*mu*sum_ij (du_i/dx_j)^2, the Leray projection onto
 divergence-free fields, and the quasi-incompressible regime check (relative
@@ -24,11 +25,11 @@ import numpy as np
 
 from .errors import (
     ArityError,
-    ConfigError,
     DivergenceError,
     RegimeError,
     check_rules,
     check_types,
+    positive,
 )
 from .spectral import (
     TWO_PI,
@@ -68,12 +69,7 @@ class ThermoParams:
 
     def __post_init__(self):
         check_types(self)
-        check_rules(
-            *(
-                (k, 0 < getattr(self, k) < math.inf, f"{k} must be positive and finite")
-                for k in ("rho", "R", "c_v", "mu")
-            )
-        )
+        check_rules(*(positive(k, getattr(self, k)) for k in ("rho", "R", "c_v", "mu")))
         if self.Q is not None:
             check_field(self.Q.grid, 1, self.Q)
 
@@ -211,16 +207,29 @@ def pressure_poisson(
     return RealField(grid, ifft(p_hat, grid), p_hat)
 
 
+def _temperature(p: np.ndarray, params: ThermoParams, P0: float) -> np.ndarray:
+    """The ideal gas law T = (P0 + p)/(rho*R) on an array of pressures p
+    about the reference P0; RegimeError where a total P0 + p is nonpositive.
+
+    The one place the law is written: temperature_from_pressure applies it
+    to a field's samples and regime_check to a field's extremes.
+    """
+    total = P0 + p
+    if np.min(total) <= 0:
+        raise RegimeError("total pressure nonpositive somewhere on the grid")
+    return total / (params.rho * params.R)
+
+
 def temperature_from_pressure(
     P: RealField, params: ThermoParams, P0: float
 ) -> RealField:
-    """Ideal gas law: T = (P0 + P)/(rho*R), pointwise."""
-    if P0 <= 0:
-        raise ConfigError("reference pressure P0 must be positive")
-    total = P0 + P.scalar_values()
-    if np.min(total) <= 0:
-        raise RegimeError("total pressure nonpositive somewhere on the grid")
-    return RealField(P.grid, total / (params.rho * params.R))
+    """Ideal gas law: T = (P0 + P)/(rho*R), pointwise (flow._temperature).
+
+    P0 must be positive and finite (errors.positive), as in a configuration;
+    RegimeError where the total pressure P0 + P is nonpositive.
+    """
+    check_rules(positive("P0", P0))
+    return RealField(P.grid, _temperature(P.scalar_values(), params, P0))
 
 
 def _derivatives(u: RealField) -> Iterator[tuple[list[tuple[int, int]], np.ndarray]]:
@@ -312,21 +321,21 @@ def regime_check(
 ) -> RegimeReport:
     """Report max relative temperature deviation and the H^2 norm of T.
 
-    h2_norm is sobolev_norm(P, 2) when the caller already holds it.  The
-    deviation is temperature_from_pressure's max |T - T0|/T0, taken from
-    P's extremes alone: T - T0 = (P0 + P)/(rho*R) - T0 rounds each step
-    monotonically in P, so its largest magnitude lies at max P or min P,
-    and the total pressure's minimum is P0 + min P, bit for bit.
+    T0 must be positive and finite (errors.positive).  h2_norm is
+    sobolev_norm(P, 2) when the caller already holds it.  The deviation is
+    temperature_from_pressure's max |T - T0|/T0 for P0 = rho*R*T0, taken
+    by the one ideal gas law, flow._temperature, from P's extremes alone:
+    T - T0 = (P0 + P)/(rho*R) - T0 rounds each step monotonically in P, so
+    its largest magnitude lies at max P or min P, and the total pressure's
+    minimum is P0 + min P, bit for bit (RegimeError where it is
+    nonpositive).
     """
-    if T0 <= 0:
-        raise ConfigError("reference temperature T0 must be positive")
+    check_rules(positive("T0", T0))
     grid = P.grid
     rho_R = params.rho * params.R
     p = P.scalar_values()
-    total = rho_R * T0 + np.array([p.min(), p.max()])
-    if total[0] <= 0:
-        raise RegimeError("total pressure nonpositive somewhere on the grid")
-    delta = float(np.max(np.abs(total / rho_R - T0))) / T0
+    T = _temperature(np.array([p.min(), p.max()]), params, rho_R * T0)
+    delta = float(np.max(np.abs(T - T0))) / T0
     if h2_norm is None:
         h2_norm = sobolev_norm(P, 2)
     # T = (P0 + P)/(rho*R) has P's spectrum over rho*R plus T0*n**dim in

@@ -51,6 +51,9 @@ from .errors import (
     RegimeError,
     check_rules,
     check_types,
+    nonnegative,
+    one_of,
+    positive,
 )
 from .flow import (
     FlowState,
@@ -94,12 +97,8 @@ class SolverConfig:
     def __post_init__(self):
         check_types(self)
         check_rules(
-            ("dt", 0 < self.dt < math.inf, "dt must be positive and finite"),
-            (
-                "t_end",
-                0 <= self.t_end < math.inf,
-                "t_end must be nonnegative and finite",
-            ),
+            positive("dt", self.dt),
+            nonnegative("t_end", self.t_end),
             ("cfl_safety", 0 < self.cfl_safety <= 1, "cfl_safety must lie in (0, 1]"),
         )
 
@@ -114,7 +113,7 @@ class InitialCondition:
     def __post_init__(self):
         check_types(self)
         check_rules(
-            ("kind", self.kind in IC_KINDS, f"kind must be one of {IC_KINDS}"),
+            one_of("kind", self.kind, IC_KINDS),
             ("amplitude", math.isfinite(self.amplitude), "amplitude must be finite"),
             ("seed", self.seed >= 0, "seed must be >= 0"),
             ("spectrum_peak", self.spectrum_peak >= 1, "spectrum_peak must be >= 1"),
@@ -147,15 +146,10 @@ class ScenarioConfig:
 
     def __post_init__(self):
         check_types(self)
-        modes = MATERIAL_DERIVATIVE_MODES
         check_rules(
-            ("P0", 0 < self.P0 < math.inf, "P0 must be positive and finite"),
-            ("mode", self.mode in modes, f"mode must be one of {modes}"),
-            (
-                "blowup_threshold",
-                0 <= self.blowup_threshold < math.inf,
-                "blowup_threshold must be nonnegative and finite",
-            ),
+            positive("P0", self.P0),
+            one_of("mode", self.mode, MATERIAL_DERIVATIVE_MODES),
+            nonnegative("blowup_threshold", self.blowup_threshold),
             ("output_every", self.output_every >= 1, "output_every must be >= 1"),
             (
                 "Q",
@@ -332,11 +326,13 @@ def step(state: FlowState, cfg: SolverConfig, dt: float | None = None) -> FlowSt
     state's self-advection (the one its P solve left, or one made from the
     physical u the state holds), and the new state takes the projected
     spectrum with it, so each velocity is transformed once.  The viscosity
-    is the state's params.nu, mu/rho.
+    is the state's params.nu, mu/rho.  dt, cfg's CFL-capped step when not
+    given, must be positive and finite.
     """
     grid = state.grid
     nu = state.params.nu
     dt = effective_dt(state, cfg) if dt is None else dt
+    check_rules(positive("dt", dt))
     u0_hat = state.u.half_spectrum()
     k1 = _momentum_rhs(u0_hat, nu, grid, advection=state.take_self_advection())
     # stages 2-4 share one physical velocity and one scratch, made once per
@@ -375,11 +371,13 @@ def evolve_pressure_model(
     they start from P_model.half_spectrum(), and the result is made from
     its own: finiteness is checked on the spectrum (a sample is non-finite
     exactly when a coefficient is, overflow aside), and the samples are
-    computed only when something reads them.
+    computed only when something reads them.  dt, cfg's CFL-capped step
+    when not given, must be positive and finite.
     """
     grid = state.grid
     check_field(grid, 1, P_model)
     dt = effective_dt(state, cfg) if dt is None else dt
+    check_rules(positive("dt", dt))
     s_hat = pressure_source(state.phi, state.params).half_spectrum()
     # the four stages share advect's work arrays, made once per step
     advect = advector(state.u.data, grid)
@@ -531,7 +529,6 @@ def run(
             on_sample(rs)
         # the sample's state must not stay alive through the next steps
         del rs
-    series.finalize()
     return series
 
 

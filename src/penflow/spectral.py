@@ -103,12 +103,12 @@ import numpy as np
 
 from .errors import (
     ArityError,
-    ConfigError,
     CorruptionError,
     GaugeError,
     SymmetryError,
     check_rules,
     check_types,
+    one_of,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -856,14 +856,14 @@ def parseval_sum(
 def sobolev_norm(f: RealField, order: float) -> float:
     """H^order norm via sqrt(sum_k (1+|k|^2)^order |c_k|^2 (2*pi)^dim).
 
-    Supported orders: -1, 0, 1, 2 (scalar fields only).  The sum is
+    order must be one of -1, 0, 1, 2 (errors.one_of), and f a scalar field
+    (check_field).  The sum is
     parseval_sum over f.half_spectrum().  Finiteness is checked on that
     spectrum (a sample is non-finite exactly when a coefficient is,
     overflow aside), so a field made from its spectrum alone keeps its
     samples uncomputed.
     """
-    if order not in (-1, 0, 1, 2):
-        raise ConfigError(f"unsupported Sobolev order {order}")
+    check_rules(one_of("order", order, (-1, 0, 1, 2)))
     check_field(f.grid, 1, f)
     hat = f.half_spectrum()
     if not np.all(np.isfinite(hat)):

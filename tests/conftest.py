@@ -37,7 +37,6 @@ def baseline():
     t0 = time.perf_counter()
     series = run(cfg)
     elapsed = time.perf_counter() - t0
-    series.finalize()
     return cfg, series, elapsed
 
 

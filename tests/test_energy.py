@@ -326,6 +326,31 @@ class TestVariationalResidual:
         with pytest.raises(ConfigError):
             variational_residual(z, z, RealField.zeros(g, 2), [(12, 0)])
 
+    def test_non_integer_mode(self):
+        # (1.5, 0) was truncated to (1, 0) without a word
+        g = GridSpec(2, 64)
+        x, _ = g.coordinates()
+        P = RealField(g, np.cos(x))
+        z = RealField.zeros(g)
+        with pytest.raises(ConfigError):
+            variational_residual(P, z, RealField.zeros(g, 2), [(1.5, 0)])
+        # an integer value is a mode, whatever its type
+        got = variational_residual(P, z, RealField.zeros(g, 2), [(1.0, 0), (1, 0)])
+        assert got[0] == got[1]
+
+    def test_every_broken_rule_is_listed(self):
+        g = GridSpec(2, 32)
+        z = RealField.zeros(g)
+        modes = [(1.5, 0), (1, 0), (1, 0, 0), (12, 0.5)]
+        with pytest.raises(ConfigError) as exc:
+            variational_residual(z, z, RealField.zeros(g, 2), modes)
+        assert exc.value.issues == [
+            "test mode (1.5, 0) has a non-integer entry",
+            "test mode (1, 0, 0) has wrong dimension",
+            "test mode (12, 0.5) has a non-integer entry",
+            "test mode (12, 0.5) outside the resolved band",
+        ]
+
 
 class TestOneForm:
     """<.,.>_E and the weak-form residual are Parseval sums over the half

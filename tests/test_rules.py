@@ -1,0 +1,178 @@
+"""The scalar rules: positive, nonnegative and one_of, applied alike by the
+configuration dataclasses and by every public function taking a scalar."""
+
+import ast
+import math
+from itertools import product
+from pathlib import Path
+
+import pytest
+
+import penflow
+from penflow import (
+    BlowupState,
+    ConfigError,
+    GridSpec,
+    InitialCondition,
+    NormSample,
+    RegimeReport,
+    ScenarioConfig,
+    SolverConfig,
+    ThermoParams,
+    blowup_update,
+    evolve_pressure_model,
+    make_initial,
+    material_derivative,
+    norm_B,
+    regime_check,
+    sobolev_norm,
+    step,
+    temperature_from_pressure,
+    twin_run,
+)
+from penflow.energy import FINITE_DIFFERENCE
+from penflow.errors import nonnegative, one_of, positive
+
+SRC = Path(penflow.__file__).resolve().parent
+
+
+class TestConstructors:
+    @pytest.mark.parametrize("value", [1e-300, 1.0, 5])
+    def test_positive_passes(self, value):
+        assert positive("dt", value) == ("dt", True, "dt must be positive and finite")
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_positive_fails(self, value):
+        assert positive("dt", value)[1] is False
+
+    @pytest.mark.parametrize("value", [0.0, 2.5])
+    def test_nonnegative_passes(self, value):
+        assert nonnegative("t", value)[1] is True
+
+    @pytest.mark.parametrize("value", [-1e-300, math.nan, math.inf])
+    def test_nonnegative_fails(self, value):
+        issue = "t must be nonnegative and finite"
+        assert nonnegative("t", value) == ("t", False, issue)
+
+    def test_one_of(self):
+        assert one_of("mode", "a", ("a", "b"))[1] is True
+        issue = "mode must be one of ('a', 'b')"
+        assert one_of("mode", "c", ("a", "b")) == ("mode", False, issue)
+
+
+def _state():
+    return make_initial(InitialCondition(), GridSpec(2, 16))
+
+
+def _evolve(dt):
+    state = _state()
+    return evolve_pressure_model(state, state.P, SolverConfig(), dt=dt)
+
+
+def _material_derivative(dt):
+    state = _state()
+    P = state.P
+    return material_derivative(P, P, state.u, dt, FINITE_DIFFERENCE, ThermoParams())
+
+
+def _norm_B(dt):
+    P = _state().P
+    return norm_B([(P, P), (P, P)], dt)
+
+
+def _blowup_update(dt):
+    regime = RegimeReport(delta_T_rel=0.0, in_regime=True, T_h2_norm=0.0)
+    sample = NormSample(0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, regime)
+    return blowup_update(BlowupState(threshold=1.0), sample, dt)
+
+
+# caller -> (the scalar's name, the call with that scalar set to v)
+_SCALAR_CALLERS = {
+    "step": ("dt", lambda v: step(_state(), SolverConfig(), dt=v)),
+    "evolve_pressure_model": ("dt", _evolve),
+    "temperature_from_pressure": (
+        "P0",
+        lambda v: temperature_from_pressure(_state().P, ThermoParams(), v),
+    ),
+    "regime_check": ("T0", lambda v: regime_check(_state().P, ThermoParams(), v)),
+    "material_derivative": ("dt", _material_derivative),
+    "norm_B": ("dt", _norm_B),
+    "blowup_update": ("dt", _blowup_update),
+    "sobolev_norm": ("order", lambda v: sobolev_norm(_state().P, v)),
+    "twin_run": ("perturbation", lambda v: twin_run(ScenarioConfig(), v)),
+}
+
+# what each rule says, by the scalar's name
+_ISSUES = {
+    "dt": "dt must be positive and finite",
+    "P0": "P0 must be positive and finite",
+    "T0": "T0 must be positive and finite",
+    "order": "order must be one of (-1, 0, 1, 2)",
+    "perturbation": "perturbation must be nonnegative and finite",
+}
+
+_CASES = [
+    *product(["step", "evolve_pressure_model"], [0.0, -0.01, math.nan, math.inf]),
+    *product(
+        [
+            "temperature_from_pressure",
+            "regime_check",
+            "material_derivative",
+            "norm_B",
+            "blowup_update",
+        ],
+        [math.nan, math.inf],
+    ),
+    ("sobolev_norm", 3),
+    ("sobolev_norm", 0.5),
+    ("twin_run", -1e-6),
+    ("twin_run", math.nan),
+]
+
+
+@pytest.mark.parametrize("caller, value", _CASES)
+def test_malformed_scalar_raises(caller, value):
+    # a negative dt used to integrate backwards, and a NaN dt gave a NaN
+    # accumulator that could never trip again
+    name, call = _SCALAR_CALLERS[caller]
+    with pytest.raises(ConfigError) as exc:
+        call(value)
+    assert exc.value.issues == [_ISSUES[name]]
+    assert exc.value.fields == [name]
+
+
+def _config_error_raises(path: Path):
+    """(qualified name of the enclosing def, line) of every raise of
+    ConfigError in a module."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                name = getattr(exc, "id", getattr(exc, "attr", None))
+                if name == "ConfigError":
+                    found.append((scope, child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return found
+
+
+def test_config_error_is_raised_only_by_the_rule_checks():
+    # every rule goes through errors.check_rules, and parse_config adds the
+    # line numbers; a hand-written raise is a rule written twice
+    allowed = {("errors", "check_rules"), ("config", "parse_config")}
+    stray = [
+        f"{path.stem}.{scope or '<module>'}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope, line in _config_error_raises(path)
+        if (path.stem, scope) not in allowed
+    ]
+    assert stray == []
+    # the scan finds the two raises it allows
+    assert _config_error_raises(SRC / "errors.py") != []
+    assert _config_error_raises(SRC / "config.py") != []

@@ -713,6 +713,21 @@ class TestRun:
         assert series.diverged_at is None
         assert series.bound is not None
 
+    def test_bound_is_fitted_on_read(self):
+        # a fit kept from the end of run() went stale when a sample was
+        # appended afterwards
+        cfg = dataclasses.replace(
+            ScenarioConfig(),
+            grid=GridSpec(2, 16),
+            solver=SolverConfig(t_end=0.003),
+            output_every=1,
+        )
+        series = run(cfg)
+        assert series.bound.samples_used == len(series) == 4
+        last = series.samples[-1]
+        series.append(dataclasses.replace(last, t=last.t + 1e-3))
+        assert series.bound.samples_used == 5
+
     def test_regime_exit_at_t0_leaves_an_empty_series(self):
         cfg = dataclasses.replace(
             ScenarioConfig(),
