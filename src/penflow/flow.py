@@ -50,6 +50,8 @@ from .spectral import (
 )
 
 DIVERGENCE_TOL = 1e-8
+# the largest max |u| a FlowState holds; above it, or NaN, the flow diverged
+MAX_SPEED = 1e100
 REGIME_LIMIT = 0.02
 
 
@@ -114,8 +116,9 @@ class FlowState:
     (take_self_advection), so it is computed once.  A state whose P is
     never read steps through the same code and computes it there.  umax is
     max |u| over the samples, which the divergence check scales by and the
-    CFL cap reads.  A u with a NaN or Inf sample raises DivergenceError at
-    time t.
+    CFL cap reads.  A u whose max |u| is NaN, Inf or above MAX_SPEED raises
+    DivergenceError at time t: the one place a diverged velocity is judged,
+    for an initial state and for every step alike.
     """
 
     __slots__ = ("t", "u", "umax", "params", "_P", "_phi", "_advection")
@@ -124,7 +127,8 @@ class FlowState:
         grid = u.grid
         check_field(grid, grid.dim, u)
         umax = float(np.max(np.abs(u.data)))
-        if not math.isfinite(umax):
+        # written so that a NaN max fails it too
+        if not umax <= MAX_SPEED:
             raise DivergenceError(t)
         # kernels, not backward(): its Hermitian gate would choke on the
         # cancellation roundoff of a nearly-diverged (huge-amplitude) field
@@ -317,24 +321,28 @@ def leray_project(v: RealField) -> RealField:
 
 
 def regime_check(
-    P: RealField, params: ThermoParams, T0: float, *, h2_norm: float | None = None
+    P: RealField, params: ThermoParams, *, P0: float, h2_norm: float | None = None
 ) -> RegimeReport:
     """Report max relative temperature deviation and the H^2 norm of T.
 
-    T0 must be positive and finite (errors.positive).  h2_norm is
+    P0 is the reference pressure, as temperature_from_pressure takes it,
+    and must be positive and finite (errors.positive); it is keyword-only,
+    so a reference temperature passed in its place raises TypeError instead
+    of being read as a pressure.  T0 = P0/(rho*R).  h2_norm is
     sobolev_norm(P, 2) when the caller already holds it.  The deviation is
-    temperature_from_pressure's max |T - T0|/T0 for P0 = rho*R*T0, taken
-    by the one ideal gas law, flow._temperature, from P's extremes alone:
-    T - T0 = (P0 + P)/(rho*R) - T0 rounds each step monotonically in P, so
-    its largest magnitude lies at max P or min P, and the total pressure's
+    temperature_from_pressure's max |T - T0|/T0, taken by the one ideal gas
+    law, flow._temperature, from P's extremes alone: T - T0 =
+    (P0 + P)/(rho*R) - T0 rounds each step monotonically in P, so its
+    largest magnitude lies at max P or min P, and the total pressure's
     minimum is P0 + min P, bit for bit (RegimeError where it is
-    nonpositive).
+    nonpositive, exactly where temperature_from_pressure raises).
     """
-    check_rules(positive("T0", T0))
+    check_rules(positive("P0", P0))
     grid = P.grid
     rho_R = params.rho * params.R
+    T0 = P0 / rho_R
     p = P.scalar_values()
-    T = _temperature(np.array([p.min(), p.max()]), params, rho_R * T0)
+    T = _temperature(np.array([p.min(), p.max()]), params, P0)
     delta = float(np.max(np.abs(T - T0))) / T0
     if h2_norm is None:
         h2_norm = sobolev_norm(P, 2)

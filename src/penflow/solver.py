@@ -327,7 +327,9 @@ def step(state: FlowState, cfg: SolverConfig, dt: float | None = None) -> FlowSt
     physical u the state holds), and the new state takes the projected
     spectrum with it, so each velocity is transformed once.  The viscosity
     is the state's params.nu, mu/rho.  dt, cfg's CFL-capped step when not
-    given, must be positive and finite.
+    given, must be positive and finite.  Returns the new FlowState, which
+    raises DivergenceError at the new time when its max |u| is NaN, Inf or
+    above flow.MAX_SPEED.
     """
     grid = state.grid
     nu = state.params.nu
@@ -350,13 +352,8 @@ def step(state: FlowState, cfg: SolverConfig, dt: float | None = None) -> FlowSt
     )
     del u_stage  # not alive through the new velocity's inverse
     project_hat(u_hat, grid, scratch=scratch)
-    t_new = state.t + dt
     u_new = RealField(grid, ifft(u_hat, grid, scratch=scratch[: grid.dim]), u_hat)
-    # FlowState raises DivergenceError on a NaN or Inf max |u| itself
-    new_state = FlowState(t_new, u_new, state.params)
-    if not new_state.umax <= 1e100:
-        raise DivergenceError(t_new)
-    return new_state
+    return FlowState(state.t + dt, u_new, state.params)
 
 
 def evolve_pressure_model(
@@ -410,40 +407,37 @@ class RunSample:
 
 
 def _diagnose(
-    cfg: ScenarioConfig,
-    state: FlowState,
-    prev: FlowState | None,
-    dt_step: float,
+    cfg: ScenarioConfig, state: FlowState, P_prev: RealField | None, dt_step: float
 ) -> tuple[RealField, NormSample]:
     """D_tP and the diagnostics on the Navier-Stokes-consistent pressure.
 
-    Without prev (model_rhs mode, and the first sample of a
+    Without P_prev (model_rhs mode, and the first sample of a
     finite_difference run, which has no snapshot yet) D_tP is the source
     pressure_source (R/c_v)*(Phi + Q) of the state's cached Phi, as
     material_derivative defines it; the gradient energy, integral Phi
     dx/(2*mu), comes from the same Phi.  The source is transformed once,
     for both of its sums, and the sample keeps its samples only.  With
-    prev (finite_difference mode), D_tP is material_derivative's, which
-    reads prev.P, the pressure of the state one step earlier, and is made
-    from its spectrum: its samples wait for a reader.  Every norm but the
-    kinetic energy is a Parseval sum over a half spectrum.
+    P_prev (finite_difference mode), the pressure of the state one step
+    earlier, D_tP is material_derivative's, made from its spectrum: its
+    samples wait for a reader.  Every norm but the kinetic energy is a
+    Parseval sum over a half spectrum.
     """
     params = state.params
     ge = integrate(state.phi) / (2.0 * params.mu)
     h2_norm_P = sobolev_norm(state.P, 2)
     ke = kinetic_energy(state.u)
     try:
-        regime = regime_check(state.P, params, cfg.T0, h2_norm=h2_norm_P)
+        regime = regime_check(state.P, params, P0=cfg.P0, h2_norm=h2_norm_P)
     except RegimeError as exc:
         raise RegimeError(str(exc), time=state.t) from exc
     # D_tP comes last: with the source's spectrum made before P's sums and
     # the regime check, a 3D n=64 run's peak RSS rose by 4 MB
-    if prev is None:
+    if P_prev is None:
         dtp = pressure_source(state.phi, params)
         spectral_dtp = RealField(dtp.grid, dtp.data, dtp.half_spectrum())
     else:
         dtp = spectral_dtp = material_derivative(
-            prev.P, state.P, state.u, dt_step, cfg.mode, params
+            P_prev, state.P, state.u, dt_step, cfg.mode, params
         )
     total, dtp_term, lap_term = norm_E_squared(state.P, spectral_dtp)
     sample = NormSample(
@@ -464,7 +458,9 @@ def _diagnose(
 def simulate(cfg: ScenarioConfig) -> Iterator[RunSample]:
     """Yield diagnostics at t=0 and every output_every steps until t_end.
 
-    Raises DivergenceError on NaN/Inf, and RegimeError, with the sampled
+    Raises DivergenceError when a state's max |u| is NaN, Inf or above
+    flow.MAX_SPEED (FlowState; the initial state's too, at t = 0) or the
+    model pressure turns non-finite, and RegimeError, with the sampled
     state's time, when a sample finds the total pressure nonpositive.
     """
     state = make_initial(cfg.ic, cfg.grid, cfg.thermo)
@@ -481,17 +477,15 @@ def simulate(cfg: ScenarioConfig) -> Iterator[RunSample]:
         step_idx += 1
         # the step computes t + dt, this same float
         sampled = step_idx % cfg.output_every == 0 or state.t + dt >= t_last
-        # only a finite_difference sample reads the previous state, its P
+        # only a finite_difference sample reads the previous pressure,
         # solved before the step so that the step takes that solve's
-        # self-advection; held otherwise, its arrays would stay alive
-        prev = state if sampled and cfg.mode != MODEL_RHS else None
-        if prev is not None:
-            prev.P
+        # self-advection; the previous state itself is not held
+        P_prev = state.P if sampled and cfg.mode != MODEL_RHS else None
         p_model = evolve_pressure_model(state, p_model, cfg.solver, dt=dt)
         state = step(state, cfg.solver, dt=dt)
         if sampled:
             yield RunSample(
-                step_idx, state, p_model, *_diagnose(cfg, state, prev, dt)
+                step_idx, state, p_model, *_diagnose(cfg, state, P_prev, dt)
             )
 
 
@@ -547,15 +541,16 @@ def save_checkpoint(path, f: RealField, time: float) -> None:
         fh.write(
             _HEADER.pack(CHECKPOINT_MAGIC, grid.dim, grid.n, f.components, time)
         )
-        fh.write(np.ascontiguousarray(f.data, dtype="<f8").tobytes())
+        # from the array's own buffer: a tobytes() copy of a 3D n=64 u is 6.3 MB
+        fh.write(np.ascontiguousarray(f.data, dtype="<f8"))
 
 
 def load_checkpoint(path) -> tuple[RealField, float]:
     """The field and time save_checkpoint wrote to path.
 
     Raises DataError, naming path, for a file that is not one checkpoint: a
-    bad magic, a header that names no grid, or samples that stop short of
-    the header's count or run past it.
+    bad magic, a header that names no grid or no component, or samples
+    that stop short of the header's count or run past it.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -568,6 +563,8 @@ def load_checkpoint(path) -> tuple[RealField, float]:
             grid = GridSpec(dim=dim, n=n)
         except ConfigError as exc:
             raise DataError(f"checkpoint {path} names no grid: {exc}") from exc
+        if components == 0:
+            raise DataError(f"checkpoint {path} names no component")
         size = components * n**dim * 8
         stored = os.fstat(fh.fileno()).st_size - _HEADER.size
         if stored != size:

@@ -223,6 +223,18 @@ def dealias_mask(grid: GridSpec) -> np.ndarray:
     return _full_wavenumbers(grid).mask
 
 
+def _check_layout(grid: GridSpec, a: np.ndarray, last: int) -> None:
+    """The rule on a field's array: at least one component on grid.shape,
+    shape (components, n, ..., n, last), where the last axis is n long
+    (samples) or n//2 + 1 long (the kernels' half spectrum); ArityError
+    otherwise.
+    """
+    layout = grid.shape[:-1] + (last,)
+    # shape[0] is read only once shape[1:] has matched, so a has an axis 0
+    if a.shape[1:] != layout or a.shape[0] < 1:
+        raise ArityError(f"array of shape {a.shape}, not k >= 1 components of {layout}")
+
+
 class _Field:
     __slots__ = ("grid", "_data")
 
@@ -230,10 +242,7 @@ class _Field:
         data = np.asarray(data, dtype=dtype)
         if data.ndim == grid.dim:
             data = data[np.newaxis]
-        if data.ndim != grid.dim + 1 or data.shape[1:] != grid.shape:
-            raise ArityError(
-                f"field shape {data.shape} incompatible with grid {grid.shape}"
-            )
+        _check_layout(grid, data, grid.n)
         self.grid = grid
         self._data = data
 
@@ -253,33 +262,32 @@ class RealField(_Field):
     returns it instead of a new transform; it and data become read-only,
     so the two cannot drift apart.  from_half_spectrum builds a field from
     a spectrum alone, whose samples are ifft(hat), computed on first read.
+
+    data and hat each pass the one rule on a field's array layout (at
+    least one component on the grid; hat's last axis n//2 + 1 long), and
+    hat has data's component count (check_field); ArityError otherwise.
     """
 
     __slots__ = ("_hat",)
 
     def __init__(self, grid: GridSpec, data, hat: np.ndarray | None = None):
         super().__init__(grid, data, np.float64)
+        self._hat = hat
         if hat is not None:
-            if hat.shape != self._data.shape[:-1] + (grid.n // 2 + 1,):
-                raise ArityError(
-                    f"half spectrum shape {hat.shape} does not match field "
-                    f"shape {self._data.shape}"
-                )
+            _check_layout(grid, hat, grid.n // 2 + 1)
+            check_field(grid, len(hat), self)
             hat.setflags(write=False)
             self._data.setflags(write=False)
-        self._hat = hat
 
     @classmethod
     def from_half_spectrum(cls, grid: GridSpec, hat: np.ndarray) -> "RealField":
         """The field whose half spectrum is hat; its samples wait for a read.
 
-        hat has the kernels' layout, (components, n, ..., n//2 + 1), and
-        becomes read-only, as do the samples ifft(hat) once computed.
+        hat has the kernels' layout, (components, n, ..., n//2 + 1) with at
+        least one component, and becomes read-only, as do the samples
+        ifft(hat) once computed.
         """
-        if hat.shape[1:] != grid.shape[:-1] + (grid.n // 2 + 1,):
-            raise ArityError(
-                f"half spectrum shape {hat.shape} incompatible with grid {grid.shape}"
-            )
+        _check_layout(grid, hat, grid.n // 2 + 1)
         field = cls.__new__(cls)
         field.grid = grid
         field._data = None
@@ -299,7 +307,7 @@ class RealField(_Field):
 
     @property
     def components(self) -> int:
-        return (self._data if self._hat is None else self._hat).shape[0]
+        return (self._hat if self._data is None else self._data).shape[0]
 
     def half_spectrum(self) -> np.ndarray:
         """fft(data): the kept spectrum if the field has one, else a new one."""
@@ -785,7 +793,7 @@ def hermitian_asymmetry(F: SpectralField) -> float:
 
 def backward(F: SpectralField) -> RealField:
     """Fourier coefficients -> physical samples (imaginary residue discarded)."""
-    scale = max(1.0, float(np.max(np.abs(F.coeffs)))) if F.coeffs.size else 1.0
+    scale = max(1.0, float(np.max(np.abs(F.coeffs))))
     if hermitian_asymmetry(F) > HERMITIAN_TOL * scale:
         raise SymmetryError("coefficients are not Hermitian-symmetric")
     return RealField(F.grid, _ifftn(F.coeffs * F.grid.n**F.grid.dim, F.grid))

@@ -209,7 +209,7 @@ class TestLerayProjection:
 class TestRegimeCheck:
     def test_zero_fluctuation(self):
         g = GridSpec(2, 16)
-        report = regime_check(RealField.zeros(g), ThermoParams(), 300.0)
+        report = regime_check(RealField.zeros(g), ThermoParams(), P0=101325.0)
         assert report.delta_T_rel == 0
         assert report.in_regime
 
@@ -220,7 +220,7 @@ class TestRegimeCheck:
         T0 = 300.0
         P0 = params.rho * params.R * T0
         P = RealField(g, 0.025 * P0 * np.cos(x))  # 2.5% fluctuation
-        report = regime_check(P, params, T0)
+        report = regime_check(P, params, P0=P0)
         assert not report.in_regime
         assert report.delta_T_rel == pytest.approx(0.025, rel=1e-10)
 
@@ -231,7 +231,7 @@ class TestRegimeCheck:
         T0 = 300.0
         # T = T0 + cos(x): coefficients T0 at k=0 and 1/2 at k=(+-1,0)
         P = RealField(g, params.rho * params.R * np.cos(x))
-        report = regime_check(P, params, T0)
+        report = regime_check(P, params, P0=params.rho * params.R * T0)
         expected_sq = (2 * np.pi) ** 2 * (T0**2 + 2 * (2**2) * 0.25)
         assert report.T_h2_norm == pytest.approx(np.sqrt(expected_sq), rel=1e-10)
 
@@ -259,21 +259,41 @@ class TestRegimeCheck:
                 with pytest.raises(RegimeError):
                     temperature_from_pressure(P, params, P0)
                 with pytest.raises(RegimeError):
-                    regime_check(P, params, T0)
+                    regime_check(P, params, P0=P0)
                 continue
             T = total / rho_R
-            report = regime_check(P, params, T0)
+            report = regime_check(P, params, P0=P0)
             assert report.delta_T_rel == float(np.max(np.abs(T - T0))) / T0
             assert report.in_regime == (report.delta_T_rel < 0.02)
         assert 0 < raised < len(fields)
         assert np.min(P0 + fields[-3]) > 0  # one ulp above the boundary
 
+    def test_agrees_with_temperature_from_pressure_at_the_boundary(self):
+        # both read P0 itself: a reference temperature rebuilt as
+        # rho*R*(P0/(rho*R)) is 1 ulp above this P0, and regime_check
+        # used to find the total pressure nonpositive where
+        # temperature_from_pressure found it positive
+        g = GridSpec(2, 16)
+        params = ThermoParams()
+        P0 = 729496.8314874374
+        P = RealField(g, np.full(g.shape, -729496.8314874372))
+        assert np.all(temperature_from_pressure(P, params, P0).data > 0)
+        report = regime_check(P, params, P0=P0)
+        assert report.delta_T_rel == pytest.approx(1.0)
+        with pytest.raises(RegimeError):
+            regime_check(P, params, P0=np.nextafter(-P.data.min(), 0.0))
+
+    def test_reference_pressure_is_keyword_only(self):
+        # a positional 300 K would otherwise be read as 300 Pa
+        with pytest.raises(TypeError):
+            regime_check(RealField.zeros(GridSpec(2, 16)), ThermoParams(), 300.0)
+
     def test_given_h2_norm_is_the_one_computed(self, rng):
         g = GridSpec(2, 32)
         params = ThermoParams()
         P = pressure_poisson(leray_project(smooth_vector(g, rng)), params)
-        given = regime_check(P, params, 300.0, h2_norm=sobolev_norm(P, 2))
-        assert given == regime_check(P, params, 300.0)
+        given = regime_check(P, params, P0=101325.0, h2_norm=sobolev_norm(P, 2))
+        assert given == regime_check(P, params, P0=101325.0)
 
     def test_kept_spectrum_gives_the_transformed_norm(self, rng):
         # T's spectrum is derived from the one P keeps from its Poisson
@@ -282,7 +302,8 @@ class TestRegimeCheck:
         params = ThermoParams()
         P = pressure_poisson(leray_project(smooth_vector(g, rng)), params)
         bare = RealField(g, P.data.copy())
-        kept, fresh = regime_check(P, params, 300.0), regime_check(bare, params, 300.0)
+        kept = regime_check(P, params, P0=101325.0)
+        fresh = regime_check(bare, params, P0=101325.0)
         assert kept.delta_T_rel == fresh.delta_T_rel
         assert kept.T_h2_norm == pytest.approx(fresh.T_h2_norm, rel=1e-13)
 

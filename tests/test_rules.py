@@ -1,5 +1,7 @@
 """The scalar rules: positive, nonnegative and one_of, applied alike by the
-configuration dataclasses and by every public function taking a scalar."""
+configuration dataclasses and by every public function taking a scalar; and
+the scans that each rule's exception is raised from the one place that
+owns the rule."""
 
 import ast
 import math
@@ -94,7 +96,7 @@ _SCALAR_CALLERS = {
         "P0",
         lambda v: temperature_from_pressure(_state().P, ThermoParams(), v),
     ),
-    "regime_check": ("T0", lambda v: regime_check(_state().P, ThermoParams(), v)),
+    "regime_check": ("P0", lambda v: regime_check(_state().P, ThermoParams(), P0=v)),
     "material_derivative": ("dt", _material_derivative),
     "norm_B": ("dt", _norm_B),
     "blowup_update": ("dt", _blowup_update),
@@ -106,7 +108,6 @@ _SCALAR_CALLERS = {
 _ISSUES = {
     "dt": "dt must be positive and finite",
     "P0": "P0 must be positive and finite",
-    "T0": "T0 must be positive and finite",
     "order": "order must be one of (-1, 0, 1, 2)",
     "perturbation": "perturbation must be nonnegative and finite",
 }
@@ -141,9 +142,9 @@ def test_malformed_scalar_raises(caller, value):
     assert exc.value.fields == [name]
 
 
-def _config_error_raises(path: Path):
-    """(qualified name of the enclosing def, line) of every raise of
-    ConfigError in a module."""
+def _raises(path: Path, exception: str):
+    """(qualified name of the enclosing def, line) of every raise of the
+    named exception in a module."""
     found = []
 
     def visit(node, scope):
@@ -154,7 +155,7 @@ def _config_error_raises(path: Path):
             if isinstance(child, ast.Raise) and child.exc is not None:
                 exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
                 name = getattr(exc, "id", getattr(exc, "attr", None))
-                if name == "ConfigError":
+                if name == exception:
                     found.append((scope, child.lineno))
             visit(child, inner)
 
@@ -162,17 +163,50 @@ def _config_error_raises(path: Path):
     return found
 
 
-def test_config_error_is_raised_only_by_the_rule_checks():
-    # every rule goes through errors.check_rules, and parse_config adds the
-    # line numbers; a hand-written raise is a rule written twice
-    allowed = {("errors", "check_rules"), ("config", "parse_config")}
-    stray = [
-        f"{path.stem}.{scope or '<module>'}:{line}"
+def _assert_raised_only_by(exception: str, allowed: set) -> None:
+    """Every raise of exception in the package is in one of the allowed
+    (module, def) pairs, and each of them has one: a raise anywhere else is
+    a rule written twice."""
+    found = [
+        (path.stem, scope, line)
         for path in sorted(SRC.glob("*.py"))
-        for scope, line in _config_error_raises(path)
-        if (path.stem, scope) not in allowed
+        for scope, line in _raises(path, exception)
+    ]
+    stray = [
+        f"{module}.{scope or '<module>'}:{line}"
+        for module, scope, line in found
+        if (module, scope) not in allowed
     ]
     assert stray == []
-    # the scan finds the two raises it allows
-    assert _config_error_raises(SRC / "errors.py") != []
-    assert _config_error_raises(SRC / "config.py") != []
+    assert {(module, scope) for module, scope, _ in found} == allowed
+
+
+def test_config_error_is_raised_only_by_the_rule_checks():
+    # every rule goes through errors.check_rules, and parse_config adds the
+    # line numbers
+    _assert_raised_only_by(
+        "ConfigError", {("errors", "check_rules"), ("config", "parse_config")}
+    )
+
+
+def test_divergence_error_is_raised_only_by_flow_state_and_the_model_step():
+    # FlowState judges every velocity, an initial one and each step's, and
+    # the model-pressure step judges its pressure
+    _assert_raised_only_by(
+        "DivergenceError",
+        {("flow", "FlowState.__init__"), ("solver", "evolve_pressure_model")},
+    )
+
+
+def test_arity_error_is_raised_only_by_the_field_rules():
+    # the rule on fields, the rule on a field's array, a real view's memory,
+    # and FlowState's divergence-free check
+    _assert_raised_only_by(
+        "ArityError",
+        {
+            ("spectral", "check_field"),
+            ("spectral", "_check_layout"),
+            ("spectral", "real_view"),
+            ("flow", "FlowState.__init__"),
+        },
+    )

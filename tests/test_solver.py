@@ -39,6 +39,8 @@ from penflow import (
     simulate,
     step,
 )
+from penflow.cli import EXIT_DIVERGED, main, read_series_csv
+from penflow.config import format_config
 from penflow.solver import _diagnose, _momentum_rhs, effective_dt
 from penflow.spectral import fft, half_wavenumbers, ifft, project_hat
 
@@ -394,22 +396,21 @@ class TestStep:
                     state = step(state, cfg, dt=1.0)  # bypasses the CFL cap
 
     @pytest.mark.parametrize(
-        "amplitude, bad",
+        "scale, bad",
         [(1.0, np.nan), (1.0, np.inf), (1e120, None)],
         ids=["nan", "inf", "huge"],
     )
-    def test_guard_raises_on_nonfinite_and_huge(self, amplitude, bad):
-        # a NaN or Inf u is refused by FlowState itself; the huge finite
-        # one builds and reaches step's guard, one reduction, max|u| <=
-        # 1e100 (dt is small enough that the huge flow stays finite)
+    def test_guard_raises_on_nonfinite_and_huge(self, scale, bad):
+        # FlowState is the one guard: a NaN or Inf u, and a finite one whose
+        # max|u| is above flow.MAX_SPEED, are refused when the state is
+        # built; make_initial refuses a huge amplitude, so u is scaled here
         g = GridSpec(2, 16)
-        u = make_initial(InitialCondition(amplitude=amplitude), g).u.data.copy()
+        u = scale * make_initial(InitialCondition(), g).u.data
         if bad is not None:
             u[0, 3, 5] = bad
-        with np.errstate(all="ignore"), pytest.raises(DivergenceError):
-            state = FlowState(0.0, RealField(g, u), ThermoParams())
-            assert bad is None, "FlowState accepted a non-finite u"
-            step(state, SolverConfig(), dt=1e-200)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+            FlowState(0.5, RealField(g, u), ThermoParams())
+        assert info.value.time == 0.5
 
     def test_cfl_reads_the_states_max_speed(self):
         g = GridSpec(2, 16)
@@ -700,11 +701,11 @@ class TestRun:
         check = penflow.solver.regime_check
         calls = []
 
-        def leaves_at_third(P, params, T0, **kwargs):
+        def leaves_at_third(P, params, **kwargs):
             calls.append(None)
             if len(calls) == 3:
                 raise RegimeError("total pressure nonpositive")
-            return check(P, params, T0, **kwargs)
+            return check(P, params, **kwargs)
 
         monkeypatch.setattr(penflow.solver, "regime_check", leaves_at_third)
         series = run(cfg)
@@ -712,6 +713,25 @@ class TestRun:
         assert series.regime_exit_at == pytest.approx(0.004)
         assert series.diverged_at is None
         assert series.bound is not None
+
+    def test_initial_speed_above_the_bound_is_a_divergence(self, tmp_path):
+        # FlowState judges the initial state as it judges every step's: a
+        # max|u| above flow.MAX_SPEED at t = 0 ends the run there as a
+        # divergence, exit 3, with no sample (it used to reach the t = 0
+        # regime check and exit 4)
+        cfg = dataclasses.replace(
+            ScenarioConfig(),
+            grid=GridSpec(2, 16),
+            ic=InitialCondition(amplitude=1e101),
+            output_dir=str(tmp_path / "out"),
+        )
+        path = tmp_path / "huge.cfg"
+        path.write_text(format_config(cfg))
+        assert main(["run", str(path)]) == EXIT_DIVERGED
+        _, rows = read_series_csv(tmp_path / "out" / "series.csv")
+        assert rows == []
+        summary = (tmp_path / "out" / "summary.txt").read_text()
+        assert "status               : numerical divergence at t = 0\n" in summary
 
     def test_bound_is_fitted_on_read(self):
         # a fit kept from the end of run() went stale when a sample was
@@ -829,7 +849,7 @@ class TestDiagnose:
         state = step(prev, cfg.solver)
         prev.P, state.P, state.phi
         count = transform_counter(cfg.grid)
-        dtp, _ = _diagnose(cfg, state, prev, cfg.solver.dt)
+        dtp, _ = _diagnose(cfg, state, prev.P, cfg.solver.dt)
         assert count == {"fft": 1, "ifft": dim, "_fftn": 0, "_ifftn": 0}
         dtp.data
         assert count["ifft"] == dim + 1
@@ -905,6 +925,15 @@ class TestCheckpoint:
     def test_sample_count_must_match_the_header(self, tmp_path, edit):
         path = self._saved(tmp_path)
         path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+    def test_header_must_name_a_component(self, tmp_path):
+        # a header of 0 components and no samples used to load as a
+        # (0, 16, 16) field, which no function accepts
+        g = GridSpec(2, 16)
+        path = tmp_path / "empty.ckpt"
+        path.write_bytes(struct.pack("<4sIIId", b"PEM1", g.dim, g.n, 0, 0.5))
         with pytest.raises(DataError, match=re.escape(str(path))):
             load_checkpoint(path)
 

@@ -419,6 +419,23 @@ class TestKernelLayout:
         with pytest.raises(ArityError):
             RealField.from_half_spectrum(g, fft(a[:1], g)[..., :-1])
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda g: RealField.zeros(g, 0),
+            lambda g: SpectralField.zeros(g, 0),
+            lambda g: RealField.from_half_spectrum(g, np.zeros((0, 16, 9), complex)),
+            lambda g: RealField(g, np.ones((1, 16, 16)), np.ones((1, 16, 16), complex)),
+        ],
+        ids=["real", "spectral", "half_spectrum", "hat_of_sample_length"],
+    )
+    def test_the_layout_rule(self, make):
+        # one rule on a field's array: at least one component on the grid,
+        # a half spectrum n//2 + 1 long on its last axis; a field without
+        # components used to be built, and every later check_field refused it
+        with pytest.raises(ArityError):
+            make(GridSpec(2, 16))
+
     @staticmethod
     def _full_layout(g):
         """k, the 2/3 mask, kd and 1/|kd|^2 in the fftn layout."""
