@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .energy import NormSample, NormSeries, norm_E_squared
+from .energy import BoundFit, NormSample, NormSeries, norm_E_squared
 from .errors import ConfigError, DataError, _field_types, check_rules, nonnegative
 from .config import format_config, parse_config
 from .solver import (
@@ -61,11 +61,26 @@ CHECKPOINT_SAMPLE_STRIDE = 10
 
 
 def _fmt(x) -> str:
+    """A CSV cell: empty where the value is missing (None)."""
     if x is None:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
     return repr(float(x))
+
+
+def _value(x) -> str:
+    """A summary's value: n/a where the value is missing (None)."""
+    return "n/a" if x is None else _fmt(x)
+
+
+def _write_lines(path: Path, lines) -> None:
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    """The header, then one _fmt cell per value of each row."""
+    _write_lines(path, [",".join(header), *(",".join(map(_fmt, r)) for r in rows)])
 
 
 def series_rows(series: NormSeries):
@@ -76,10 +91,7 @@ def series_rows(series: NormSeries):
 
 
 def write_series_csv(series: NormSeries, path: Path) -> None:
-    lines = [",".join(SERIES_COLUMNS)]
-    for row in series_rows(series):
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, SERIES_COLUMNS, series_rows(series))
 
 
 def outcome(record) -> tuple[str, int]:
@@ -97,39 +109,40 @@ def outcome(record) -> tuple[str, int]:
 
 def write_summary(series: NormSeries, path: Path) -> None:
     cfg = series.scenario
-    bound = series.bound
-    last = series.samples[-1] if series.samples else None
-    worst_delta = max((s.regime.delta_T_rel for s in series.samples), default=0.0)
-    in_regime = series.regime_exit_at is None and all(
-        s.regime.in_regime for s in series.samples
-    )
+    bound = series.bound or BoundFit(c_fit=None, c_max=None, samples_used=0)
+    final_t = series.samples[-1].t if series.samples else None
+    worst_delta = max((s.regime.delta_T_rel for s in series.samples), default=None)
+    # a regime exit is one more sample out of the regime
+    in_regime = [s.regime.in_regime for s in series.samples]
+    if series.regime_exit_at is not None:
+        in_regime.append(False)
     lines = [
         "penflow run summary",
         "===================",
         f"samples recorded     : {len(series)}",
-        f"final time           : {_fmt(last.t) if last else 'n/a'}",
+        f"final time           : {_value(final_t)}",
         f"status               : {outcome(series)[0]}",
         "",
         "dissipation bound fit (grad_energy <= C * ||P||_E^2)",
-        f"  c_fit              : {_fmt(bound.c_fit) if bound else 'n/a'}",
-        f"  c_max              : {_fmt(bound.c_max) if bound else 'n/a'}",
-        f"  samples_used       : {bound.samples_used if bound else 0}",
+        f"  c_fit              : {_value(bound.c_fit)}",
+        f"  c_max              : {_value(bound.c_max)}",
+        f"  samples_used       : {bound.samples_used}",
         "",
         "blow-up accumulator (integral of ||P||_E^2 dt)",
-        f"  final value        : {_fmt(series.blowup.accumulator)}",
-        f"  threshold          : {_fmt(series.blowup.threshold)}",
-        f"  tripped            : {_fmt(series.blowup.tripped)}",
+        f"  final value        : {_value(series.blowup.accumulator)}",
+        f"  threshold          : {_value(series.blowup.threshold)}",
+        f"  tripped            : {_value(series.blowup.tripped)}",
         "  note: a trip can mean the solution approaches a loss of",
         "  regularity, or merely that the threshold is calibrated too",
         "  low for this mesh and scenario; both readings are possible.",
         "",
         "quasi-incompressible regime (|T - T0|/T0 < 2%)",
-        f"  worst delta_T_rel  : {_fmt(worst_delta)}",
-        f"  always in regime   : {_fmt(in_regime)}",
+        f"  worst delta_T_rel  : {_value(worst_delta)}",
+        f"  always in regime   : {_value(all(in_regime) if in_regime else None)}",
     ]
     if cfg is not None:
         lines += ["", "scenario", "--------", format_config(cfg).rstrip()]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, lines)
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[NormSeries, int]:
@@ -207,22 +220,19 @@ def twin_run(cfg: ScenarioConfig, perturbation: float) -> TwinReport:
 
 def write_twin_report(report: TwinReport, outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
-    lines = ["t,dp_norm_E,du_l2"]
-    for t, p, u in zip(report.times, report.dp_norm_E, report.du_l2):
-        lines.append(f"{_fmt(t)},{_fmt(p)},{_fmt(u)}")
-    (outdir / "twin_series.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = zip(report.times, report.dp_norm_E, report.du_l2)
+    _write_csv(outdir / "twin_series.csv", ("t", "dp_norm_E", "du_l2"), rows)
     summary = [
         "penflow twin-run summary",
         "========================",
-        f"perturbation          : {_fmt(report.perturbation)}",
+        f"perturbation          : {_value(report.perturbation)}",
         f"samples               : {len(report.times)}",
-        f"max ||u1-u2||_L2      : {_fmt(max(report.du_l2, default=0.0))}",
-        f"max ||P1-P2||_E       : {_fmt(max(report.dp_norm_E, default=0.0))}",
-        f"log-difference slope  : {_fmt(report.divergence_rate)}",
-        f"diverged              : {_fmt(report.diverged_at is not None)}",
-        f"regime exit at t      : {_fmt(report.regime_exit_at) or 'none'}",
+        f"max ||u1-u2||_L2      : {_value(max(report.du_l2, default=None))}",
+        f"max ||P1-P2||_E       : {_value(max(report.dp_norm_E, default=None))}",
+        f"log-difference slope  : {_value(report.divergence_rate)}",
+        f"status                : {outcome(report)[0]}",
     ]
-    (outdir / "twin_summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
+    _write_lines(outdir / "twin_summary.txt", summary)
 
 
 def read_series_csv(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -258,7 +268,7 @@ def export_plot_data(run_dir: Path) -> list[Path]:
         ]
         for row in rows:
             lines.append(f"{row[0]},{row[idx]}")
-        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_lines(out, lines)
         written.append(out)
     return written
 

@@ -51,7 +51,8 @@ FINITE_DIFFERENCE = "finite_difference"
 MODEL_RHS = "model_rhs"
 MATERIAL_DERIVATIVE_MODES = (FINITE_DIFFERENCE, MODEL_RHS)
 
-# samples with ||P||_E^2 at or below this are excluded from ratio fits
+# a sample with ||P||_E^2 at or below this has no ratio (solver._diagnose),
+# so bound_check leaves it out
 DEGENERATE_NORM = 1e-14
 
 
@@ -215,22 +216,19 @@ def bound_check(series: NormSeries) -> BoundFit:
     """Fit grad_energy <= C * ||P||_E^2 over a run.
 
     c_max is the worst pointwise ratio, c_fit the least-squares slope
-    through the origin; degenerate samples are excluded.
+    through the origin; a degenerate sample, whose ratio is None (its
+    ||P||_E^2 at most DEGENERATE_NORM), is excluded.
     """
     if not series.samples:
         raise DataError("bound_check needs a nonempty series")
-    xs, ys = [], []
-    for s in series.samples:
-        if s.norm_E_sq > DEGENERATE_NORM:
-            xs.append(s.norm_E_sq)
-            ys.append(s.grad_energy)
-    if not xs:
+    used = [s for s in series.samples if s.ratio is not None]
+    if not used:
         return BoundFit(c_fit=None, c_max=None, samples_used=0)
-    xs = np.asarray(xs)
-    ys = np.asarray(ys)
-    c_max = float(np.max(ys / xs))
+    xs = np.array([s.norm_E_sq for s in used])
+    ys = np.array([s.grad_energy for s in used])
+    c_max = float(max(s.ratio for s in used))
     c_fit = float(np.dot(xs, ys) / np.dot(xs, xs))
-    return BoundFit(c_fit=c_fit, c_max=c_max, samples_used=len(xs))
+    return BoundFit(c_fit=c_fit, c_max=c_max, samples_used=len(used))
 
 
 def blowup_update(state: BlowupState, sample: NormSample, dt: float) -> BlowupState:

@@ -36,7 +36,9 @@ from penflow.cli import (
     outcome,
     read_series_csv,
     run_scenario,
+    TwinReport,
     twin_run,
+    write_summary,
     write_twin_report,
 )
 import penflow
@@ -480,8 +482,8 @@ class TestMain:
         assert code == EXIT_REGIME
         assert (out / "twin_series.csv").read_text() == "t,dp_norm_E,du_l2\n"
         summary = (out / "twin_summary.txt").read_text()
-        assert "regime exit at t      : 0.0" in summary
-        assert "diverged              : false" in summary
+        status = "status                : regime exit at t = 0: total pressure"
+        assert status in summary
 
     def test_twin_divergence_is_an_outcome(self, tmp_path, monkeypatch):
         # the 13th step, the first run's 8th (the two runs alternate five
@@ -513,8 +515,7 @@ class TestMain:
         rows = (out / "twin_series.csv").read_text().splitlines()[1:]
         assert [float(row.split(",")[0]) for row in rows] == [0.0, pytest.approx(0.01)]
         summary = (out / "twin_summary.txt").read_text()
-        assert "diverged              : true" in summary
-        assert "regime exit at t      : none" in summary
+        assert "status                : numerical divergence at t = 0.016\n" in summary
         assert reports[0].diverged_at == times[12] == pytest.approx(0.016)
 
     def test_run_is_deterministic(self, tmp_path):
@@ -543,6 +544,60 @@ def test_outcome_is_the_first_ending_that_applies(
     series = NormSeries(blowup=BlowupState(threshold=1.0, tripped=tripped))
     series.diverged_at, series.regime_exit_at = diverged_at, regime_exit_at
     assert outcome(series) == (status, code)
+
+
+def _status(path):
+    (line,) = [ln for ln in path.read_text().splitlines() if ln.startswith("status ")]
+    return line.partition(" : ")[2]
+
+
+@pytest.mark.parametrize(
+    "ending",
+    [{}, {"tripped": True}, {"diverged_at": 0.016}, {"regime_exit_at": 0.25}],
+    ids=["clean", "tripped", "divergence", "regime_exit"],
+)
+def test_both_summaries_take_their_status_from_outcome(tmp_path, ending):
+    series = NormSeries(
+        blowup=BlowupState(threshold=1.0, tripped=ending.get("tripped", False))
+    )
+    report = TwinReport(1e-6, [], [], [])
+    for record in (series, report):
+        record.diverged_at = ending.get("diverged_at")
+        record.regime_exit_at = ending.get("regime_exit_at")
+    write_summary(series, tmp_path / "summary.txt")
+    assert _status(tmp_path / "summary.txt") == outcome(series)[0]
+    if "tripped" not in ending:  # a twin has no accumulator to trip
+        write_twin_report(report, tmp_path)
+        assert _status(tmp_path / "twin_summary.txt") == outcome(report)[0]
+
+
+@pytest.mark.parametrize(
+    "command, initial, flags, code, lines",
+    [
+        # |u| of 1e101 diverges at t = 0, before the first sample
+        ("run", {"amplitude": 1e101}, [], EXIT_DIVERGED,
+         ["  worst delta_T_rel  : n/a", "  always in regime   : n/a",
+          "  samples_used       : 0", "  final value        : 0.0"]),
+        # a zero flow: every sample's ||P||_E^2 is 0
+        ("run", {"amplitude": 0}, [], EXIT_CLEAN,
+         ["  c_fit              : n/a", "  c_max              : n/a",
+          "  samples_used       : 0", "  always in regime   : true"]),
+        ("twin", {"amplitude": 1e101}, ["--perturb", "1e-6"], EXIT_DIVERGED,
+         ["max ||u1-u2||_L2      : n/a", "max ||P1-P2||_E       : n/a",
+          "samples               : 0",
+          "status                : numerical divergence at t = 0"]),
+        # identical runs: no nonzero difference to fit a slope to
+        ("twin", {}, ["--perturb", "0"], EXIT_CLEAN,
+         ["log-difference slope  : n/a", "max ||u1-u2||_L2      : 0.0"]),
+    ],
+    ids=["run_no_sample", "run_all_degenerate", "twin_no_sample", "twin_no_difference"],
+)
+def test_a_missing_summary_value_reads_na(tmp_path, command, initial, flags, code, lines):
+    path = small_config(tmp_path, initial=initial)
+    assert main([command, str(path), *flags]) == code
+    name = "summary.txt" if command == "run" else "twin_summary.txt"
+    summary = (tmp_path / "out" / name).read_text().splitlines()
+    assert [line for line in lines if line not in summary] == []
 
 
 def test_2d_baseline_starts_no_thread(tmp_path):

@@ -142,9 +142,9 @@ def test_malformed_scalar_raises(caller, value):
     assert exc.value.fields == [name]
 
 
-def _raises(path: Path, exception: str):
-    """(qualified name of the enclosing def, line) of every raise of the
-    named exception in a module."""
+def _scopes(path: Path, matches):
+    """(qualified name of the enclosing def, line) of every node of a
+    module for which matches(node) is true."""
     found = []
 
     def visit(node, scope):
@@ -152,26 +152,44 @@ def _raises(path: Path, exception: str):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
-            if isinstance(child, ast.Raise) and child.exc is not None:
-                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                name = getattr(exc, "id", getattr(exc, "attr", None))
-                if name == exception:
-                    found.append((scope, child.lineno))
+            if matches(child):
+                found.append((scope, child.lineno))
             visit(child, inner)
 
     visit(ast.parse(path.read_text(encoding="utf-8")), "")
     return found
 
 
+def _name(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _raises(path: Path, exception: str):
+    """_scopes of every raise of the named exception in a module."""
+
+    def matches(node):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return _name(exc) == exception
+
+    return _scopes(path, matches)
+
+
+def _found(scan):
+    """(module, scope, line) of every scan(path) hit in the package."""
+    return [
+        (path.stem, scope, line)
+        for path in sorted(SRC.glob("*.py"))
+        for scope, line in scan(path)
+    ]
+
+
 def _assert_raised_only_by(exception: str, allowed: set) -> None:
     """Every raise of exception in the package is in one of the allowed
     (module, def) pairs, and each of them has one: a raise anywhere else is
     a rule written twice."""
-    found = [
-        (path.stem, scope, line)
-        for path in sorted(SRC.glob("*.py"))
-        for scope, line in _raises(path, exception)
-    ]
+    found = _found(lambda path: _raises(path, exception))
     stray = [
         f"{module}.{scope or '<module>'}:{line}"
         for module, scope, line in found
@@ -210,3 +228,35 @@ def test_arity_error_is_raised_only_by_the_field_rules():
             ("flow", "FlowState.__init__"),
         },
     )
+
+
+def test_degenerate_norm_is_compared_in_one_function():
+    # _diagnose alone decides that a sample is degenerate, by giving it no
+    # ratio; bound_check reads the ratio
+    def compares(node):
+        return isinstance(node, ast.Compare) and any(
+            _name(side) == "DEGENERATE_NORM" for side in [node.left, *node.comparators]
+        )
+
+    found = _found(lambda path: _scopes(path, compares))
+    assert {(module, scope) for module, scope, _ in found} == {("solver", "_diagnose")}
+    assert len(found) == 1
+
+
+def test_numpy_fft_is_referenced_only_in_spectral():
+    # the README's claim: spectral.py is the only module that does FFTs
+    def references_fft(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "fft" and _name(node.value) in ("np", "numpy")
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            return module.startswith("numpy.fft") or (
+                module == "numpy" and any(a.name == "fft" for a in node.names)
+            )
+        if isinstance(node, ast.Import):
+            return any(a.name.startswith("numpy.fft") for a in node.names)
+        return False
+
+    found = _found(lambda path: _scopes(path, references_fft))
+    assert found, "the scan found no numpy.fft reference at all"
+    assert {module for module, _, _ in found} == {"spectral"}
