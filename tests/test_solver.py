@@ -39,7 +39,13 @@ from penflow import (
     simulate,
     step,
 )
-from penflow.cli import EXIT_DIVERGED, main, read_series_csv
+from penflow.cli import (
+    EXIT_CLEAN,
+    EXIT_DIVERGED,
+    main,
+    read_series_csv,
+    run_scenario,
+)
 from penflow.config import format_config
 from penflow.solver import _diagnose, _momentum_rhs, effective_dt
 from penflow.spectral import fft, half_wavenumbers, ifft, project_hat
@@ -93,6 +99,18 @@ class TestMakeInitial:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             InitialCondition("shear_layer")
+
+    @pytest.mark.parametrize(
+        "kind, dim",
+        [("taylor_green_2d", 2), ("taylor_green_3d", 3), ("random_divfree", 2)],
+    )
+    def test_spectrum_is_zero_outside_the_band(self, kind, dim):
+        # the transform of the samples leaves round-off there, which RK4
+        # amplifies once nu*|k|^2*dt passes its stability limit
+        grid = GridSpec(dim, 32)
+        state = make_initial(InitialCondition(kind, seed=3), grid)
+        outside = state.u.half_spectrum()[:, ~half_wavenumbers(grid).mask]
+        assert np.count_nonzero(outside) == 0
 
 
 class TestPressurePoisson:
@@ -672,6 +690,20 @@ class TestRun:
         series = run(cfg)
         for s in series.samples:
             exact = np.pi**2 * np.exp(-4 * 0.1 * s.t)
+            assert s.kinetic_energy == pytest.approx(exact, rel=1e-6)
+
+    def test_large_step_keeps_the_taylor_green_decay(self, tmp_path):
+        # the baseline at dt = 0.02: nu*|k|^2*dt at the corner mode is 4.1,
+        # past RK4's limit of 2.785, where round-off left outside the band
+        # grew until the accumulator tripped (exit 2)
+        cfg = dataclasses.replace(
+            ScenarioConfig(), solver=SolverConfig(dt=0.02), output_dir=str(tmp_path)
+        )
+        series, code = run_scenario(cfg)
+        assert code == EXIT_CLEAN
+        ke0, nu = series.samples[0].kinetic_energy, cfg.thermo.nu
+        for s in series.samples:
+            exact = ke0 * np.exp(-4 * nu * s.t)
             assert s.kinetic_energy == pytest.approx(exact, rel=1e-6)
 
     def test_deterministic(self):
