@@ -592,7 +592,9 @@ def test_both_summaries_take_their_status_from_outcome(tmp_path, ending):
     ],
     ids=["run_no_sample", "run_all_degenerate", "twin_no_sample", "twin_no_difference"],
 )
-def test_a_missing_summary_value_reads_na(tmp_path, command, initial, flags, code, lines):
+def test_a_missing_summary_value_reads_na(
+    tmp_path, command, initial, flags, code, lines
+):
     path = small_config(tmp_path, initial=initial)
     assert main([command, str(path), *flags]) == code
     name = "summary.txt" if command == "run" else "twin_summary.txt"
