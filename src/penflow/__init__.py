@@ -58,6 +58,7 @@ from .solver import (
     InitialCondition,
     ScenarioConfig,
     SolverConfig,
+    advance,
     evolve_pressure_model,
     load_checkpoint,
     make_initial,

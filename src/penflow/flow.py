@@ -158,17 +158,18 @@ class FlowState:
             self._advection = advection
         return self._P
 
-    def take_self_advection(self) -> np.ndarray:
+    def take_self_advection(self, compute: bool = True) -> np.ndarray | None:
         """self_advect_hat(u.data), in an array the caller may overwrite.
 
         The one P's solve left is handed over once and forgotten, so
         nothing can read it after the caller writes into it; without one,
-        it is computed.  Either way it is the one trace-free form, so a
-        state whose P was read steps to the same bytes as one whose P was
-        not.
+        it is computed, or None is returned when compute is false (the
+        caller computes it in a batch of its own).  Either way it is the
+        one trace-free form, so a state whose P was read steps to the same
+        bytes as one whose P was not.
         """
         advection, self._advection = self._advection, None
-        if advection is None:
+        if advection is None and compute:
             advection = self_advect_hat(self.u.data, self.grid)
         return advection
 

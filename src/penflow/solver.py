@@ -30,7 +30,8 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from functools import partial
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -65,9 +66,12 @@ from .flow import (
 )
 from .spectral import (
     GridSpec,
+    Product,
     RealField,
-    advector,
+    advection_products,
+    batches,
     check_field,
+    convection_product,
     fft,
     half_wavenumbers,
     ifft,
@@ -75,9 +79,10 @@ from .spectral import (
     on_slabs,
     project_hat,
     real_view,
-    self_advect_hat,
     self_advect_width,
     sobolev_norm,
+    product_calls,
+    splits,
 )
 
 IC_KINDS = ("taylor_green_2d", "taylor_green_3d", "random_divfree")
@@ -85,6 +90,13 @@ IC_KINDS = ("taylor_green_2d", "taylor_green_3d", "random_divfree")
 # long-time accumulator limit of the shipped Taylor-Green baseline (~47.8),
 # times ten
 DEFAULT_BLOWUP_THRESHOLD = 478.0
+
+# the relative growth of the kinetic energy from one sample to the next
+# that a run allows before it ends as a divergence (_diagnose).  An
+# unforced flow only loses energy; RK4's own error gained at most 1.1e-9
+# per step at mu = 1e-12 and the full CFL step, and the shipped workloads
+# lose at least 1.2e-3 per sample
+ENERGY_GROWTH_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -240,45 +252,37 @@ def _random_divfree(ic: InitialCondition, grid: GridSpec) -> np.ndarray:
     return proj
 
 
-def _viscous_and_sign(rhs, u_hat, ksq, nu, nu_ksq, term) -> None:
+def _viscous_and_sign(rhs, u_hat, nu_ksq, term) -> None:
     # rhs = -(rhs + nu*|k|^2*u_hat), one component at a time
-    np.multiply(nu, ksq, out=nu_ksq)
     for c in range(len(rhs)):
         rhs[c] += np.multiply(nu_ksq, u_hat[c], out=term)
     np.negative(rhs, out=rhs)
 
 
-def _momentum_rhs(
+def _project_viscous(
+    rhs: np.ndarray,
     u_hat: np.ndarray,
     nu: float,
     grid: GridSpec,
-    advection: np.ndarray | None = None,
-    *,
-    u: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
+    nu_ksq: np.ndarray | None = None,
 ) -> np.ndarray:
-    """-project(u.grad u) - nu*|k|^2*u_hat, in a new array.
+    """rhs = -project(rhs) - nu*|k|^2*u_hat, in place, for the advection rhs
+    of the velocity spectrum u_hat; returns rhs.
 
-    advection is self_advect_hat(ifft(u_hat)) in an array the caller gives
-    up; the projection, the viscous term and the sign are folded into it,
-    and it is the result.  It is computed when not given.  Its trace-free
-    products leave out a gradient that the projection removes anyway.  u
-    and scratch are work arrays, overwritten and allocated when not given:
-    u, the physical velocity of that computation; scratch, a complex array
-    of u_hat's component shape, which that computation, the projection and
-    the viscous term share: as many components as u_hat and at least
-    self_advect_width(grid), or two when advection is given.
+    scratch is a complex array of at least two components of u_hat's
+    component shape, overwritten, which the projection and the viscous
+    term share; allocated when not given.  nu_ksq is nu*|k|^2 when the
+    caller holds it; it is computed into scratch otherwise.
     """
-    if advection is None:
-        tmp = None if scratch is None else scratch[: len(u_hat)]
-        u = ifft(u_hat, grid, out=u, scratch=tmp)
-        advection = self_advect_hat(u, grid, scratch=scratch)
     if scratch is None:
         scratch = np.empty((2,) + u_hat.shape[1:], dtype=np.complex128)
-    rhs = project_hat(advection, grid, scratch=scratch)
-    ksq = half_wavenumbers(grid).ksq
-    nu_ksq = real_view(scratch[1], ksq.shape)
-    on_slabs(grid, _viscous_and_sign, rhs, u_hat, ksq, nu, nu_ksq, scratch[0])
+    project_hat(rhs, grid, scratch=scratch)
+    if nu_ksq is None:
+        ksq = half_wavenumbers(grid).ksq
+        nu_ksq = real_view(scratch[1], ksq.shape)
+        on_slabs(grid, np.multiply, nu, ksq, nu_ksq)
+    on_slabs(grid, _viscous_and_sign, rhs, u_hat, nu_ksq, scratch[0])
     return rhs
 
 
@@ -287,6 +291,129 @@ def effective_dt(state: FlowState, cfg: SolverConfig) -> float:
     if state.umax == 0.0:
         return cfg.dt
     return min(cfg.dt, cfg.cfl_safety * state.grid.h / state.umax)
+
+
+# ---------------------------------------------------------------------------
+# RK4 stages.  A stage of u and one of P_model each make one inverse and
+# one forward transform: u's stage spectrum to u and its trace-free
+# products back, P's gradient spectrum to grad P and u0.grad P back.
+# _stage builds the calls of a stage of one side or of both, once per step.
+# ---------------------------------------------------------------------------
+
+
+class _Side(NamedTuple):
+    """One side of an RK4 stage, as calls made once per step: prepare runs
+    before the stage's inverse transforms, the products' fills read their
+    samples, and finish makes result, f at the side's stage spectrum."""
+
+    prepare: list
+    products: list[Product]
+    finish: list
+    result: np.ndarray | None
+
+
+class _Products(NamedTuple):
+    """A stage's forward products: a batch's real and spectra
+    (spectral.product_calls), the self-advection's scratch ud_sq and term
+    (spectral.advection_products), and scratch, at least two complex
+    components for the momentum's projection and viscous term."""
+
+    real: np.ndarray
+    spectra: np.ndarray
+    ud_sq: np.ndarray | None = None
+    term: np.ndarray | None = None
+    scratch: np.ndarray | None = None
+
+
+def _momentum(
+    grid, nu, stage, u, k, work: _Products, zero=True, nu_ksq=None
+) -> _Side:
+    """u's side: f(u_hat) = -project(u.grad u) - nu*|k|^2*u_hat into k.
+
+    u is the samples of the stage spectrum `stage`, written by the stage's
+    inverse transform (or the state's own at stage 1); the trace-free
+    products of u add their divergence terms into k, which prepare zeroes
+    unless zero is false (a new np.zeros array), and finish folds in the
+    projection, the viscous term (nu_ksq, as _project_viscous takes it)
+    and the sign.
+    """
+    return _Side(
+        [partial(k.fill, 0.0)] if zero else [],
+        advection_products(u, grid, k, work.ud_sq, work.term),
+        [partial(_project_viscous, k, stage, nu, grid, work.scratch, nu_ksq)],
+        k,
+    )
+
+
+def _model(grid, u0, s_hat, stage, g_hat, grad, k) -> _Side:
+    """P_model's side: f(p_hat) = s_hat - dealias(fft(u0.grad P)) into k,
+    with u0 frozen at the state.
+
+    prepare writes the gradient spectrum of the stage spectrum `stage` into
+    g_hat, which the stage's inverse transforms into grad; u0.grad P is
+    dealiased into k, and finish subtracts it from the source's spectrum.
+    """
+    ikd = half_wavenumbers(grid).ikd
+    return _Side(
+        [partial(on_slabs, grid, np.multiply, ikd, stage[0], g_hat)],
+        [convection_product(u0, grad, grid, k)],
+        [partial(np.subtract, s_hat, k, out=k)],
+        k,
+    )
+
+
+def _stage(
+    grid: GridSpec, sides: list[_Side], inverses: list, work: _Products
+) -> Callable[[], list[np.ndarray]]:
+    """f at the sides' stage spectra, as one function of no argument.
+
+    It runs each side's prepare, the inverse transforms, one ifft call per
+    (spectrum, samples, scratch) of inverses, the forward transforms of
+    all the sides' products in the batches of spectral.batches, and each
+    side's finish, and returns the sides' results (a side whose result is
+    None has none).  The one stage of step, evolve_pressure_model and
+    advance: the calls are made here, and f only runs them.
+    """
+    calls = [c for side in sides for c in side.prepare]
+    calls += [partial(ifft, h, grid, out=x, scratch=t) for h, x, t in inverses]
+    products = [p for side in sides for p in side.products]
+    calls += product_calls(products, grid, work.real, work.spectra)
+    calls += [c for side in sides for c in side.finish]
+    results = [side.result for side in sides if side.result is not None]
+
+    def f() -> list[np.ndarray]:
+        for call in calls:
+            call()
+        return results
+
+    return f
+
+
+def _advection_width(grid: GridSpec) -> int:
+    # u's inverse scratch, then the self-advection's products and spectra
+    return max(grid.dim, self_advect_width(grid))
+
+
+def _momentum_work(grid: GridSpec, scratch: np.ndarray) -> _Products:
+    """u's stage alone, in self_advect_hat's layout of scratch."""
+    half = self_advect_width(grid) // 2
+    return _Products(
+        real=real_view(scratch[:half], (half,) + grid.shape),
+        spectra=scratch[half : 2 * half],
+        ud_sq=real_view(scratch[half], grid.shape),
+        term=scratch[0],
+        scratch=scratch,
+    )
+
+
+def _momentum_rhs(u_hat: np.ndarray, nu: float, grid: GridSpec) -> np.ndarray:
+    """-project(u.grad u) - nu*|k|^2*u_hat of a velocity spectrum, in a new
+    array: one stage of u's side alone, in arrays of its own."""
+    u = np.empty((grid.dim,) + grid.shape)
+    scratch = np.empty((_advection_width(grid),) + u_hat.shape[1:], np.complex128)
+    work = _momentum_work(grid, scratch)
+    side = _momentum(grid, nu, u_hat, u, np.empty_like(u_hat), work)
+    return _stage(grid, [side], [(u_hat, u, scratch[: grid.dim])], work)()[0]
 
 
 def _first_stage(acc, y, h, stage) -> None:
@@ -311,65 +438,94 @@ def _last_stage(acc, k, y, h) -> None:
 
 
 def _rk4(
-    f: Callable[[np.ndarray], np.ndarray],
-    y: np.ndarray,
-    f_y: np.ndarray,
+    f: Callable[[], list[np.ndarray]],
+    ys: list[np.ndarray],
+    f_ys: list[np.ndarray],
+    stages: list[np.ndarray],
     dt: float,
     grid: GridSpec,
-) -> np.ndarray:
-    """One classical RK4 step of dy/dt = f(y); y is only read.
+) -> list[np.ndarray]:
+    """One classical RK4 step of dy/dt = f(y) for each y of ys; ys are only
+    read.
 
-    f must return a new array, and f_y is f(y), the first stage, which
-    the caller gives up.  Each stage input is built in one reused array,
-    and the stages are summed k1 + 2k2 + 2k3 + k4, in that order, into f_y,
-    which becomes the result, so only one stage is alive besides those two.
+    f() returns f at the stage inputs, which are built in the arrays
+    stages, one per y; its results are each read before f is called again.
+    f_ys are f(ys), the first stage, which the caller gives up.  The stages
+    of each y are summed k1 + 2k2 + 2k3 + k4, in that order, into its f_y,
+    which becomes its result, so only one stage is alive besides those two.
     The updates run through spectral.on_slabs.
     """
-    stage = np.empty_like(f_y)
-    on_slabs(grid, _first_stage, f_y, y, 0.5 * dt, stage)
+    for acc, y, stage in zip(f_ys, ys, stages):
+        on_slabs(grid, _first_stage, acc, y, 0.5 * dt, stage)
     for c in (0.5 * dt, dt):
-        k = f(stage)
-        on_slabs(grid, _next_stage, k, f_y, y, c, stage)
-        del k  # not alive through the next stage
-    on_slabs(grid, _last_stage, f_y, f(stage), y, dt / 6.0)
-    return f_y
+        ks = f()
+        for k, acc, y, stage in zip(ks, f_ys, ys, stages):
+            on_slabs(grid, _next_stage, k, acc, y, c, stage)
+        del ks, k  # not alive through the next stage
+    for acc, k, y in zip(f_ys, f(), ys):
+        on_slabs(grid, _last_stage, acc, k, y, dt / 6.0)
+    return f_ys
+
+
+def _dt(state: FlowState, cfg: SolverConfig, dt: float | None) -> float:
+    # the step's dt: cfg's CFL-capped one when not given; positive, finite
+    dt = effective_dt(state, cfg) if dt is None else dt
+    check_rules(positive("dt", dt))
+    return dt
+
+
+def _new_state(state, u_hat, dt, scratch) -> FlowState:
+    # the projected RK4 result as the state at t + dt
+    grid = state.grid
+    project_hat(u_hat, grid, scratch=scratch)
+    u_new = RealField(grid, ifft(u_hat, grid, scratch=scratch[: grid.dim]), u_hat)
+    return FlowState(state.t + dt, u_new, state.params)
+
+
+def _new_model(state, p_hat, dt) -> RealField:
+    # the model pressure's RK4 result; finite exactly when its samples are
+    if not np.all(np.isfinite(p_hat)):
+        raise DivergenceError(state.t + dt)
+    return RealField.from_half_spectrum(state.grid, p_hat)
 
 
 def step(state: FlowState, cfg: SolverConfig, dt: float | None = None) -> FlowState:
     """One RK4 step of the projected momentum equation; solves no pressure.
 
-    The RK4 starts from the state's kept spectrum, its first stage from the
-    state's self-advection (the one its P solve left, or one made from the
-    physical u the state holds), and the new state takes the projected
-    spectrum with it, so each velocity is transformed once.  The viscosity
-    is the state's params.nu, mu/rho.  dt, cfg's CFL-capped step when not
-    given, must be positive and finite.  Returns the new FlowState, which
-    raises DivergenceError at the new time when its max |u| is NaN, Inf or
-    above flow.MAX_SPEED.
+    u's side of advance, on its own.  The RK4 starts from the state's kept
+    spectrum, its first stage from the state's self-advection (the one its
+    P solve left, or one made from the physical u the state holds), and
+    the new state takes the projected spectrum with it, so each velocity is
+    transformed once.  The viscosity is the state's params.nu, mu/rho.
+    dt, cfg's CFL-capped step when not given, must be positive and finite.
+    Returns the new FlowState, which raises DivergenceError at the new time
+    when its max |u| is NaN, Inf or above flow.MAX_SPEED.
     """
     grid = state.grid
     nu = state.params.nu
-    dt = effective_dt(state, cfg) if dt is None else dt
-    check_rules(positive("dt", dt))
+    dt = _dt(state, cfg, dt)
     u0_hat = state.u.half_spectrum()
-    k1 = _momentum_rhs(u0_hat, nu, grid, advection=state.take_self_advection())
+    k1 = _project_viscous(state.take_self_advection(), u0_hat, nu, grid)
     # stages 2-4 share one physical velocity and one scratch, made once per
     # step: made per stage, these multi-MB arrays of a 3D n=64 step were
     # trimmed from the heap and faulted back in at every stage
     u_stage = np.empty(state.u.data.shape)
-    width = max(grid.dim, self_advect_width(grid))
-    scratch = np.empty((width,) + u0_hat.shape[1:], dtype=np.complex128)
-    u_hat = _rk4(
-        lambda uh: _momentum_rhs(uh, nu, grid, u=u_stage, scratch=scratch),
-        u0_hat,
-        k1,
-        dt,
-        grid,
-    )
-    del u_stage  # not alive through the new velocity's inverse
-    project_hat(u_hat, grid, scratch=scratch)
-    u_new = RealField(grid, ifft(u_hat, grid, scratch=scratch[: grid.dim]), u_hat)
-    return FlowState(state.t + dt, u_new, state.params)
+    scratch = np.empty((_advection_width(grid),) + u0_hat.shape[1:], np.complex128)
+    stage = np.empty_like(k1)
+    work = _momentum_work(grid, scratch)
+    inverses = [(stage, u_stage, scratch[: grid.dim])]
+
+    def f() -> list[np.ndarray]:
+        # a result per stage: one kept through the step raised a 3D n=64
+        # run's peak RSS by 6 MB
+        k = np.zeros(k1.shape, np.complex128)
+        side = _momentum(grid, nu, stage, u_stage, k, work, zero=False)
+        return _stage(grid, [side], inverses, work)()
+
+    (u_hat,) = _rk4(f, [u0_hat], [k1], [stage], dt, grid)
+    # the stage arrays are not alive through the new velocity's inverse
+    del f, inverses, stage, u_stage
+    return _new_state(state, u_hat, dt, scratch)
 
 
 def evolve_pressure_model(
@@ -377,33 +533,173 @@ def evolve_pressure_model(
 ) -> RealField:
     """One RK4 step of dP/dt = -dealias(u.grad P) + (R/c_v)*(Phi + Q).
 
-    P_model is a scalar on the state's grid (spectral.check_field).  u is
-    frozen at the current solver state for the whole step; the source
-    is pressure_source of the state's cached Phi, transformed once per
-    step.  The stages run on the Fourier coefficients of P:
-    they start from P_model.half_spectrum(), and the result is made from
-    its own: finiteness is checked on the spectrum (a sample is non-finite
-    exactly when a coefficient is, overflow aside), and the samples are
-    computed only when something reads them.  dt, cfg's CFL-capped step
-    when not given, must be positive and finite.
+    P_model's side of advance, on its own.  P_model is a scalar on the
+    state's grid (spectral.check_field).  u is frozen at the current
+    solver state for the whole step; the source is pressure_source of the
+    state's cached Phi, transformed once per step.  The stages run on the
+    Fourier coefficients of P: they start from P_model.half_spectrum(), and
+    the result is made from its own: finiteness is checked on the spectrum
+    (a sample is non-finite exactly when a coefficient is, overflow aside),
+    and the samples are computed only when something reads them.  dt,
+    cfg's CFL-capped step when not given, must be positive and finite.
     """
     grid = state.grid
     check_field(grid, 1, P_model)
-    dt = effective_dt(state, cfg) if dt is None else dt
-    check_rules(positive("dt", dt))
+    dt = _dt(state, cfg, dt)
     s_hat = pressure_source(state.phi, state.params).half_spectrum()
-    # the four stages share advect's work arrays, made once per step
-    advect = advector(state.u.data, grid)
-
-    def rhs(ph: np.ndarray) -> np.ndarray:
-        k = advect(ph)
-        return np.subtract(s_hat, k, out=k)
-
+    # the stages share the gradient spectrum, its own inverse's scratch,
+    # and the physical gradient, made once per step; the product and its
+    # spectrum go into the gradient spectrum's memory
+    g_hat = np.empty(half_wavenumbers(grid).ikd.shape, np.complex128)
+    grad = np.empty((grid.dim,) + grid.shape)
+    work = _Products(real_view(g_hat[0], (1,) + grid.shape), g_hat[1:2])
+    inverses = [(g_hat, grad, g_hat)]
+    u0 = state.u.data
     p0_hat = P_model.half_spectrum()
-    p_hat = _rk4(rhs, p0_hat, rhs(p0_hat), dt, grid)
-    if not np.all(np.isfinite(p_hat)):
-        raise DivergenceError(state.t + dt)
-    return RealField.from_half_spectrum(grid, p_hat)
+    k1 = np.empty_like(p0_hat)
+    _stage(grid, [_model(grid, u0, s_hat, p0_hat, g_hat, grad, k1)], inverses, work)()
+    stage = np.empty_like(k1)
+
+    def f() -> list[np.ndarray]:
+        # a result per stage, as in step
+        side = _model(grid, u0, s_hat, stage, g_hat, grad, np.empty_like(k1))
+        return _stage(grid, [side], inverses, work)()
+
+    (p_hat,) = _rk4(f, [p0_hat], [k1], [stage], dt, grid)
+    return _new_model(state, p_hat, dt)
+
+
+def _copy(src, dst) -> None:
+    np.copyto(dst, src)
+
+
+def _source(samples: np.ndarray, s_hat: np.ndarray) -> _Side:
+    """The source's forward transform, as a side with no result: its
+    samples are copied into a forward batch and its spectrum into s_hat."""
+    return _Side([], [Product((_copy, samples), (_copy, s_hat[0]))], [], None)
+
+
+class _Advance:
+    """advance on one grid below the split size, for one ThermoParams: a
+    step of (u, P_model) whose stages run both sides in one _stage.
+
+    The work arrays are one block, and the calls of the stages are made
+    with it once, when the instance is made: simulate makes one per run,
+    and each step copies its inputs into the block.  Remade at every step,
+    the calls cost about what sharing the transform calls saves at 2D
+    n=64, and a block made at every step raised a baseline run's peak RSS
+    by 1.8 MB, against 0.8 MB for one kept through the run.
+
+    Stage 1 starts from the state: u's samples are the state's, and its
+    self-advection is the one P's solve kept, or is computed beside u0.grad
+    P; the source's transform joins that stage's forward batch.  The block
+    holds P's and u's stage spectra; grad P's spectrum beside u's, for
+    their inverse (one ifft call where both fit in a batch of
+    spectral.batches); the inverse's scratch, which then holds the
+    products, a term and the projection's scratch; the samples u and
+    grad P; the frozen velocity u0 and the source's samples; the stages'
+    results; the source's spectrum; and the product spectra.
+    """
+
+    def __init__(self, grid: GridSpec, params: ThermoParams):
+        dim = grid.dim
+        self.grid, self.params = grid, params
+        nu = params.nu
+        # the largest forward batch: of stage 1's trace-free products,
+        # u0.grad P and the source
+        width = len(batches(list(range(dim * (dim + 1) // 2 + 1)), grid)[0])
+        spectrum = grid.shape[:-1] + (grid.n // 2 + 1,)
+        # the inverse's scratch also holds a forward batch's products
+        t = max(2 * dim, width)
+        block = np.empty((4 + 6 * dim + t + width,) + spectrum, np.complex128)
+        p_stage, k_p, s_hat = block[0:1], block[1:2], block[2:3]
+        hats = block[3 : 3 + 2 * dim]
+        u_stage, g_hat = hats[:dim], hats[dim:]
+        tmp, rest = block[3 + 2 * dim : 3 + 2 * dim + t], block[3 + 2 * dim + t :]
+        samples = real_view(rest[: 2 * dim], (2 * dim,) + grid.shape)
+        inputs = real_view(rest[2 * dim : 3 * dim + 1], (dim + 1,) + grid.shape)
+        k_u = rest[3 * dim + 1 : 4 * dim + 1]
+        spectra = rest[4 * dim + 1 :]
+        grad = samples[dim:]
+        self.u0, self.source = inputs[:dim], inputs[dim]
+        self.stages = [u_stage, p_stage]
+        self.k, self.tmp = [k_u, k_p], tmp
+        work = _Products(
+            real=real_view(tmp, (width,) + grid.shape),
+            spectra=spectra,
+            ud_sq=real_view(spectra[0], grid.shape),
+            term=tmp[0],
+            scratch=tmp,
+        )
+        model = _model(grid, self.u0, s_hat, p_stage, g_hat, grad, k_p)
+        source = _source(self.source, s_hat)
+        first = [(g_hat, grad, g_hat)]
+        self.first_alone = _stage(grid, [source, model], first, work)
+        # nu*|k|^2, which a stage would otherwise compute again
+        self.nu_ksq = nu * half_wavenumbers(grid).ksq
+        u_first = _momentum(grid, nu, u_stage, self.u0, k_u, work, nu_ksq=self.nu_ksq)
+        self.first = _stage(grid, [source, u_first, model], first, work)
+        inverses = []
+        for group in batches([0, 1], grid, width=dim):
+            s = slice(group[0] * dim, (group[-1] + 1) * dim)
+            inverses.append((hats[s], samples[s], tmp[s]))
+        u_side = _momentum(
+            grid, nu, u_stage, samples[:dim], k_u, work, nu_ksq=self.nu_ksq
+        )
+        self.f = _stage(grid, [u_side, model], inverses, work)
+
+    def __call__(
+        self, state: FlowState, P_model: RealField, dt: float
+    ) -> tuple[FlowState, RealField]:
+        grid = self.grid
+        u_stage, p_stage = self.stages
+        u0_hat, p0_hat = state.u.half_spectrum(), P_model.half_spectrum()
+        np.copyto(self.source, pressure_source(state.phi, state.params).data[0])
+        np.copyto(self.u0, state.u.data)
+        np.copyto(p_stage, p0_hat)
+        k1_u = state.take_self_advection(compute=False)
+        if k1_u is None:
+            np.copyto(u_stage, u0_hat)
+            self.first()
+            k1_u = self.k[0].copy()
+        else:
+            self.first_alone()
+            _project_viscous(k1_u, u0_hat, self.params.nu, grid, self.tmp, self.nu_ksq)
+        k1_p = self.k[1].copy()
+        u_hat, p_hat = _rk4(
+            self.f, [u0_hat, p0_hat], [k1_u, k1_p], self.stages, dt, grid
+        )
+        P_new = _new_model(state, p_hat, dt)
+        return _new_state(state, u_hat, dt, self.tmp), P_new
+
+
+def advance(
+    state: FlowState, P_model: RealField, cfg: SolverConfig, dt: float | None = None
+) -> tuple[FlowState, RealField]:
+    """One classical RK4 step of (u, P_model): the state and the model
+    pressure at t + dt, as step and evolve_pressure_model make them.
+
+    The model pressure's stages read u frozen at the state, so the two
+    sides share nothing but their stage loop.  On a grid below
+    spectral._SPLIT_MIN_SAMPLES points (spectral.splits) each stage runs
+    both sides in one _stage (_Advance): u's inverse and grad P's go in
+    one ifft call, and the trace-free products and u0.grad P in the
+    batches of one forward, so an unsampled 2D n=64 step makes 5 fft and 7
+    ifft calls, against 9 and 10.  On a larger grid every transform
+    splits, so there is no call to share, and interleaving would keep P's
+    RK4 arrays alive through u's stages: P_model's stages run first, then
+    u's, in evolve_pressure_model's and step's own arrays.  Either way
+    every result is theirs bit for bit: each side's stages keep their
+    order of operations.  dt, cfg's CFL-capped step when not given, must
+    be positive and finite.
+    """
+    grid = state.grid
+    check_field(grid, 1, P_model)
+    dt = _dt(state, cfg, dt)
+    if splits(grid):
+        P_new = evolve_pressure_model(state, P_model, cfg, dt)
+        return step(state, cfg, dt), P_new
+    return _Advance(grid, state.params)(state, P_model, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +719,18 @@ class RunSample:
 
 
 def _diagnose(
-    cfg: ScenarioConfig, state: FlowState, P_prev: RealField | None, dt_step: float
+    cfg: ScenarioConfig,
+    state: FlowState,
+    P_prev: RealField | None,
+    dt_step: float,
+    ke_prev: float | None = None,
 ) -> tuple[RealField, NormSample]:
     """D_tP and the diagnostics on the Navier-Stokes-consistent pressure.
+
+    ke_prev is the previous sample's kinetic energy: an unforced flow only
+    loses energy, so a kinetic energy above ke_prev*(1 + ENERGY_GROWTH_RTOL)
+    raises DivergenceError at the state's time, before the pressure is
+    solved.
 
     Without P_prev (model_rhs mode, and the first sample of a
     finite_difference run, which has no snapshot yet) D_tP is the source
@@ -439,9 +744,11 @@ def _diagnose(
     Parseval sum over a half spectrum.
     """
     params = state.params
+    ke = kinetic_energy(state.u)
+    if ke_prev is not None and ke > ke_prev * (1.0 + ENERGY_GROWTH_RTOL):
+        raise DivergenceError(state.t)
     ge = integrate(state.phi) / (2.0 * params.mu)
     h2_norm_P = sobolev_norm(state.P, 2)
-    ke = kinetic_energy(state.u)
     try:
         regime = regime_check(state.P, params, P0=cfg.P0, h2_norm=h2_norm_P)
     except RegimeError as exc:
@@ -475,14 +782,21 @@ def simulate(cfg: ScenarioConfig) -> Iterator[RunSample]:
     """Yield diagnostics at t=0 and every output_every steps until t_end.
 
     Raises DivergenceError when a state's max |u| is NaN, Inf or above
-    flow.MAX_SPEED (FlowState; the initial state's too, at t = 0) or the
-    model pressure turns non-finite, and RegimeError, with the sampled
-    state's time, when a sample finds the total pressure nonpositive.
+    flow.MAX_SPEED (FlowState; the initial state's too, at t = 0), when the
+    model pressure turns non-finite, or when a sample's kinetic energy
+    grows past the previous sample's (_diagnose), and RegimeError, with
+    the sampled state's time, when a sample finds the total pressure
+    nonpositive.
     """
     state = make_initial(cfg.ic, cfg.grid, cfg.thermo)
     p_model = state.P
-    yield RunSample(0, state, p_model, *_diagnose(cfg, state, None, cfg.solver.dt))
+    rs = RunSample(0, state, p_model, *_diagnose(cfg, state, None, cfg.solver.dt))
+    ke = rs.sample.kinetic_energy
+    yield rs
+    del rs  # the sample is not held through the next steps
 
+    # below the split size one _Advance serves every step of the run
+    together = None if splits(cfg.grid) else _Advance(cfg.grid, cfg.thermo)
     t_end = cfg.solver.t_end
     # t_end less a tolerance for the rounding of t: the run ends at the
     # first state that reaches it
@@ -497,12 +811,21 @@ def simulate(cfg: ScenarioConfig) -> Iterator[RunSample]:
         # solved before the step so that the step takes that solve's
         # self-advection; the previous state itself is not held
         P_prev = state.P if sampled and cfg.mode != MODEL_RHS else None
-        p_model = evolve_pressure_model(state, p_model, cfg.solver, dt=dt)
-        state = step(state, cfg.solver, dt=dt)
+        if together is None:
+            # advance's order, written out so that the old model pressure
+            # is dropped before u's stages: held through them, it raised
+            # the 3D n=64 peak RSS by 2.2 MB
+            p_model = evolve_pressure_model(state, p_model, cfg.solver, dt=dt)
+            state = step(state, cfg.solver, dt=dt)
+        else:
+            state, p_model = together(state, p_model, dt)
         if sampled:
-            yield RunSample(
-                step_idx, state, p_model, *_diagnose(cfg, state, P_prev, dt)
+            rs = RunSample(
+                step_idx, state, p_model, *_diagnose(cfg, state, P_prev, dt, ke)
             )
+            ke = rs.sample.kinetic_energy
+            yield rs
+            del rs
 
 
 def until_end(record, samples: Iterator) -> Iterator:

@@ -96,7 +96,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -399,14 +399,21 @@ def _split_threads(a: np.ndarray, grid: GridSpec) -> int:
     return _thread_count()
 
 
-def batches(items: list, grid: GridSpec) -> list[list]:
-    """items, one per component, cut into the batches one transform carries.
+def splits(grid: GridSpec) -> bool:
+    """Whether a grid has _SPLIT_MIN_SAMPLES points or more: there on_slabs
+    cuts every elementwise kernel into slabs and every transform splits."""
+    return grid.n**grid.dim >= _SPLIT_MIN_SAMPLES
 
-    A batch holds the most components b with b * n**dim below
+
+def batches(items: list, grid: GridSpec, width: int = 1) -> list[list]:
+    """items, of `width` components each, cut into the batches one
+    transform carries.
+
+    A batch holds the most items b with b * width * n**dim below
     _SPLIT_MIN_SAMPLES, and at least one: so a batched transform is one
-    slab in the calling thread, and one that splits carries one component.
+    slab in the calling thread, and one that splits carries one item.
     """
-    b = max(1, (_SPLIT_MIN_SAMPLES - 1) // grid.n**grid.dim)
+    b = max(1, (_SPLIT_MIN_SAMPLES - 1) // (width * grid.n**grid.dim))
     return [items[lo : lo + b] for lo in range(0, len(items), b)]
 
 
@@ -497,6 +504,7 @@ def on_slabs(grid: GridSpec, fn: Callable[..., None], *arrays) -> None:
     any other argument (a scalar) is passed as it is.  Each element goes
     through the same operations either way, so the results are identical.
     """
+    # not splits(grid), written out: on_slabs runs some 50 times a step
     if grid.n**grid.dim < _SPLIT_MIN_SAMPLES:
         fn(*arrays)
         return
@@ -653,6 +661,47 @@ def real_view(c: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return c.reshape(-1).view(np.float64)[:size].reshape(shape)
 
 
+class Product(NamedTuple):
+    """One real product of a stage's forward transforms, as two on_slabs
+    calls: fill = (kernel, *args) writes its samples into a real slot
+    passed after args, and take = (kernel, *args) reads its fft, a
+    spectrum passed before args."""
+
+    fill: tuple
+    take: tuple
+
+
+def product_calls(
+    products: list[Product], grid: GridSpec, real: np.ndarray, spectra: np.ndarray
+) -> list[Callable[[], None]]:
+    """The calls that fill, fft and take each of products, one fft per batch
+    of batches(), in the order they run.
+
+    real (real) and spectra (complex) hold a batch: at least as many
+    components of the grid's samples and half spectrum as the largest
+    batch has products.  The fills overwrite real and the transform
+    spectra, so a take reads its spectrum before the next batch is filled.
+    """
+    calls = []
+    for batch in batches(products, grid):
+        k = len(batch)
+        calls += [partial(on_slabs, grid, *p.fill, slot) for p, slot in zip(batch, real)]
+        calls.append(partial(fft, real[:k], grid, out=spectra[:k]))
+        calls += [
+            partial(on_slabs, grid, p.take[0], c, *p.take[1:])
+            for p, c in zip(batch, spectra)
+        ]
+    return calls
+
+
+def convection_product(
+    u: np.ndarray, grad: np.ndarray, grid: GridSpec, out: np.ndarray
+) -> Product:
+    """u.grad f from grad, the physical gradient of a scalar f (overwritten),
+    its spectrum dealiased into out (one complex component)."""
+    return Product((_dot, grad, u), (np.multiply, half_wavenumbers(grid).mask, out[0]))
+
+
 def advector(u: np.ndarray, grid: GridSpec) -> Callable[[np.ndarray], np.ndarray]:
     """f_hat -> dealiased fft(u.grad f) of a scalar f_hat (one component).
 
@@ -661,52 +710,69 @@ def advector(u: np.ndarray, grid: GridSpec) -> Callable[[np.ndarray], np.ndarray
     divergence form of self_advect_hat would differ by aliasing error, not
     round-off.  Every call reuses the gradient spectrum i*kd*f_hat and the
     physical gradient made here.  The gradient spectrum is its own
-    inverse's scratch, and the product u.grad f and its spectrum live in it
-    once that inverse is done.  Each call returns a new array.
+    inverse's scratch, and the product u.grad f (convection_product) and
+    its spectrum live in it once that inverse is done.  Each call returns
+    a new array.
     """
     w = half_wavenumbers(grid)
     g_hat = np.empty(w.ikd.shape, np.complex128)
     grad = np.empty((grid.dim,) + grid.shape)
     uf = real_view(g_hat[0], (1,) + grid.shape)
-    uf_hat = g_hat[1:2]
 
     def advect(f_hat: np.ndarray) -> np.ndarray:
         on_slabs(grid, np.multiply, w.ikd, f_hat[0], g_hat)
         ifft(g_hat, grid, out=grad, scratch=g_hat)
-        on_slabs(grid, _dot, grad, u, uf[0])
-        fft(uf, grid, out=uf_hat)
-        out = np.empty_like(uf_hat)
-        on_slabs(grid, np.multiply, uf_hat, w.mask, out)
+        out = np.empty_like(g_hat[:1])
+        product = convection_product(u, grad, grid, out)
+        for call in product_calls([product], grid, uf, g_hat[1:2]):
+            call()
         return out
 
     return advect
 
 
-def _add_divergence_terms(out, ikd_mask, uu_hat, term, i, j) -> None:
+def _add_divergence_terms(uu_hat, out, ikd_mask, term, i, j) -> None:
     # the terms of fft(u_i u_j) in out_i and, off the diagonal, out_j
     out[i] += np.multiply(ikd_mask[j], uu_hat, out=term)
     if j != i:
         out[j] += np.multiply(ikd_mask[i], uu_hat, out=term)
 
 
-def _diagonal_product(ui, ud, uu, ud_sq) -> None:
+def _diagonal_product(ui, ud, ud_sq, uu) -> None:
     # uu = u_i^2 - u_d^2, u_d^2 written into the scratch ud_sq
     np.multiply(ud, ud, out=ud_sq)
     np.multiply(ui, ui, out=uu)
     uu -= ud_sq
 
 
-@lru_cache(maxsize=None)
-def _product_batches(grid: GridSpec) -> list[list[tuple[int, int]]]:
-    # the (i, j) of the products u_i u_j (i < j) and u_i^2 - u_d^2 (i = j < d)
+def advection_products(
+    u: np.ndarray, grid: GridSpec, out: np.ndarray, ud_sq: np.ndarray, term: np.ndarray
+) -> list[Product]:
+    """self_advect_hat's trace-free products of u, in its order, each
+    adding its divergence terms into out (complex, the result's shape,
+    zeroed by the caller).
+
+    ud_sq (real, grid.shape) is a fill's scratch and term (one complex
+    component) a take's: ud_sq may lie in the spectra's memory, which no
+    fill reads, and term in the products', which no take reads.
+    """
+    ikd_mask = half_wavenumbers(grid).ikd_mask
     d = grid.dim - 1
-    return batches([(i, j) for i in range(d) for j in range(i, grid.dim)], grid)
+    # the products u_i u_j (i < j) and u_i^2 - u_d^2 (i = j < d)
+    return [
+        Product(
+            (np.multiply, u[i], u[j]) if i != j else (_diagonal_product, u[i], u[d], ud_sq),
+            (_add_divergence_terms, out, ikd_mask, term, i, j),
+        )
+        for i in range(d)
+        for j in range(i, grid.dim)
+    ]
 
 
 def self_advect_width(grid: GridSpec) -> int:
     """Complex components of self_advect_hat's scratch: twice its largest
     batch of products, which it holds with their spectra."""
-    return 2 * len(_product_batches(grid)[0])
+    return 2 * len(batches(list(range(grid.dim * (grid.dim + 1) // 2 - 1)), grid)[0])
 
 
 def self_advect_hat(
@@ -715,15 +781,15 @@ def self_advect_hat(
     """Dealiased fft(div(u u - u_d^2 I)), d the last component.
 
     The trace-free products u_i u_j (i < j) and u_i^2 - u_d^2 (i < d),
-    dim(dim+1)/2 - 1 of them, one fft per batch of batches(): both 2D n=64
-    products in one, 3 + 2 at 3D n=32, one each at 3D n=64.  The result
-    differs from the full divergence form sum_j i*kd_j*fft(u_j u_c) by
-    i*kd*mask*fft(u_d^2), a gradient under kd: project_hat removes it
-    exactly, so the projected advection is the full one's to round-off for
-    any u, and flow.pressure_poisson adds its divergence back.  For
-    divergence-free u inside the 2/3 band the full form equals advector's
-    advection of each component to round-off: the product modes alias only outside
-    the mask, and u.grad u = div(u u).
+    dim(dim+1)/2 - 1 of them (advection_products), one fft per batch of
+    batches(): both 2D n=64 products in one, 3 + 2 at 3D n=32, one each at
+    3D n=64.  The result differs from the full divergence form
+    sum_j i*kd_j*fft(u_j u_c) by i*kd*mask*fft(u_d^2), a gradient under
+    kd: project_hat removes it exactly, so the projected advection is the
+    full one's to round-off for any u, and flow.pressure_poisson adds its
+    divergence back.  For divergence-free u inside the 2/3 band the full
+    form equals advector's advection of each component to round-off: the
+    product modes alias only outside the mask, and u.grad u = div(u u).
 
     Every product, its spectrum and its terms are written into scratch
     (complex, at least self_advect_width(grid) components of the result's
@@ -741,18 +807,9 @@ def self_advect_hat(
     uu = real_view(scratch[: width // 2], (width // 2,) + grid.shape)
     uu_hat = scratch[width // 2 : width]
     ud_sq = real_view(uu_hat[0], grid.shape)
-    term = scratch[0]
-    d = grid.dim - 1
-    for batch in _product_batches(grid):
-        k = len(batch)
-        for b, (i, j) in enumerate(batch):
-            if i != j:
-                on_slabs(grid, np.multiply, u[i], u[j], uu[b])
-            else:
-                on_slabs(grid, _diagonal_product, u[i], u[d], uu[b], ud_sq)
-        fft(uu[:k], grid, out=uu_hat[:k])
-        for b, (i, j) in enumerate(batch):
-            on_slabs(grid, _add_divergence_terms, out, ikd_mask, uu_hat[b], term, i, j)
+    products = advection_products(u, grid, out, ud_sq, scratch[0])
+    for call in product_calls(products, grid, uu, uu_hat):
+        call()
     return out
 
 

@@ -491,11 +491,12 @@ class TestMain:
         # keeps the two matched samples before it and records its time
         path = small_config(tmp_path)
         out = tmp_path / "tw"
-        step = penflow.solver.step
+        # every step makes its new state in solver._new_state
+        new_state = penflow.solver._new_state
         times = []
 
         def diverges_at_13th(*args, **kwargs):
-            state = step(*args, **kwargs)
+            state = new_state(*args, **kwargs)
             times.append(state.t)
             if len(times) == 13:
                 raise DivergenceError(state.t)
@@ -508,7 +509,7 @@ class TestMain:
             reports.append(report)
             write(report, outdir)
 
-        monkeypatch.setattr(penflow.solver, "step", diverges_at_13th)
+        monkeypatch.setattr(penflow.solver, "_new_state", diverges_at_13th)
         monkeypatch.setattr(penflow.cli, "write_twin_report", keep)
         code = main(["twin", str(path), "--perturb", "1e-6", "--output-dir", str(out)])
         assert code == EXIT_DIVERGED

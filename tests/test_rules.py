@@ -208,11 +208,17 @@ def test_config_error_is_raised_only_by_the_rule_checks():
 
 
 def test_divergence_error_is_raised_only_by_flow_state_and_the_model_step():
-    # FlowState judges every velocity, an initial one and each step's, and
-    # the model-pressure step judges its pressure
+    # FlowState judges every velocity, an initial one and each step's; the
+    # model-pressure step's result (_new_model, for evolve_pressure_model
+    # and advance alike) judges its pressure; and a sample (_diagnose)
+    # judges the growth of the kinetic energy
     _assert_raised_only_by(
         "DivergenceError",
-        {("flow", "FlowState.__init__"), ("solver", "evolve_pressure_model")},
+        {
+            ("flow", "FlowState.__init__"),
+            ("solver", "_new_model"),
+            ("solver", "_diagnose"),
+        },
     )
 
 

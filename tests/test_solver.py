@@ -10,6 +10,7 @@ import pytest
 import penflow.flow
 import penflow.solver
 from penflow import (
+    ArityError,
     ConfigError,
     DataError,
     DivergenceError,
@@ -36,6 +37,7 @@ from penflow import (
     pressure_poisson,
     run,
     save_checkpoint,
+    advance,
     simulate,
     step,
 )
@@ -438,6 +440,105 @@ class TestStep:
         assert effective_dt(state, cfg) == cfg.cfl_safety * g.h / state.umax
 
 
+def _fields_bytes(state, p_model):
+    return (
+        state.u.data.tobytes(),
+        state.u.half_spectrum().tobytes(),
+        p_model.data.tobytes(),
+        p_model.half_spectrum().tobytes(),
+    )
+
+
+class TestAdvance:
+    """advance, the one step of (u, P_model), against evolve_pressure_model
+    followed by step: below the split size the two sides share each
+    stage's transform calls, and every byte must still be theirs."""
+
+    @pytest.mark.parametrize(
+        "dim, n", [(2, 64), (3, 32), (3, 64)], ids=["2d-64", "3d-32", "3d-64"]
+    )
+    @pytest.mark.parametrize("sampled", [False, True], ids=["unsampled", "sampled"])
+    def test_matches_the_two_steps(self, dim, n, sampled):
+        # a sampled state's P was solved, and its first stage takes the
+        # self-advection that solve kept; 3D n=64 splits, and runs the two
+        # steps one after the other
+        g = GridSpec(dim, n)
+        ic = InitialCondition("random_divfree", seed=5)
+        cfg = SolverConfig(dt=2e-3)
+        got, want = [], []
+        for out, together in ((got, True), (want, False)):
+            state = make_initial(ic, g)
+            p_model = state.P if sampled else make_initial(ic, g).P
+            if together:
+                state, p_model = advance(state, p_model, cfg)
+            else:
+                p_model = evolve_pressure_model(state, p_model, cfg)
+                state = step(state, cfg)
+            out.append(_fields_bytes(state, p_model))
+        assert got == want
+
+    @pytest.mark.parametrize("mode", [MODEL_RHS, FINITE_DIFFERENCE])
+    def test_simulate_matches_the_two_steps(self, mode):
+        # 2D n=64 through simulate, which keeps one _Advance for the run: a
+        # sample every third step, so stage 1 runs from sampled and
+        # unsampled states; a finite_difference sample also solves the P of
+        # the state before it
+        g = GridSpec(2, 64)
+        cfg = ScenarioConfig(
+            grid=g,
+            ic=InitialCondition("random_divfree", seed=2),
+            solver=SolverConfig(dt=1e-3, t_end=0.008),
+            mode=mode,
+            output_every=3,
+        )
+        got = {
+            rs.index: _fields_bytes(rs.state, rs.p_model) for rs in simulate(cfg)
+        }
+        state = make_initial(cfg.ic, g, cfg.thermo)
+        p_model = state.P
+        want = {0: _fields_bytes(state, p_model)}
+        for index in range(1, 9):
+            sampled = index % 3 == 0 or index == 8
+            if sampled and mode == FINITE_DIFFERENCE:
+                state.P
+            p_model = evolve_pressure_model(state, p_model, cfg.solver)
+            state = step(state, cfg.solver)
+            if sampled:
+                state.P
+                want[index] = _fields_bytes(state, p_model)
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "dim, kind, ffts, iffts",
+        [(2, "taylor_green_2d", 4, 7), (3, "taylor_green_3d", 25, 18)],
+        ids=["2d-64", "3d-64"],
+    )
+    def test_call_budget(self, call_counter, dim, kind, ffts, iffts):
+        # fft and ifft calls in one advance from a state whose P is never
+        # read, against 9 and 10 for evolve_pressure_model and step at 2D
+        # n=64 (TestStep::test_call_budget).  Stage 1 transforms the
+        # trace-free products, u0.grad P and the source in one fft, and
+        # each later stage u and grad P in one ifft and the products and
+        # u0.grad P in one fft: 4 fft; 3 + 1 ifft of the stages, the new
+        # velocity, its divergence check and Phi's derivatives: 7.  At 3D
+        # n=64 every transform splits, and the two sides run one after the
+        # other with their own calls
+        g = GridSpec(dim, 64)
+        state = make_initial(InitialCondition(kind), g)
+        p_model = make_initial(InitialCondition(kind), g).P
+        count = call_counter()
+        advance(state, p_model, SolverConfig())
+        assert count == {"fft": ffts, "ifft": iffts}
+
+    def test_validates_its_arguments(self):
+        g = GridSpec(2, 16)
+        state = make_initial(InitialCondition(), g)
+        with pytest.raises(ConfigError):
+            advance(state, state.P, SolverConfig(), dt=0.0)
+        with pytest.raises(ArityError):
+            advance(state, state.u, SolverConfig())
+
+
 class TestTaylorGreenSymmetries:
     """3D Taylor-Green keeps its mirror and rotation symmetries under the
     Navier-Stokes equations (Brachet et al. 1983, J. Fluid Mech. 130:411):
@@ -765,6 +866,32 @@ class TestRun:
         summary = (tmp_path / "out" / "summary.txt").read_text()
         assert "status               : numerical divergence at t = 0\n" in summary
 
+    def test_energy_growth_is_a_divergence(self, tmp_path):
+        # nu*|k|^2*dt = 4 at the band's corner, past RK4's limit of 2.785,
+        # with the CFL cap slack: the corner modes grow fivefold a step
+        # (|R(-4)| = 5) until the kinetic energy rises, and the run ends
+        # as a divergence at that sample, exit 3, keeping the samples
+        # before it
+        cfg = dataclasses.replace(
+            ScenarioConfig(),
+            grid=GridSpec(2, 16),
+            ic=InitialCondition("random_divfree", amplitude=0.1, seed=1),
+            solver=SolverConfig(dt=0.08, t_end=2.0, cfl_safety=1.0),
+            thermo=ThermoParams(mu=1.0),
+            output_every=1,
+            output_dir=str(tmp_path / "out"),
+        )
+        path = tmp_path / "unstable.cfg"
+        path.write_text(format_config(cfg))
+        assert main(["run", str(path)]) == EXIT_DIVERGED
+        header, rows = read_series_csv(tmp_path / "out" / "series.csv")
+        ke = [float(row[header.index("kinetic_energy")]) for row in rows]
+        assert 2 <= len(ke) < 25
+        assert all(b <= a for a, b in zip(ke, ke[1:]))
+        summary = (tmp_path / "out" / "summary.txt").read_text()
+        t = float(re.search(r"numerical divergence at t = (\S+)", summary)[1])
+        assert t == pytest.approx(0.08 * len(ke))
+
     def test_bound_is_fitted_on_read(self):
         # a fit kept from the end of run() went stale when a sample was
         # appended afterwards
@@ -808,7 +935,9 @@ class TestRun:
             mode=mode,
         )
         calls = []
-        original = penflow.spectral.self_advect_hat
+        # every self-advection adds each trace-free product's divergence
+        # terms here once: self_advect_hat's and each RK4 stage's
+        original = penflow.spectral._add_divergence_terms
 
         def counted(*args, **kwargs):
             calls.append(None)
@@ -834,8 +963,10 @@ class TestRun:
         for index, want in sparse.items():
             assert dense[index] == want
         # every state's self-advection is computed once, sampled or not:
-        # one for each of the 13 states and three per step for stages 2-4
-        assert dense_calls == sparse_calls == 13 + 3 * 12
+        # one for each of the 13 states and three per step for stages 2-4,
+        # each of dim(dim+1)/2 - 1 products
+        products = dim * (dim + 1) // 2 - 1
+        assert dense_calls == sparse_calls == (13 + 3 * 12) * products
 
     def test_timestamps_increasing(self):
         cfg = dataclasses.replace(

@@ -805,6 +805,11 @@ def _decay(y):
     return y * (1.0 - 0.5j)
 
 
+def _rk4_decay(y, g):
+    stage = np.empty_like(y)
+    return _rk4(lambda: [_decay(stage)], [y], [_decay(y)], [stage], 0.3, g)[0]
+
+
 # every kernel routed through spectral.on_slabs, as a function of inputs
 # that are computed once; each returns the array the kernel writes
 _ROUTED_KERNELS = {
@@ -812,7 +817,7 @@ _ROUTED_KERNELS = {
     "project_hat": lambda g, x: project_hat(x["v_hat"].copy(), g),
     "advector": lambda g, x: advector(x["u"], g)(x["p_hat"]),
     "_momentum_rhs": lambda g, x: _momentum_rhs(x["u_hat"], 0.1, g),
-    "_rk4": lambda g, x: _rk4(_decay, x["u_hat"], _decay(x["u_hat"]), 0.3, g),
+    "_rk4": lambda g, x: _rk4_decay(x["u_hat"], g),
     "_gradient_squares": lambda g, x: _gradient_squares(x["field"]),
 }
 
