@@ -14,14 +14,29 @@ P's solve: the projection removes the gradient i*kd*fft(u_d^2) that the
 trace adds, and pressure_poisson adds its divergence back.  The
 self-advection of a sampled state, which P's solve starts from, is the
 next step's first RK4 stage, computed once; a state whose P is never read
-computes it there, and the two step to the same bytes.  A model-pressure
-step plus a step make 59 single-component transforms in 3D and 34 in 2D,
-54 and 32 from a sampled state; at n=64 an unsampled state's take 25 fft
-and 18 ifft calls in 3D and, with the small independent ones batched
-(spectral.batches), 9 and 10 in 2D.  The model pressure is not
-band-limited, so its advection stays convective and its RK4 runs on the
-Fourier coefficients.  Its physical samples are computed only when read
-(a checkpoint), not at every step.
+computes it there, and the two step to the same bytes.  The model
+pressure is not band-limited, so its advection stays convective and its
+RK4 runs on the Fourier coefficients.  Its physical samples are computed
+only when read (a checkpoint), not at every step.
+
+One stage implementation, _stage, serves advance, step and
+evolve_pressure_model: a stage of u inverse-transforms its stage spectrum
+and transforms its trace-free products back, and a stage of P_model
+inverse-transforms grad P and transforms u0.grad P back.  Below
+spectral's split size advance runs both sides in each stage of one RK4
+(_Advance, made once per run by simulate): u's and grad P's inverses go
+in one ifft call, the products and u0.grad P in the batches of one fft
+(spectral.batches), and stage 1 also carries the source's transform.
+On a larger grid every transform splits, so the sides run one after the
+other, P_model's first, in their own arrays.  Either way each side's
+stages keep their order of operations, so the bytes do not depend on
+which path ran.  A model-pressure step plus a step make 59
+single-component transforms in 3D and 34 in 2D, 54 and 32 from a sampled
+state; at n=64 an unsampled state's take 25 fft and 18 ifft calls in 3D,
+and 4 and 7 in 2D through advance (9 and 10 for evolve_pressure_model
+and step on their own).  A sample whose kinetic energy grows past the
+previous sample's by more than ENERGY_GROWTH_RTOL ends the run as a
+divergence: an unforced flow only loses energy.
 """
 
 from __future__ import annotations
@@ -297,12 +312,12 @@ def effective_dt(state: FlowState, cfg: SolverConfig) -> float:
 # RK4 stages.  A stage of u and one of P_model each make one inverse and
 # one forward transform: u's stage spectrum to u and its trace-free
 # products back, P's gradient spectrum to grad P and u0.grad P back.
-# _stage builds the calls of a stage of one side or of both, once per step.
+# _stage builds the calls of a stage of one side or of both.
 # ---------------------------------------------------------------------------
 
 
 class _Side(NamedTuple):
-    """One side of an RK4 stage, as calls made once per step: prepare runs
+    """One side of an RK4 stage, as calls bound to its arrays: prepare runs
     before the stage's inverse transforms, the products' fills read their
     samples, and finish makes result, f at the side's stage spectrum."""
 

@@ -42,9 +42,14 @@ components per call as stay below 2**17 samples, and at least one.  That
 is 31 at 2D n=64 (both products in one fft, all four derivatives in one
 ifft), 3 at 3D n=32 and 1 at 3D n=64, so a batch never splits and a split
 transform carries one component: all nine derivatives of a 3D n=64 field
-in one call raised that run's peak RSS from 135 to 180 MB.  numpy's
-arithmetic per line does not depend on how many lines a call carries, so
-a batch's results are each component's own transform, bit for bit.
+in one call raised that run's peak RSS from 135 to 180 MB.  On a grid
+below the split size (splits()) a stage's batch spans u and the model
+pressure (solver.advance): u's inverse and grad P's in one ifft where
+both fit, batches(items, grid, width) counting each as its components,
+and the products of both sides (Product, product_calls) in one fft.
+numpy's arithmetic per line does not depend on how many lines a call
+carries, so a batch's results are each component's own transform, bit
+for bit.
 
 The elementwise work of the 3D n=64 step splits the same way, through one
 dispatcher, on_slabs(grid, fn, *arrays): the products and the ikd_mask
