@@ -92,11 +92,11 @@ from .spectral import (
     ifft,
     integrate,
     on_slabs,
+    product_calls,
     project_hat,
     real_view,
     self_advect_width,
     sobolev_norm,
-    product_calls,
     splits,
 )
 
