@@ -19,18 +19,20 @@ pressure is not band-limited, so its advection stays convective and its
 RK4 runs on the Fourier coefficients.  Its physical samples are computed
 only when read (a checkpoint), not at every step.
 
-One stage implementation, _stage, serves advance, step and
-evolve_pressure_model: a stage of u inverse-transforms its stage spectrum
-and transforms its trace-free products back, and a stage of P_model
-inverse-transforms grad P and transforms u0.grad P back.  Below
-spectral's split size advance runs both sides in each stage of one RK4
-(_Advance, made once per run by simulate): u's and grad P's inverses go
+A stage of u inverse-transforms its stage spectrum and transforms its
+trace-free products back, and a stage of P_model inverse-transforms
+grad P and transforms u0.grad P back.  step and evolve_pressure_model
+step one side alone with spectral's own operators: _momentum_rhs
+(self_advect_hat, then the projection and the viscous term) and one
+spectral.advector per model step.  Below spectral's split size advance
+runs both sides in each stage of one RK4 (_Advance, made once per run by
+simulate, its stage calls built by _stage): u's and grad P's inverses go
 in one ifft call, the products and u0.grad P in the batches of one fft
 (spectral.batches), and stage 1 also carries the source's transform.
-On a larger grid every transform splits, so the sides run one after the
-other, P_model's first, in their own arrays.  Either way each side's
-stages keep their order of operations, so the bytes do not depend on
-which path ran.  A model-pressure step plus a step make 59
+On a larger grid every transform splits, so advance runs
+evolve_pressure_model, then step.  Both paths keep each side's order of
+operations, so the bytes do not depend on which ran.  A model-pressure
+step plus a step make 59
 single-component transforms in 3D and 34 in 2D, 54 and 32 from a sampled
 state; at n=64 an unsampled state's take 25 fft and 18 ifft calls in 3D,
 and 4 and 7 in 2D through advance (9 and 10 for evolve_pressure_model
@@ -84,6 +86,7 @@ from .spectral import (
     Product,
     RealField,
     advection_products,
+    advector,
     batches,
     check_field,
     convection_product,
@@ -95,6 +98,7 @@ from .spectral import (
     product_calls,
     project_hat,
     real_view,
+    self_advect_hat,
     self_advect_width,
     sobolev_norm,
     splits,
@@ -301,134 +305,34 @@ def _project_viscous(
     return rhs
 
 
+def _momentum_rhs(
+    u_hat: np.ndarray,
+    nu: float,
+    grid: GridSpec,
+    *,
+    u: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """-project(u.grad u) - nu*|k|^2*u_hat of a velocity spectrum, in a new
+    array: one stage of u's side alone.
+
+    u and scratch are work arrays, overwritten and allocated when not
+    given: u, the physical velocity of u_hat; scratch, a complex array of
+    u_hat's component shape, which u's inverse, self_advect_hat, the
+    projection and the viscous term share: at least as many components as
+    u_hat and self_advect_width(grid).
+    """
+    tmp = None if scratch is None else scratch[: len(u_hat)]
+    u = ifft(u_hat, grid, out=u, scratch=tmp)
+    rhs = self_advect_hat(u, grid, scratch=scratch)
+    return _project_viscous(rhs, u_hat, nu, grid, scratch)
+
+
 def effective_dt(state: FlowState, cfg: SolverConfig) -> float:
     """cfg.dt capped by the CFL condition cfl_safety*h/max|u|."""
     if state.umax == 0.0:
         return cfg.dt
     return min(cfg.dt, cfg.cfl_safety * state.grid.h / state.umax)
-
-
-# ---------------------------------------------------------------------------
-# RK4 stages.  A stage of u and one of P_model each make one inverse and
-# one forward transform: u's stage spectrum to u and its trace-free
-# products back, P's gradient spectrum to grad P and u0.grad P back.
-# _stage builds the calls of a stage of one side or of both.
-# ---------------------------------------------------------------------------
-
-
-class _Side(NamedTuple):
-    """One side of an RK4 stage, as calls bound to its arrays: prepare runs
-    before the stage's inverse transforms, the products' fills read their
-    samples, and finish makes result, f at the side's stage spectrum."""
-
-    prepare: list
-    products: list[Product]
-    finish: list
-    result: np.ndarray | None
-
-
-class _Products(NamedTuple):
-    """A stage's forward products: a batch's real and spectra
-    (spectral.product_calls), the self-advection's scratch ud_sq and term
-    (spectral.advection_products), and scratch, at least two complex
-    components for the momentum's projection and viscous term."""
-
-    real: np.ndarray
-    spectra: np.ndarray
-    ud_sq: np.ndarray | None = None
-    term: np.ndarray | None = None
-    scratch: np.ndarray | None = None
-
-
-def _momentum(
-    grid, nu, stage, u, k, work: _Products, zero=True, nu_ksq=None
-) -> _Side:
-    """u's side: f(u_hat) = -project(u.grad u) - nu*|k|^2*u_hat into k.
-
-    u is the samples of the stage spectrum `stage`, written by the stage's
-    inverse transform (or the state's own at stage 1); the trace-free
-    products of u add their divergence terms into k, which prepare zeroes
-    unless zero is false (a new np.zeros array), and finish folds in the
-    projection, the viscous term (nu_ksq, as _project_viscous takes it)
-    and the sign.
-    """
-    return _Side(
-        [partial(k.fill, 0.0)] if zero else [],
-        advection_products(u, grid, k, work.ud_sq, work.term),
-        [partial(_project_viscous, k, stage, nu, grid, work.scratch, nu_ksq)],
-        k,
-    )
-
-
-def _model(grid, u0, s_hat, stage, g_hat, grad, k) -> _Side:
-    """P_model's side: f(p_hat) = s_hat - dealias(fft(u0.grad P)) into k,
-    with u0 frozen at the state.
-
-    prepare writes the gradient spectrum of the stage spectrum `stage` into
-    g_hat, which the stage's inverse transforms into grad; u0.grad P is
-    dealiased into k, and finish subtracts it from the source's spectrum.
-    """
-    ikd = half_wavenumbers(grid).ikd
-    return _Side(
-        [partial(on_slabs, grid, np.multiply, ikd, stage[0], g_hat)],
-        [convection_product(u0, grad, grid, k)],
-        [partial(np.subtract, s_hat, k, out=k)],
-        k,
-    )
-
-
-def _stage(
-    grid: GridSpec, sides: list[_Side], inverses: list, work: _Products
-) -> Callable[[], list[np.ndarray]]:
-    """f at the sides' stage spectra, as one function of no argument.
-
-    It runs each side's prepare, the inverse transforms, one ifft call per
-    (spectrum, samples, scratch) of inverses, the forward transforms of
-    all the sides' products in the batches of spectral.batches, and each
-    side's finish, and returns the sides' results (a side whose result is
-    None has none).  The one stage of step, evolve_pressure_model and
-    advance: the calls are made here, and f only runs them.
-    """
-    calls = [c for side in sides for c in side.prepare]
-    calls += [partial(ifft, h, grid, out=x, scratch=t) for h, x, t in inverses]
-    products = [p for side in sides for p in side.products]
-    calls += product_calls(products, grid, work.real, work.spectra)
-    calls += [c for side in sides for c in side.finish]
-    results = [side.result for side in sides if side.result is not None]
-
-    def f() -> list[np.ndarray]:
-        for call in calls:
-            call()
-        return results
-
-    return f
-
-
-def _advection_width(grid: GridSpec) -> int:
-    # u's inverse scratch, then the self-advection's products and spectra
-    return max(grid.dim, self_advect_width(grid))
-
-
-def _momentum_work(grid: GridSpec, scratch: np.ndarray) -> _Products:
-    """u's stage alone, in self_advect_hat's layout of scratch."""
-    half = self_advect_width(grid) // 2
-    return _Products(
-        real=real_view(scratch[:half], (half,) + grid.shape),
-        spectra=scratch[half : 2 * half],
-        ud_sq=real_view(scratch[half], grid.shape),
-        term=scratch[0],
-        scratch=scratch,
-    )
-
-
-def _momentum_rhs(u_hat: np.ndarray, nu: float, grid: GridSpec) -> np.ndarray:
-    """-project(u.grad u) - nu*|k|^2*u_hat of a velocity spectrum, in a new
-    array: one stage of u's side alone, in arrays of its own."""
-    u = np.empty((grid.dim,) + grid.shape)
-    scratch = np.empty((_advection_width(grid),) + u_hat.shape[1:], np.complex128)
-    work = _momentum_work(grid, scratch)
-    side = _momentum(grid, nu, u_hat, u, np.empty_like(u_hat), work)
-    return _stage(grid, [side], [(u_hat, u, scratch[: grid.dim])], work)()[0]
 
 
 def _first_stage(acc, y, h, stage) -> None:
@@ -525,21 +429,17 @@ def step(state: FlowState, cfg: SolverConfig, dt: float | None = None) -> FlowSt
     # step: made per stage, these multi-MB arrays of a 3D n=64 step were
     # trimmed from the heap and faulted back in at every stage
     u_stage = np.empty(state.u.data.shape)
-    scratch = np.empty((_advection_width(grid),) + u0_hat.shape[1:], np.complex128)
+    width = max(grid.dim, self_advect_width(grid))
+    scratch = np.empty((width,) + u0_hat.shape[1:], np.complex128)
     stage = np.empty_like(k1)
-    work = _momentum_work(grid, scratch)
-    inverses = [(stage, u_stage, scratch[: grid.dim])]
 
     def f() -> list[np.ndarray]:
-        # a result per stage: one kept through the step raised a 3D n=64
-        # run's peak RSS by 6 MB
-        k = np.zeros(k1.shape, np.complex128)
-        side = _momentum(grid, nu, stage, u_stage, k, work, zero=False)
-        return _stage(grid, [side], inverses, work)()
+        # a result per stage (self_advect_hat's): one kept through the step
+        # raised a 3D n=64 run's peak RSS by 6 MB
+        return [_momentum_rhs(stage, nu, grid, u=u_stage, scratch=scratch)]
 
     (u_hat,) = _rk4(f, [u0_hat], [k1], [stage], dt, grid)
-    # the stage arrays are not alive through the new velocity's inverse
-    del f, inverses, stage, u_stage
+    del stage, u_stage  # not alive through the new velocity's inverse
     return _new_state(state, u_hat, dt, scratch)
 
 
@@ -562,26 +462,102 @@ def evolve_pressure_model(
     check_field(grid, 1, P_model)
     dt = _dt(state, cfg, dt)
     s_hat = pressure_source(state.phi, state.params).half_spectrum()
-    # the stages share the gradient spectrum, its own inverse's scratch,
-    # and the physical gradient, made once per step; the product and its
-    # spectrum go into the gradient spectrum's memory
-    g_hat = np.empty(half_wavenumbers(grid).ikd.shape, np.complex128)
-    grad = np.empty((grid.dim,) + grid.shape)
-    work = _Products(real_view(g_hat[0], (1,) + grid.shape), g_hat[1:2])
-    inverses = [(g_hat, grad, g_hat)]
-    u0 = state.u.data
+    # the four stages share advect's work arrays, made once per step
+    advect = advector(state.u.data, grid)
+
+    def rhs(p_hat: np.ndarray) -> np.ndarray:
+        k = advect(p_hat)
+        return np.subtract(s_hat, k, out=k)
+
     p0_hat = P_model.half_spectrum()
-    k1 = np.empty_like(p0_hat)
-    _stage(grid, [_model(grid, u0, s_hat, p0_hat, g_hat, grad, k1)], inverses, work)()
+    k1 = rhs(p0_hat)
     stage = np.empty_like(k1)
 
     def f() -> list[np.ndarray]:
         # a result per stage, as in step
-        side = _model(grid, u0, s_hat, stage, g_hat, grad, np.empty_like(k1))
-        return _stage(grid, [side], inverses, work)()
+        return [rhs(stage)]
 
     (p_hat,) = _rk4(f, [p0_hat], [k1], [stage], dt, grid)
     return _new_model(state, p_hat, dt)
+
+
+# ---------------------------------------------------------------------------
+# _Advance's stages.  A stage of u and one of P_model each make one inverse
+# and one forward transform: u's stage spectrum to u and its trace-free
+# products back, P's gradient spectrum to grad P and u0.grad P back.
+# _stage builds the calls of a stage of both sides.
+# ---------------------------------------------------------------------------
+
+
+class _Side(NamedTuple):
+    """One side of an RK4 stage, as calls bound to its arrays: prepare runs
+    before the stage's inverse transforms, the products' fills read their
+    samples, and finish makes result, f at the side's stage spectrum."""
+
+    prepare: list
+    products: list[Product]
+    finish: list
+    result: np.ndarray | None
+
+
+def _momentum(grid, nu, nu_ksq, stage, k, ud_sq, term, scratch, u) -> _Side:
+    """u's side: f(u_hat) = -project(u.grad u) - nu*|k|^2*u_hat into k.
+
+    u is the samples of the stage spectrum `stage`, written by the stage's
+    inverse transform (or the state's own at stage 1); prepare zeroes k,
+    the trace-free products of u add their divergence terms into it
+    (ud_sq and term as spectral.advection_products takes them), and finish
+    folds in the projection, the viscous term and the sign (scratch and
+    nu_ksq as _project_viscous takes them).
+    """
+    return _Side(
+        [partial(k.fill, 0.0)],
+        advection_products(u, grid, k, ud_sq, term),
+        [partial(_project_viscous, k, stage, nu, grid, scratch, nu_ksq)],
+        k,
+    )
+
+
+def _model(grid, u0, s_hat, stage, g_hat, grad, k) -> _Side:
+    """P_model's side: f(p_hat) = s_hat - dealias(fft(u0.grad P)) into k,
+    with u0 frozen at the state.
+
+    prepare writes the gradient spectrum of the stage spectrum `stage` into
+    g_hat, which the stage's inverse transforms into grad; u0.grad P is
+    dealiased into k, and finish subtracts it from the source's spectrum.
+    """
+    ikd = half_wavenumbers(grid).ikd
+    return _Side(
+        [partial(on_slabs, grid, np.multiply, ikd, stage[0], g_hat)],
+        [convection_product(u0, grad, grid, k)],
+        [partial(np.subtract, s_hat, k, out=k)],
+        k,
+    )
+
+
+def _stage(grid, sides, inverses, real, spectra) -> Callable[[], list[np.ndarray]]:
+    """f at the sides' stage spectra, as one function of no argument.
+
+    It runs each side's prepare, the inverse transforms, one ifft call per
+    (spectrum, samples, scratch) of inverses, the forward transforms of
+    all the sides' products in the batches of spectral.batches (real and
+    spectra as spectral.product_calls takes them), and each side's finish,
+    and returns the sides' results (a side whose result is None has
+    none).  The calls are made here, and f only runs them.
+    """
+    calls = [c for side in sides for c in side.prepare]
+    calls += [partial(ifft, h, grid, out=x, scratch=t) for h, x, t in inverses]
+    products = [p for side in sides for p in side.products]
+    calls += product_calls(products, grid, real, spectra)
+    calls += [c for side in sides for c in side.finish]
+    results = [side.result for side in sides if side.result is not None]
+
+    def f() -> list[np.ndarray]:
+        for call in calls:
+            call()
+        return results
+
+    return f
 
 
 def _copy(src, dst) -> None:
@@ -639,29 +615,28 @@ class _Advance:
         self.u0, self.source = inputs[:dim], inputs[dim]
         self.stages = [u_stage, p_stage]
         self.k, self.tmp = [k_u, k_p], tmp
-        work = _Products(
-            real=real_view(tmp, (width,) + grid.shape),
-            spectra=spectra,
-            ud_sq=real_view(spectra[0], grid.shape),
-            term=tmp[0],
-            scratch=tmp,
-        )
+        # a forward batch's products and spectra; the self-advection's
+        # scratch u_d^2 and term
+        real = real_view(tmp, (width,) + grid.shape)
+        ud_sq, term = real_view(spectra[0], grid.shape), tmp[0]
         model = _model(grid, self.u0, s_hat, p_stage, g_hat, grad, k_p)
         source = _source(self.source, s_hat)
         first = [(g_hat, grad, g_hat)]
-        self.first_alone = _stage(grid, [source, model], first, work)
+        self.first_alone = _stage(grid, [source, model], first, real, spectra)
         # nu*|k|^2, which a stage would otherwise compute again
         self.nu_ksq = nu * half_wavenumbers(grid).ksq
-        u_first = _momentum(grid, nu, u_stage, self.u0, k_u, work, nu_ksq=self.nu_ksq)
-        self.first = _stage(grid, [source, u_first, model], first, work)
+        # u's side, of the samples it is given
+        momentum = partial(
+            _momentum, grid, nu, self.nu_ksq, u_stage, k_u, ud_sq, term, tmp
+        )
+        sides = [source, momentum(self.u0), model]
+        self.first = _stage(grid, sides, first, real, spectra)
         inverses = []
         for group in batches([0, 1], grid, width=dim):
             s = slice(group[0] * dim, (group[-1] + 1) * dim)
             inverses.append((hats[s], samples[s], tmp[s]))
-        u_side = _momentum(
-            grid, nu, u_stage, samples[:dim], k_u, work, nu_ksq=self.nu_ksq
-        )
-        self.f = _stage(grid, [u_side, model], inverses, work)
+        sides = [momentum(samples[:dim]), model]
+        self.f = _stage(grid, sides, inverses, real, spectra)
 
     def __call__(
         self, state: FlowState, P_model: RealField, dt: float
@@ -699,7 +674,7 @@ def advance(
     spectral._SPLIT_MIN_SAMPLES points (spectral.splits) each stage runs
     both sides in one _stage (_Advance): u's inverse and grad P's go in
     one ifft call, and the trace-free products and u0.grad P in the
-    batches of one forward, so an unsampled 2D n=64 step makes 5 fft and 7
+    batches of one forward, so an unsampled 2D n=64 step makes 4 fft and 7
     ifft calls, against 9 and 10.  On a larger grid every transform
     splits, so there is no call to share, and interleaving would keep P's
     RK4 arrays alive through u's stages: P_model's stages run first, then

@@ -477,13 +477,16 @@ class TestAdvance:
             out.append(_fields_bytes(state, p_model))
         assert got == want
 
+    @pytest.mark.parametrize("dim, n", [(2, 64), (3, 32)], ids=["2d-64", "3d-32"])
     @pytest.mark.parametrize("mode", [MODEL_RHS, FINITE_DIFFERENCE])
-    def test_simulate_matches_the_two_steps(self, mode):
-        # 2D n=64 through simulate, which keeps one _Advance for the run: a
-        # sample every third step, so stage 1 runs from sampled and
-        # unsampled states; a finite_difference sample also solves the P of
-        # the state before it
-        g = GridSpec(2, 64)
+    def test_simulate_matches_the_two_steps(self, mode, dim, n):
+        # through simulate, which keeps one _Advance for the run: a sample
+        # every third step, so stage 1 runs from sampled and unsampled
+        # states; a finite_difference sample also solves the P of the state
+        # before it.  At 2D n=64 one batch holds every product and both
+        # inverses; at 3D n=32 the products go in batches of 3, and u's
+        # and grad P's inverses take two calls
+        g = GridSpec(dim, n)
         cfg = ScenarioConfig(
             grid=g,
             ic=InitialCondition("random_divfree", seed=2),
