@@ -82,6 +82,7 @@ from .flow import (
     regime_check,
 )
 from .spectral import (
+    TWO_PI,
     GridSpec,
     Product,
     RealField,
@@ -95,6 +96,7 @@ from .spectral import (
     ifft,
     integrate,
     on_slabs,
+    parseval_sum,
     product_calls,
     project_hat,
     real_view,
@@ -203,15 +205,16 @@ class ScenarioConfig:
 def make_initial(
     ic: InitialCondition, grid: GridSpec, params: ThermoParams | None = None
 ) -> FlowState:
-    """Divergence-free, band-limited initial state at t = 0 (_band_limited);
-    its P is solved on first read."""
+    """Divergence-free, band-limited initial state at t = 0; its P is
+    solved on first read.  Taylor-Green samples go through _band_limited;
+    a random velocity is built in the band from its spectrum."""
     params = params if params is not None else ThermoParams()
     check_rules(_kind_fits_grid(ic, grid))
-    if ic.kind in ("taylor_green_2d", "taylor_green_3d"):
-        u = _taylor_green(ic.amplitude, grid)
-    else:
+    if ic.kind == "random_divfree":
         u = _random_divfree(ic, grid)
-    return FlowState(0.0, _band_limited(u, grid), params)
+    else:
+        u = _band_limited(_taylor_green(ic.amplitude, grid), grid)
+    return FlowState(0.0, u, params)
 
 
 def _band_limited(u: np.ndarray, grid: GridSpec) -> RealField:
@@ -255,8 +258,10 @@ def _taylor_green(amplitude: float, grid: GridSpec) -> np.ndarray:
     return u
 
 
-def _random_divfree(ic: InitialCondition, grid: GridSpec) -> np.ndarray:
-    """Band-limited Gaussian modes, solenoidally projected, rms = amplitude."""
+def _random_divfree(ic: InitialCondition, grid: GridSpec) -> RealField:
+    """Band-limited Gaussian modes, solenoidally projected, rms = amplitude
+    (by Parseval, on the spectrum); its samples are that spectrum's
+    inverse, as _band_limited makes them."""
     rng = np.random.default_rng(ic.seed)
     raw = rng.standard_normal((grid.dim,) + grid.shape)
     w = half_wavenumbers(grid)
@@ -264,11 +269,11 @@ def _random_divfree(ic: InitialCondition, grid: GridSpec) -> np.ndarray:
     envelope = np.exp(-((kk - ic.spectrum_peak) ** 2))
     envelope[kk == 0] = 0.0
     envelope *= w.mask
-    proj = ifft(project_hat(fft(raw, grid) * envelope, grid), grid)
-    rms = np.sqrt(np.mean(np.sum(proj * proj, axis=0)))
+    u_hat = project_hat(fft(raw, grid) * envelope, grid)
+    rms = math.sqrt(parseval_sum(u_hat, u_hat, grid) / TWO_PI**grid.dim)
     if rms > 0:
-        proj = proj * (ic.amplitude / rms)
-    return proj
+        u_hat *= ic.amplitude / rms
+    return RealField(grid, ifft(u_hat, grid), u_hat)
 
 
 def _viscous_and_sign(rhs, u_hat, nu_ksq, term) -> None:

@@ -103,6 +103,22 @@ class TestMakeInitial:
             InitialCondition("shear_layer")
 
     @pytest.mark.parametrize(
+        "kind, dim, n",
+        [
+            ("taylor_green_2d", 2, 64),
+            ("random_divfree", 2, 64),
+            ("taylor_green_3d", 3, 16),
+        ],
+    )
+    def test_call_budget(self, call_counter, kind, dim, n):
+        # one transform pair for the velocity, whether it starts from
+        # samples (Taylor-Green) or from its spectrum (random), and one
+        # ifft for the state's divergence check
+        count = call_counter()
+        make_initial(InitialCondition(kind), GridSpec(dim, n))
+        assert count == {"fft": 1, "ifft": 2}
+
+    @pytest.mark.parametrize(
         "kind, dim",
         [("taylor_green_2d", 2), ("taylor_green_3d", 3), ("random_divfree", 2)],
     )
