@@ -493,8 +493,14 @@ class TestAdvance:
             out.append(_fields_bytes(state, p_model))
         assert got == want
 
-    @pytest.mark.parametrize("dim, n", [(2, 64), (3, 32)], ids=["2d-64", "3d-32"])
-    @pytest.mark.parametrize("mode", [MODEL_RHS, FINITE_DIFFERENCE])
+    @pytest.mark.parametrize(
+        "mode, dim, n",
+        [pytest.param(m, 2, 64, id=m) for m in (MODEL_RHS, FINITE_DIFFERENCE)]
+        + [
+            pytest.param(m, 3, 32, id=f"{m}-3d-32")
+            for m in (MODEL_RHS, FINITE_DIFFERENCE)
+        ],
+    )
     def test_simulate_matches_the_two_steps(self, mode, dim, n):
         # through simulate, which keeps one _Advance for the run: a sample
         # every third step, so stage 1 runs from sampled and unsampled
