@@ -158,19 +158,18 @@ class FlowState:
             self._advection = advection
         return self._P
 
-    def take_self_advection(self, compute: bool = True) -> np.ndarray | None:
-        """self_advect_hat(u.data), in an array the caller may overwrite.
+    def take_self_advection(self) -> np.ndarray | None:
+        """The self_advect_hat(u.data) that P's solve kept, in an array the
+        caller may overwrite, or None when none is kept: the caller then
+        computes it (step with self_advect_hat, solver._Advance in a batch
+        of its own).
 
-        The one P's solve left is handed over once and forgotten, so
-        nothing can read it after the caller writes into it; without one,
-        it is computed, or None is returned when compute is false (the
-        caller computes it in a batch of its own).  Either way it is the
-        one trace-free form, so a state whose P was read steps to the same
-        bytes as one whose P was not.
+        It is handed over once and forgotten, so nothing can read it after
+        the caller writes into it.  Either way it is the one trace-free
+        form, so a state whose P was read steps to the same bytes as one
+        whose P was not.
         """
         advection, self._advection = self._advection, None
-        if advection is None and compute:
-            advection = self_advect_hat(self.u.data, self.grid)
         return advection
 
     @property

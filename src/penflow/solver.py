@@ -26,9 +26,10 @@ step one side alone with spectral's own operators: _momentum_rhs
 (self_advect_hat, then the projection and the viscous term) and one
 spectral.advector per model step.  Below spectral's split size advance
 runs both sides in each stage of one RK4 (_Advance, made once per run by
-simulate, its stage calls built by _stage): u's and grad P's inverses go
-in one ifft call, the products and u0.grad P in the batches of one fft
-(spectral.batches), and stage 1 also carries the source's transform.
+simulate, whose _stage method calls the kernels and the product calls
+made with its work block): u's and grad P's inverses go in one ifft call,
+the products and u0.grad P in the batches of one fft (spectral.batches),
+and stage 1 also carries the source's transform.
 On a larger grid every transform splits, so advance runs
 evolve_pressure_model, then step.  Both paths keep each side's order of
 operations, so the bytes do not depend on which ran.  A model-pressure
@@ -48,7 +49,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -429,7 +430,10 @@ def step(state: FlowState, cfg: SolverConfig, dt: float | None = None) -> FlowSt
     nu = state.params.nu
     dt = _dt(state, cfg, dt)
     u0_hat = state.u.half_spectrum()
-    k1 = _project_viscous(state.take_self_advection(), u0_hat, nu, grid)
+    k1 = state.take_self_advection()
+    if k1 is None:
+        k1 = self_advect_hat(state.u.data, grid)
+    k1 = _project_viscous(k1, u0_hat, nu, grid)
     # stages 2-4 share one physical velocity and one scratch, made once per
     # step: made per stage, these multi-MB arrays of a 3D n=64 step were
     # trimmed from the heap and faulted back in at every stage
@@ -486,105 +490,24 @@ def evolve_pressure_model(
     return _new_model(state, p_hat, dt)
 
 
-# ---------------------------------------------------------------------------
-# _Advance's stages.  A stage of u and one of P_model each make one inverse
-# and one forward transform: u's stage spectrum to u and its trace-free
-# products back, P's gradient spectrum to grad P and u0.grad P back.
-# _stage builds the calls of a stage of both sides.
-# ---------------------------------------------------------------------------
-
-
-class _Side(NamedTuple):
-    """One side of an RK4 stage, as calls bound to its arrays: prepare runs
-    before the stage's inverse transforms, the products' fills read their
-    samples, and finish makes result, f at the side's stage spectrum."""
-
-    prepare: list
-    products: list[Product]
-    finish: list
-    result: np.ndarray | None
-
-
-def _momentum(grid, nu, nu_ksq, stage, k, ud_sq, term, scratch, u) -> _Side:
-    """u's side: f(u_hat) = -project(u.grad u) - nu*|k|^2*u_hat into k.
-
-    u is the samples of the stage spectrum `stage`, written by the stage's
-    inverse transform (or the state's own at stage 1); prepare zeroes k,
-    the trace-free products of u add their divergence terms into it
-    (ud_sq and term as spectral.advection_products takes them), and finish
-    folds in the projection, the viscous term and the sign (scratch and
-    nu_ksq as _project_viscous takes them).
-    """
-    return _Side(
-        [partial(k.fill, 0.0)],
-        advection_products(u, grid, k, ud_sq, term),
-        [partial(_project_viscous, k, stage, nu, grid, scratch, nu_ksq)],
-        k,
-    )
-
-
-def _model(grid, u0, s_hat, stage, g_hat, grad, k) -> _Side:
-    """P_model's side: f(p_hat) = s_hat - dealias(fft(u0.grad P)) into k,
-    with u0 frozen at the state.
-
-    prepare writes the gradient spectrum of the stage spectrum `stage` into
-    g_hat, which the stage's inverse transforms into grad; u0.grad P is
-    dealiased into k, and finish subtracts it from the source's spectrum.
-    """
-    ikd = half_wavenumbers(grid).ikd
-    return _Side(
-        [partial(on_slabs, grid, np.multiply, ikd, stage[0], g_hat)],
-        [convection_product(u0, grad, grid, k)],
-        [partial(np.subtract, s_hat, k, out=k)],
-        k,
-    )
-
-
-def _stage(grid, sides, inverses, real, spectra) -> Callable[[], list[np.ndarray]]:
-    """f at the sides' stage spectra, as one function of no argument.
-
-    It runs each side's prepare, the inverse transforms, one ifft call per
-    (spectrum, samples, scratch) of inverses, the forward transforms of
-    all the sides' products in the batches of spectral.batches (real and
-    spectra as spectral.product_calls takes them), and each side's finish,
-    and returns the sides' results (a side whose result is None has
-    none).  The calls are made here, and f only runs them.
-    """
-    calls = [c for side in sides for c in side.prepare]
-    calls += [partial(ifft, h, grid, out=x, scratch=t) for h, x, t in inverses]
-    products = [p for side in sides for p in side.products]
-    calls += product_calls(products, grid, real, spectra)
-    calls += [c for side in sides for c in side.finish]
-    results = [side.result for side in sides if side.result is not None]
-
-    def f() -> list[np.ndarray]:
-        for call in calls:
-            call()
-        return results
-
-    return f
-
-
 def _copy(src, dst) -> None:
     np.copyto(dst, src)
-
-
-def _source(samples: np.ndarray, s_hat: np.ndarray) -> _Side:
-    """The source's forward transform, as a side with no result: its
-    samples are copied into a forward batch and its spectrum into s_hat."""
-    return _Side([], [Product((_copy, samples), (_copy, s_hat[0]))], [], None)
 
 
 class _Advance:
     """advance on one grid below the split size, for one ThermoParams: a
     step of (u, P_model) whose stages run both sides in one _stage.
 
-    The work arrays are one block, and the calls of the stages are made
-    with it once, when the instance is made: simulate makes one per run,
-    and each step copies its inputs into the block.  Remade at every step,
-    the calls cost about what sharing the transform calls saves at 2D
-    n=64, and a block made at every step raised a baseline run's peak RSS
-    by 1.8 MB, against 0.8 MB for one kept through the run.
+    A stage of u inverse-transforms its stage spectrum and transforms its
+    trace-free products back, and a stage of P_model inverse-transforms
+    grad P and transforms u0.grad P back: _stage puts the inverses in one
+    ifft call and the products in the batches of one fft where they fit.
+    The work arrays are one block, and the product calls are made with it
+    once, when the instance is made: simulate makes one per run, and each
+    step copies its inputs into the block.  Remade at every step, the calls
+    cost about what sharing the transform calls saves at 2D n=64, and a
+    block made at every step raised a baseline run's peak RSS by 1.8 MB,
+    against 0.8 MB for one kept through the run.
 
     Stage 1 starts from the state: u's samples are the state's, and its
     self-advection is the one P's solve kept, or is computed beside u0.grad
@@ -600,7 +523,6 @@ class _Advance:
     def __init__(self, grid: GridSpec, params: ThermoParams):
         dim = grid.dim
         self.grid, self.params = grid, params
-        nu = params.nu
         # the largest forward batch: of stage 1's trace-free products,
         # u0.grad P and the source
         width = len(batches(list(range(dim * (dim + 1) // 2 + 1)), grid)[0])
@@ -608,61 +530,81 @@ class _Advance:
         # the inverse's scratch also holds a forward batch's products
         t = max(2 * dim, width)
         block = np.empty((4 + 6 * dim + t + width,) + spectrum, np.complex128)
-        p_stage, k_p, s_hat = block[0:1], block[1:2], block[2:3]
+        self.p_stage, self.k_p, self.s_hat = block[0:1], block[1:2], block[2:3]
         hats = block[3 : 3 + 2 * dim]
-        u_stage, g_hat = hats[:dim], hats[dim:]
+        self.u_stage, self.g_hat = hats[:dim], hats[dim:]
         tmp, rest = block[3 + 2 * dim : 3 + 2 * dim + t], block[3 + 2 * dim + t :]
         samples = real_view(rest[: 2 * dim], (2 * dim,) + grid.shape)
         inputs = real_view(rest[2 * dim : 3 * dim + 1], (dim + 1,) + grid.shape)
-        k_u = rest[3 * dim + 1 : 4 * dim + 1]
+        self.k_u = rest[3 * dim + 1 : 4 * dim + 1]
         spectra = rest[4 * dim + 1 :]
-        grad = samples[dim:]
+        self.grad = samples[dim:]
         self.u0, self.source = inputs[:dim], inputs[dim]
-        self.stages = [u_stage, p_stage]
-        self.k, self.tmp = [k_u, k_p], tmp
-        # a forward batch's products and spectra; the self-advection's
-        # scratch u_d^2 and term
-        real = real_view(tmp, (width,) + grid.shape)
-        ud_sq, term = real_view(spectra[0], grid.shape), tmp[0]
-        model = _model(grid, self.u0, s_hat, p_stage, g_hat, grad, k_p)
-        source = _source(self.source, s_hat)
-        first = [(g_hat, grad, g_hat)]
-        self.first_alone = _stage(grid, [source, model], first, real, spectra)
+        self.tmp = tmp
         # nu*|k|^2, which a stage would otherwise compute again
-        self.nu_ksq = nu * half_wavenumbers(grid).ksq
-        # u's side, of the samples it is given
-        momentum = partial(
-            _momentum, grid, nu, self.nu_ksq, u_stage, k_u, ud_sq, term, tmp
-        )
-        sides = [source, momentum(self.u0), model]
-        self.first = _stage(grid, sides, first, real, spectra)
-        inverses = []
+        w = half_wavenumbers(grid)
+        self.ikd, self.nu_ksq = w.ikd, params.nu * w.ksq
+        # the inverses of stages 2-4: u's and grad P's spectra, in as few
+        # calls as batches allows
+        self.inverses = []
         for group in batches([0, 1], grid, width=dim):
             s = slice(group[0] * dim, (group[-1] + 1) * dim)
-            inverses.append((hats[s], samples[s], tmp[s]))
-        sides = [momentum(samples[:dim]), model]
-        self.f = _stage(grid, sides, inverses, real, spectra)
+            self.inverses.append((hats[s], samples[s], tmp[s]))
+        # the product calls: a forward batch's products and spectra, and the
+        # self-advection's scratch u_d^2 and term
+        real = real_view(tmp, (width,) + grid.shape)
+        ud_sq, term = real_view(spectra[0], grid.shape), tmp[0]
+        source = Product((_copy, self.source), (_copy, self.s_hat[0]))
+        model = convection_product(self.u0, self.grad, grid, self.k_p)
+        u0_uu = advection_products(self.u0, grid, self.k_u, ud_sq, term)
+        uu = advection_products(samples[:dim], grid, self.k_u, ud_sq, term)
+        self.first_calls = product_calls([source, *u0_uu, model], grid, real, spectra)
+        self.alone_calls = product_calls([source, model], grid, real, spectra)
+        self.later_calls = product_calls([*uu, model], grid, real, spectra)
+
+    def _stage(self, products, inverses, momentum=True) -> list[np.ndarray]:
+        """f at the stage spectra, [k_u, k_p]: products are the product
+        calls of the stage's sides and inverses its ifft calls, (spectrum,
+        samples, scratch) each; without momentum only P_model's side runs
+        (k_u is not written)."""
+        grid = self.grid
+        if momentum:
+            self.k_u.fill(0.0)
+        on_slabs(grid, np.multiply, self.ikd, self.p_stage[0], self.g_hat)
+        for h, x, t in inverses:
+            ifft(h, grid, out=x, scratch=t)
+        for call in products:
+            call()
+        if momentum:
+            nu = self.params.nu
+            _project_viscous(self.k_u, self.u_stage, nu, grid, self.tmp, self.nu_ksq)
+        np.subtract(self.s_hat, self.k_p, out=self.k_p)
+        return [self.k_u, self.k_p]
 
     def __call__(
         self, state: FlowState, P_model: RealField, dt: float
     ) -> tuple[FlowState, RealField]:
         grid = self.grid
-        u_stage, p_stage = self.stages
         u0_hat, p0_hat = state.u.half_spectrum(), P_model.half_spectrum()
         np.copyto(self.source, pressure_source(state.phi, state.params).data[0])
         np.copyto(self.u0, state.u.data)
-        np.copyto(p_stage, p0_hat)
-        k1_u = state.take_self_advection(compute=False)
+        np.copyto(self.p_stage, p0_hat)
+        first = [(self.g_hat, self.grad, self.g_hat)]
+        k1_u = state.take_self_advection()
         if k1_u is None:
-            np.copyto(u_stage, u0_hat)
-            self.first()
-            k1_u = self.k[0].copy()
+            np.copyto(self.u_stage, u0_hat)
+            k1_u = self._stage(self.first_calls, first)[0].copy()
         else:
-            self.first_alone()
+            self._stage(self.alone_calls, first, momentum=False)
             _project_viscous(k1_u, u0_hat, self.params.nu, grid, self.tmp, self.nu_ksq)
-        k1_p = self.k[1].copy()
+        k1_p = self.k_p.copy()
         u_hat, p_hat = _rk4(
-            self.f, [u0_hat, p0_hat], [k1_u, k1_p], self.stages, dt, grid
+            partial(self._stage, self.later_calls, self.inverses),
+            [u0_hat, p0_hat],
+            [k1_u, k1_p],
+            [self.u_stage, self.p_stage],
+            dt,
+            grid,
         )
         P_new = _new_model(state, p_hat, dt)
         return _new_state(state, u_hat, dt, self.tmp), P_new

@@ -266,3 +266,39 @@ def test_numpy_fft_is_referenced_only_in_spectral():
     found = _found(lambda path: _scopes(path, references_fft))
     assert found, "the scan found no numpy.fft reference at all"
     assert {module for module, _, _ in found} == {"spectral"}
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, node) of each module-level function, class or constant of a
+    module whose name starts with _ and is no dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_every_private_name_is_referenced():
+    # a module-level private name that nothing in the package reads outside
+    # its own definition is a leftover of code that is gone
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    checked, unreferenced = [], []
+    for tree in trees:
+        for name, definition in _private_definitions(tree):
+            own = {id(node) for node in ast.walk(definition)}
+            checked.append(name)
+            if not any(
+                id(node) not in own
+                and (node.name if isinstance(node, ast.alias) else _name(node)) == name
+                for node in nodes
+            ):
+                unreferenced.append(name)
+    assert checked, "the scan found no private name at all"
+    assert unreferenced == []

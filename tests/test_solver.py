@@ -471,20 +471,27 @@ class TestAdvance:
     stage's transform calls, and every byte must still be theirs."""
 
     @pytest.mark.parametrize(
-        "dim, n", [(2, 64), (3, 32), (3, 64)], ids=["2d-64", "3d-32", "3d-64"]
+        "dim, n, heated",
+        [(2, 64, False), (3, 32, False), (3, 64, False), (2, 64, True), (3, 32, True)],
+        ids=["2d-64", "3d-32", "3d-64", "heated-2d-64", "heated-3d-32"],
     )
     @pytest.mark.parametrize("sampled", [False, True], ids=["unsampled", "sampled"])
-    def test_matches_the_two_steps(self, dim, n, sampled):
+    def test_matches_the_two_steps(self, dim, n, heated, sampled):
         # a sampled state's P was solved, and its first stage takes the
         # self-advection that solve kept; 3D n=64 splits, and runs the two
-        # steps one after the other
+        # steps one after the other.  A heated case's source carries Q,
+        # which stage 1 transforms in its forward batch
         g = GridSpec(dim, n)
         ic = InitialCondition("random_divfree", seed=5)
         cfg = SolverConfig(dt=2e-3)
+        params = None
+        if heated:
+            x = g.coordinates()[0]
+            params = ThermoParams(Q=RealField(g, 2.0 + np.cos(x)))
         got, want = [], []
         for out, together in ((got, True), (want, False)):
-            state = make_initial(ic, g)
-            p_model = state.P if sampled else make_initial(ic, g).P
+            state = make_initial(ic, g, params)
+            p_model = state.P if sampled else make_initial(ic, g, params).P
             if together:
                 state, p_model = advance(state, p_model, cfg)
             else:
